@@ -54,9 +54,9 @@ void RseController::begin_round(tmk::NodeRuntime& rt, const tmk::McastDiffReques
   }
 }
 
-tmk::ValidNoticesP RseController::local_valid_notices(tmk::NodeRuntime& rt) const {
+tmk::ValidNoticesP RseController::local_valid_notices(tmk::NodeRuntime& rt) {
   tmk::ValidNoticesP out;
-  for (PageId p = 0; p < rt.page_count(); ++p) {
+  for (const auto& [p, notices] : rt.page_notice_index()) {
     const tmk::PageState& ps = rt.page(p);
     if (!ps.pending.empty()) {
       out.entries.emplace_back(p, ps.valid_vc);
@@ -123,11 +123,8 @@ void RseController::enter(tmk::NodeRuntime& rt) {
   // Write-protect dirty pages so that pre-section modifications are flushed
   // into diffs at the first replicated write (the lazy-diff hazard fix of
   // Section 5.3).
-  for (PageId p = 0; p < rt.page_count(); ++p) {
-    if (rt.page(p).has_twin()) {
-      rt.page(p).rse_write_protected = true;
-    }
-  }
+  st.write_protected.assign(rt.twinned_pages().begin(), rt.twinned_pages().end());
+  for (PageId p : st.write_protected) rt.page(p).rse_write_protected = true;
 
   st.active = true;
   rt.set_in_replicated_section(true);
@@ -147,9 +144,8 @@ void RseController::exit(tmk::NodeRuntime& rt) {
 
   // Remaining write-protected dirty pages return to their normal state
   // (Section 5.3); their twins still hold the pre-section modifications.
-  for (PageId p = 0; p < rt.page_count(); ++p) {
-    rt.page(p).rse_write_protected = false;
-  }
+  for (PageId p : st.write_protected) rt.page(p).rse_write_protected = false;
+  st.write_protected.clear();
   st.active = false;
   st.table = nullptr;
   st.table_index.clear();

@@ -48,6 +48,11 @@ class RseController final : public tmk::RseHooks {
 
   [[nodiscard]] FlowControl flow() const { return flow_; }
 
+  /// This node's valid notices (Section 5.4.1): one (page, valid_vc) entry
+  /// per page it would fault on, ascending by page.  Visits only pages with
+  /// known write notices, not the whole heap.
+  [[nodiscard]] static tmk::ValidNoticesP local_valid_notices(tmk::NodeRuntime& rt);
+
   // --- RseHooks (dispatcher + fault integration) ---
   void on_fault(tmk::NodeRuntime& rt, tmk::PageId page) override;
   /// Registers the handler set for the configured FlowControl variant.
@@ -92,6 +97,9 @@ class RseController final : public tmk::RseHooks {
 
   struct NodeState {
     bool active = false;
+    /// Pages write-protected at entry (those holding a twin; Section 5.3),
+    /// so exit resets exactly these.
+    std::vector<tmk::PageId> write_protected;
     /// The aggregated valid-notice table multicast by the master.
     std::shared_ptr<const std::vector<tmk::ValidNoticesP>> table;
     /// Per-thread page -> validity lookup built from `table` (points into
@@ -127,10 +135,6 @@ class RseController final : public tmk::RseHooks {
     std::vector<tmk::ValidNoticesP> gathering;
     sim::WaitToken* master_gather_waiter = nullptr;
   };
-
-  /// Computes this node's valid notices: one (page, valid_vc) entry per
-  /// page it would fault on.
-  [[nodiscard]] tmk::ValidNoticesP local_valid_notices(tmk::NodeRuntime& rt) const;
 
   /// Requester election for `page`: the lowest-id thread whose table entry
   /// shows it will fault (Section 5.4.1).

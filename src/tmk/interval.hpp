@@ -29,6 +29,18 @@ struct IntervalRecord {
   [[nodiscard]] std::size_t wire_bytes() const {
     return 8 + vc.wire_bytes() + 4 * pages.size();
   }
+
+  /// `vc.lamport_sum()`, computed on first use and cached.  The record is
+  /// immutable once published, and causal diff sorting keys every
+  /// comparison on it: recomputing an N-entry sum per comparison made a
+  /// batch of one packet per writer cost O(N^2 log N).
+  [[nodiscard]] std::uint64_t lamport() const {
+    if (lamport_ == 0) lamport_ = vc.lamport_sum();
+    return lamport_;
+  }
+
+ private:
+  mutable std::uint64_t lamport_ = 0;  // 0 = not yet computed
 };
 
 /// Pool-backed, non-atomically counted: records fan out to every node

@@ -20,6 +20,10 @@ enum class PageProt : std::uint8_t {
 struct PageState {
   PageProt prot = PageProt::ReadOnly;
 
+  /// While the page holds a twin: its position in the owning node's
+  /// twinned-page list (NodeRuntime::twinned_pages).
+  std::uint32_t twin_slot = 0;
+
   /// Copy taken at the first write after the page was last clean; present
   /// while there are local modifications not yet captured in a diff.
   std::unique_ptr<std::byte[]> twin;

@@ -72,18 +72,27 @@ std::span<const std::byte> NodeRuntime::page_span(PageId p) const {
   return {mem_.data() + static_cast<std::size_t>(p) * pb, pb};
 }
 
-std::unique_ptr<std::byte[]> NodeRuntime::acquire_twin() {
+void NodeRuntime::acquire_twin(PageId p) {
+  PageState& ps = pages_[p];
   if (!twin_pool_.empty()) {
-    auto t = std::move(twin_pool_.back());
+    ps.twin = std::move(twin_pool_.back());
     twin_pool_.pop_back();
-    return t;
+  } else {
+    // Uninitialized: the caller memcpys the full page over it immediately.
+    ps.twin.reset(new std::byte[config().page_bytes]);
   }
-  // Uninitialized: the caller memcpys the full page over it immediately.
-  return std::unique_ptr<std::byte[]>(new std::byte[config().page_bytes]);
+  ps.twin_slot = static_cast<std::uint32_t>(twinned_pages_.size());
+  twinned_pages_.push_back(p);
 }
 
-void NodeRuntime::release_twin(std::unique_ptr<std::byte[]> twin) {
-  if (twin != nullptr) twin_pool_.push_back(std::move(twin));
+void NodeRuntime::release_twin(PageId p) {
+  PageState& ps = pages_[p];
+  twin_pool_.push_back(std::move(ps.twin));
+  // Swap-remove: the list's last page takes over p's slot.
+  const PageId moved = twinned_pages_.back();
+  twinned_pages_[ps.twin_slot] = moved;
+  pages_[moved].twin_slot = ps.twin_slot;
+  twinned_pages_.pop_back();
 }
 
 // ---------------------------------------------------------------------------
@@ -165,7 +174,7 @@ void NodeRuntime::write_barrier(GAddr addr, std::size_t bytes) {
       }
       // ReadOnly: create the twin and commit, yield-free.
       REPSEQ_PAGE_TRACE(p, "write fault: twin created (vc_self=%u)", vc_.at(id_));
-      ps.twin = acquire_twin();
+      acquire_twin(p);
       std::memcpy(ps.twin.get(), page_span(p).data(), pb);
       ps.prot = PageProt::Writable;
       if (!ps.dirty_in_current) {
@@ -300,7 +309,7 @@ void NodeRuntime::flush_diff(PageId p, bool on_server) {
     own_diffs_[{p, i}].push_back(rd);
   }
   ps.open_intervals.clear();
-  release_twin(std::move(ps.twin));
+  release_twin(p);
   if (ps.prot == PageProt::Writable) {
     ps.prot = PageProt::ReadOnly;  // next write re-twins
   }
@@ -388,7 +397,7 @@ void NodeRuntime::apply_packets_causally(std::vector<DiffPacket> pkts, bool on_s
       if (i <= log_.known(pkt.owner)) newest = std::max(newest, i);
     }
     REPSEQ_CHECK(newest > 0, "diff batch with no locally-known cover");
-    return log_.get(pkt.owner, newest).vc.lamport_sum();
+    return log_.get(pkt.owner, newest).lamport();
   };
   std::stable_sort(pkts.begin(), pkts.end(), [&](const DiffPacket& a, const DiffPacket& b) {
     const auto la = lamport(a);

@@ -129,6 +129,15 @@ class NodeRuntime {
     auto it = page_notice_index_.find(p);
     return it == page_notice_index_.end() ? kEmpty : it->second;
   }
+  /// Every page with at least one known write notice, ascending, mapped to
+  /// page_notices(p).  A page with pending notices is always in it, so a
+  /// walk over it finds every invalid page without scanning the heap.
+  [[nodiscard]] const std::map<PageId, std::vector<IntervalRecordPtr>>& page_notice_index()
+      const {
+    return page_notice_index_;
+  }
+  /// Pages currently holding a twin, in no particular order.
+  [[nodiscard]] const std::vector<PageId>& twinned_pages() const { return twinned_pages_; }
 
   /// Closes the current interval if dirty (publishes write notices locally;
   /// they travel with the next synchronization message).
@@ -214,12 +223,6 @@ class NodeRuntime {
     slave_known_vc_[s].max_with(vc);
   }
 
-  /// Scratch twin buffers, one page each, recycled between twin lifetimes
-  /// (created at the first write to a clean page, freed at diff flush --
-  /// a high-frequency pairing on write-heavy workloads).
-  [[nodiscard]] std::unique_ptr<std::byte[]> acquire_twin();
-  void release_twin(std::unique_ptr<std::byte[]> twin);
-
   /// The dispatcher fiber body (spawned by Cluster).
   void dispatcher_loop();
 
@@ -229,6 +232,14 @@ class NodeRuntime {
 
  private:
   friend class Cluster;
+
+  /// Gives page `p` a twin buffer and lists it in twinned_pages().  Buffers
+  /// are recycled between twin lifetimes (created at the first write to a
+  /// clean page, freed at diff flush -- a high-frequency pairing on
+  /// write-heavy workloads).  The caller fills the buffer.
+  void acquire_twin(PageId p);
+  /// Returns page `p`'s twin buffer to the pool and unlists the page.
+  void release_twin(PageId p);
 
   // message handlers (dispatcher fiber)
   void handle_message(const net::Message& msg);
@@ -281,6 +292,7 @@ class NodeRuntime {
   std::uint64_t next_diff_seq_ = 1;
   std::map<PageId, std::vector<IntervalRecordPtr>> page_notice_index_;
   std::vector<std::unique_ptr<std::byte[]>> twin_pool_;
+  std::vector<PageId> twinned_pages_;  // PageState::twin_slot indexes it
 
   NodeStats stats_;
   std::uint64_t next_req_id_ = 1;

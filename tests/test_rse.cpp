@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "ompnow/team.hpp"
@@ -148,6 +149,82 @@ TEST(Rse, LazyDiffHazardYieldsPreSectionDataOnly) {
   });
 
   for (int t = 0; t < 4; ++t) EXPECT_EQ(finals[t], 15) << "thread " << t;
+}
+
+TEST(Rse, EntryScansMatchAFullHeapScan) {
+  // Section entry visits only pages with known write notices (for the
+  // valid notices) and pages holding a twin (for write protection), not
+  // the whole heap.  On every node at every entry both must agree with a
+  // scan of every page, and exit must lift every protection.  The workload
+  // leaves pages dirty before each section (the Section 5.3 lazy-diff
+  // hazard: a page only its writer touched keeps its twin across the join)
+  // and pages with notices pending from several owners, some of which no
+  // section reads.
+  constexpr int kNodes = 4;
+  World w(kNodes, SeqMode::Replicated, FlowControl::Chained,
+          [](World& ww) { ww.cfg.page_bytes = 1024; });
+  constexpr std::size_t kIntsPerPage = 1024 / sizeof(int);
+  constexpr std::size_t kShared = 8 * kIntsPerPage;  // 8 pages every node writes
+  auto shared = tmk::ShArray<int>::alloc(*w.cl, kShared, /*page_aligned=*/true);
+  auto own = tmk::ShArray<int>::alloc(*w.cl, kNodes * kIntsPerPage, /*page_aligned=*/true);
+
+  int entries = 0;
+  std::size_t protected_pages = 0;
+  std::size_t multi_owner_pages = 0;
+  auto check_entry = [&](tmk::NodeRuntime& rt) {
+    ++entries;
+    tmk::ValidNoticesP full;
+    for (tmk::PageId p = 0; p < rt.page_count(); ++p) {
+      const tmk::PageState& ps = rt.page(p);
+      EXPECT_EQ(ps.rse_write_protected, ps.has_twin()) << "node " << rt.id() << " page " << p;
+      if (ps.rse_write_protected) ++protected_pages;
+      if (ps.pending.empty()) continue;
+      full.entries.emplace_back(p, ps.valid_vc);
+      std::set<tmk::NodeId> owners;
+      for (const tmk::IntervalRecordPtr& r : ps.pending) owners.insert(r->owner);
+      if (owners.size() > 1) ++multi_owner_pages;
+    }
+    const tmk::ValidNoticesP bounded = RseController::local_valid_notices(rt);
+    ASSERT_EQ(bounded.entries.size(), full.entries.size()) << "node " << rt.id();
+    for (std::size_t i = 0; i < full.entries.size(); ++i) {
+      EXPECT_EQ(bounded.entries[i].first, full.entries[i].first) << "node " << rt.id();
+      EXPECT_TRUE(bounded.entries[i].second == full.entries[i].second)
+          << "node " << rt.id() << " page " << full.entries[i].first;
+    }
+  };
+
+  w.cl->run([&](tmk::NodeRuntime&) {
+    for (int iter = 0; iter < 3; ++iter) {
+      w.team->parallel([&](const Ctx& ctx) {
+        for (std::size_t i = static_cast<std::size_t>(ctx.tid); i < kShared; i += kNodes) {
+          shared.store(i, static_cast<int>(i) + iter);
+        }
+        own.store(static_cast<std::size_t>(ctx.tid) * kIntsPerPage, iter);
+      });
+      w.team->sequential([&](const Ctx& ctx) {
+        check_entry(ctx.rt);
+        // Read (and so validate) only the first half of the shared pages;
+        // the rest keep their multi-owner notices pending into later
+        // sections.  Then write the even nodes' own pages: the first write
+        // to a protected page flushes its pre-section diff, and the odd
+        // nodes' pages stay protected until exit.
+        long s = 0;
+        for (std::size_t i = 0; i < kShared / 2; ++i) s += shared.load(i);
+        for (std::size_t t = 0; t < kNodes; t += 2) {
+          own.store(t * kIntsPerPage + 1, static_cast<int>(s % 1000));
+        }
+      });
+      w.team->parallel([&](const Ctx& ctx) {
+        for (tmk::PageId p = 0; p < ctx.rt.page_count(); ++p) {
+          EXPECT_FALSE(ctx.rt.page(p).rse_write_protected) << "node " << ctx.tid << " page " << p;
+        }
+      });
+    }
+  });
+
+  EXPECT_EQ(entries, 3 * kNodes);
+  EXPECT_GT(protected_pages, 0u);
+  EXPECT_GT(multi_owner_pages, 0u);
 }
 
 TEST(Rse, NullAcksFlowOnlyInChainedMode) {
