@@ -160,6 +160,18 @@ void RseController::exit(tmk::NodeRuntime& rt) {
   // exchanged" (Section 5.2).  No intervals closed during the section, so
   // this barrier carries no notices.
   rt.barrier(kExitBarrier);
+  // Every node arrived, so none is still waiting in on_fault: a round still
+  // in flight or queued serves nobody.  One can outlive its section when
+  // the master's receive ring, full of sync arrivals, drops the tail of its
+  // ack chain; left alone it holds its shard until the watchdog fires and
+  // the next section's rounds queue behind it.
+  if (rt.is_master()) {
+    for (std::size_t shard = 0; shard < shards_; ++shard) {
+      MasterShard& ms = master_shard(shard);
+      ms.queue.clear();
+      if (ms.round_in_flight) master_round_finished(rt, shard, /*on_server=*/false);
+    }
+  }
   if (obs::enabled(obs::Cat::Rse)) [[unlikely]] {
     obs::tracer().end(obs::Cat::Rse, cluster_.engine().now(),
                       static_cast<std::int32_t>(rt.id()) + 1, "app");

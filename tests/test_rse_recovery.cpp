@@ -4,6 +4,13 @@
 // flow-control policy, without changing results.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "obs/trace.hpp"
 #include "ompnow/team.hpp"
 #include "rse/controller.hpp"
 #include "tmk/access.hpp"
@@ -133,6 +140,60 @@ TEST(WatchdogAbandonment, LateCompletingChainDoesNotDoubleFinishRounds) {
     }
     EXPECT_GT(recoveries, 0u) << s.name;
   }
+}
+
+TEST(RoundLifetime, MasterRetiresRoundsAtSectionExit) {
+  // Regression: a round must not outlive its section.  Node 1 alone holds
+  // the page's diff, so once its frame lands every faulting node leaves the
+  // section at once, and their exit-barrier arrivals (sync traffic,
+  // admitted past a full receive ring) reach the master with the rest of
+  // the ack chain (null acks, droppable).  The master drops the chain's
+  // tail and never sees it complete.  The round used to stay in flight
+  // until the watchdog abandoned it, rse_wait_timeout later, with the next
+  // section's round queued behind it.  Past the exit barrier nobody waits
+  // on a round, so the master retires it there.
+  constexpr std::size_t kNodes = 8;
+  constexpr std::size_t kIntsPerPage = 4096 / sizeof(int);
+  tmk::TmkConfig cfg;
+  cfg.heap_bytes = 1u << 20;
+  net::NetConfig ncfg;
+  ncfg.recv_buffer_msgs = 2;
+  tmk::Cluster cl(cfg, ncfg, kNodes);
+  RseController rse(cl, FlowControl::Chained);
+  ompnow::Team team(cl, SeqMode::Replicated, &rse);
+  auto data = tmk::ShArray<int>::alloc(cl, 2 * kIntsPerPage, /*page_aligned=*/true);
+
+  const std::string path = ::testing::TempDir() + "repseq_round_lifetime.json";
+  obs::tracer().configure(path, static_cast<std::uint8_t>(obs::Cat::Rse));
+  std::vector<sim::SimDuration> section_time;
+  std::vector<int> sums(kNodes, -1);
+  cl.run([&](tmk::NodeRuntime&) {
+    team.parallel([&](const Ctx& ctx) {
+      if (ctx.tid == 1) {
+        data.store(0, 5);
+        data.store(kIntsPerPage, 7);
+      }
+    });
+    for (std::size_t page = 0; page < 2; ++page) {
+      const sim::SimTime t0 = cl.engine().now();
+      team.sequential([&](const Ctx&) { (void)data.load(page * kIntsPerPage); });
+      section_time.push_back(cl.engine().now() - t0);
+    }
+    team.parallel([&](const Ctx& ctx) { sums[ctx.tid] = data.load(0) + data.load(kIntsPerPage); });
+  });
+  obs::tracer().write();
+  obs::tracer().configure("", 0);
+  std::stringstream trace;
+  trace << std::ifstream(path).rdbuf();
+  std::remove(path.c_str());
+
+  EXPECT_GT(cl.network().total_drops(), 0u) << "the chain's tail was never dropped";
+  EXPECT_NE(trace.str().find("\"round\""), std::string::npos) << "no rounds traced";
+  EXPECT_EQ(trace.str().find("round-abandon"), std::string::npos);
+  for (const sim::SimDuration dt : section_time) {
+    EXPECT_LT(dt.ns, cfg.rse_wait_timeout.ns / 4) << "a section waited on the watchdog";
+  }
+  for (std::size_t t = 0; t < kNodes; ++t) EXPECT_EQ(sums[t], 12) << "node " << t;
 }
 
 TEST(LossRecoverySeeds, ManySeedsConverge) {
