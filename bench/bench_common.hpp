@@ -9,6 +9,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -19,20 +20,26 @@
 
 namespace repseq::bench {
 
-/// Reads an integer override from the environment (REPSEQ_<NAME>).
-inline long env_long(const char* name, long fallback) {
-  const std::string var = std::string("REPSEQ_") + name;
-  const char* v = std::getenv(var.c_str());
-  return v != nullptr ? std::atol(v) : fallback;
-}
-
 /// A malformed axis value must kill the run, not silently fall back: a
-/// sweep that quietly ran the wrong transport/policy/flow produces tables
-/// that look fine and mean nothing.
+/// sweep that quietly ran the wrong transport/policy/flow/size produces
+/// tables that look fine and mean nothing.
 [[noreturn]] inline void env_value_error(const char* var, const char* got,
                                          const char* accepted) {
   std::fprintf(stderr, "error: unknown %s '%s' (accepted: %s)\n", var, got, accepted);
   std::exit(2);
+}
+
+/// Reads an integer override from the environment (REPSEQ_<NAME>).  The
+/// whole value must be one base-10 integer ("4x" or "four" exits 2).
+inline long env_long(const char* name, long fallback) {
+  const std::string var = std::string("REPSEQ_") + name;
+  const char* v = std::getenv(var.c_str());
+  if (v == nullptr) return fallback;
+  char* end = nullptr;
+  errno = 0;
+  const long n = std::strtol(v, &end, 10);
+  if (end == v || *end != '\0' || errno == ERANGE) env_value_error(var.c_str(), v, "an integer");
+  return n;
 }
 
 inline std::size_t bench_nodes() { return static_cast<std::size_t>(env_long("NODES", 32)); }
@@ -54,7 +61,7 @@ inline std::size_t bench_hub_shards() {
   return static_cast<std::size_t>(std::max(1L, env_long("HUB_SHARDS", 4)));
 }
 
-/// Adaptive-mode decision procedure: REPSEQ_POLICY=static|greedy|hysteresis
+/// Adaptive-mode decision procedure: REPSEQ_POLICY=greedy|hysteresis
 /// (parsed by rse::policy::parse_policy, the single parser for the axis --
 /// the mode and flow axes live in apps::harness::parse_mode/parse_flow and
 /// the transport axis in net::parse_transport).
@@ -63,7 +70,7 @@ inline rse::policy::PolicyKind bench_policy(
   const char* v = std::getenv("REPSEQ_POLICY");
   if (v == nullptr) return fallback;
   const auto k = rse::policy::parse_policy(v);
-  if (!k) env_value_error("REPSEQ_POLICY", v, "static|greedy|hysteresis");
+  if (!k) env_value_error("REPSEQ_POLICY", v, "greedy|hysteresis");
   return *k;
 }
 

@@ -144,7 +144,7 @@ std::string site_policy_summary(const repseq::tmk::Cluster& cl) {
 /// Adaptive-policy probe over the same hot-spot workload, repeated for a few
 /// rounds so the policy converges past its bootstrap: the master writes the
 /// block, everyone reads it, and the rse::policy engine picks the section
-/// strategy per round.  Run with REPSEQ_POLICY=static|greedy|hysteresis,
+/// strategy per round.  Run with REPSEQ_POLICY=greedy|hysteresis,
 /// and REPSEQ_PIN_SITE=<site>=<strategy>[,...] to pin sites for A/B runs
 /// (the producer section is site 1, the consumer section site 2).
 AdaptivePoint adaptive_probe(std::size_t nodes) {

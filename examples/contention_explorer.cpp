@@ -7,7 +7,7 @@
 // Build & run:   ./build/examples/contention_explorer
 //                    [hub|tree|direct|sharded] [shards]
 //                    [--mode base|replicated|broadcast|adaptive]
-//                    [--policy static|greedy|hysteresis]
+//                    [--policy greedy|hysteresis]
 //
 // --mode selects what the second column runs against the base system;
 // adaptive mode routes every section through the rse::policy engine and
@@ -107,7 +107,7 @@ int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [hub|tree|direct|sharded] [shards]\n"
                "          [--mode base|replicated|broadcast|adaptive]\n"
-               "          [--policy static|greedy|hysteresis]\n"
+               "          [--policy greedy|hysteresis]\n"
                "          [--batch-window <microseconds>]\n"
                "          [--trace <path>]   write a Perfetto trace (= REPSEQ_TRACE)\n"
                "          [--check races,protocol|all]   correctness checking (= REPSEQ_CHECK)\n",
@@ -128,23 +128,8 @@ int main(int argc, char** argv) {
     if (arg == "--mode") {
       if (++i >= argc) return usage(argv[0]);
       const auto m = apps::harness::parse_mode(argv[i]);
-      if (!m) return usage(argv[0]);
-      switch (*m) {
-        case apps::harness::Mode::Original:
-          mode = ompnow::SeqMode::MasterOnly;
-          break;
-        case apps::harness::Mode::Optimized:
-          mode = ompnow::SeqMode::Replicated;
-          break;
-        case apps::harness::Mode::BroadcastSeq:
-          mode = ompnow::SeqMode::BroadcastAfter;
-          break;
-        case apps::harness::Mode::Adaptive:
-          mode = ompnow::SeqMode::Adaptive;
-          break;
-        case apps::harness::Mode::Sequential:
-          return usage(argv[0]);
-      }
+      if (!m || *m == apps::harness::Mode::Sequential) return usage(argv[0]);
+      mode = apps::harness::seq_mode_for(*m);
     } else if (arg == "--policy") {
       if (++i >= argc) return usage(argv[0]);
       const auto k = rse::policy::parse_policy(argv[i]);

@@ -55,8 +55,6 @@ std::optional<rse::FlowControl> parse_flow(std::string_view s) {
   return std::nullopt;
 }
 
-namespace {
-
 ompnow::SeqMode seq_mode_for(Mode m) {
   switch (m) {
     case Mode::Optimized:
@@ -69,6 +67,8 @@ ompnow::SeqMode seq_mode_for(Mode m) {
       return ompnow::SeqMode::MasterOnly;
   }
 }
+
+namespace {
 
 struct Bench {
   std::unique_ptr<tmk::Cluster> cluster;

@@ -19,6 +19,10 @@
 #include "rse/policy/policy.hpp"
 #include "tmk/config.hpp"
 
+namespace repseq::ompnow {
+enum class SeqMode;
+}  // namespace repseq::ompnow
+
 namespace repseq::apps::harness {
 
 enum class Mode {
@@ -37,6 +41,10 @@ enum class Mode {
 /// (the transport axis lives next to its enum: net::parse_transport).
 [[nodiscard]] std::optional<Mode> parse_mode(std::string_view s);
 [[nodiscard]] std::optional<rse::FlowControl> parse_flow(std::string_view s);
+
+/// How a mode runs its sequential sections (Sequential runs its one node
+/// master-only).
+[[nodiscard]] ompnow::SeqMode seq_mode_for(Mode m);
 
 struct RunOptions {
   std::size_t nodes = 32;

@@ -10,14 +10,17 @@ namespace repseq::net {
 BatchingTransport::BatchingTransport(sim::Engine& eng, const NetConfig& cfg,
                                      std::vector<std::unique_ptr<Nic>>& nics,
                                      std::unique_ptr<Transport> inner)
-    : Transport(eng, cfg, nics), inner_(std::move(inner)) {
+    : Transport(eng, cfg, nics),
+      inner_(std::move(inner)),
+      window_(eng, cfg.batch_window,
+              [this](std::uint64_t key, std::span<const Pending> batch) { transmit(key, batch); }) {
   REPSEQ_CHECK(cfg.batch_window.ns > 0, "BatchingTransport needs a nonzero window");
 }
 
 void BatchingTransport::unicast(const Message& msg, std::size_t wire_bytes,
                                 const DeliverFn& deliver, const AccountFn& account) {
   (void)wire_bytes;  // recomputed for the combined payload at flush
-  enqueue(unicast_key(msg.src, msg.dst), /*is_multicast=*/false, msg, deliver, account);
+  enqueue(unicast_key(msg.src, msg.dst), msg, deliver, account);
 }
 
 void BatchingTransport::multicast(const Message& msg, std::size_t wire_bytes,
@@ -28,48 +31,23 @@ void BatchingTransport::multicast(const Message& msg, std::size_t wire_bytes,
     inner_->multicast(msg, wire_bytes, deliver, account);
     return;
   }
-  enqueue(multicast_key(msg.src, shard_of(msg.mcast_group, inner_->shard_count())),
-          /*is_multicast=*/true, msg, deliver, account);
+  enqueue(multicast_key(msg.src, shard_of(msg.mcast_group, inner_->shard_count())), msg, deliver,
+          account);
 }
 
-void BatchingTransport::enqueue(std::uint64_t key, bool is_multicast, const Message& msg,
-                                const DeliverFn& deliver, const AccountFn& account) {
-  Queue& q = queues_[key];
-  if (q.window_open) {
-    q.q.push_back(Pending{msg, deliver, account});
-    return;
-  }
-  // Idle destination: the frame leaves at once and opens the window behind
-  // it, so the first frame of a burst -- and every step of a chained round
-  // -- pays no coalescing delay; only the pile-up does.
-  q.window_open = true;
-  if (obs::enabled(obs::Cat::Net)) [[unlikely]] {
+void BatchingTransport::enqueue(std::uint64_t key, const Message& msg, const DeliverFn& deliver,
+                                const AccountFn& account) {
+  if (obs::enabled(obs::Cat::Net) && !window_.is_open(key)) [[unlikely]] {
     obs::tracer().instant(obs::Cat::Net, eng_.now(), static_cast<std::int32_t>(msg.src) + 1,
                           "net-batch", "window-open",
                           {{"key", static_cast<double>(key)},
                            {"window_ns", static_cast<double>(cfg_.batch_window.ns)}});
   }
-  eng_.schedule_in(cfg_.batch_window, [this, key, is_multicast] { flush(key, is_multicast); });
-  transmit(is_multicast, {Pending{msg, deliver, account}});
+  window_.push(key, Pending{msg, deliver, account});
 }
 
-void BatchingTransport::flush(std::uint64_t key, bool is_multicast) {
-  Queue& q = queues_[key];
-  if (q.q.empty()) {
-    // Nothing arrived while the window was open: the destination goes idle
-    // and the next send will again leave immediately.
-    q.window_open = false;
-    return;
-  }
-  const std::vector<Pending> batch = std::move(q.q);
-  q.q.clear();
-  // Traffic is still flowing to this destination: re-arm the window so a
-  // sustained stream keeps leaving as one combined frame per window.
-  eng_.schedule_in(cfg_.batch_window, [this, key, is_multicast] { flush(key, is_multicast); });
-  transmit(is_multicast, batch);
-}
-
-void BatchingTransport::transmit(bool is_multicast, const std::vector<Pending>& batch) {
+void BatchingTransport::transmit(std::uint64_t key, std::span<const Pending> batch) {
+  const bool is_multicast = (key >> 63) == 0;
   // The combined frame: concatenated payloads under one set of headers.
   // Group identity (src, dst/mcast_group, kind) is taken from the carrier;
   // every constituent in this queue shares the delivery set by key

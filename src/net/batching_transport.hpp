@@ -1,18 +1,11 @@
-// Frame coalescing as a transport decorator.  Wraps any backend and opens a
-// NetConfig::batch_window rolling window per destination: a send to an idle
-// destination leaves IMMEDIATELY (and opens the window); every further send
-// to the same destination (unicast) -- or the same medium shard (multicast)
-// -- while the window is open queues, and leaves at the window close as ONE
-// combined wire frame whose payload is the concatenation of its
-// constituents (which re-opens the window while traffic keeps coming).
-// This is the classic small-frame batching of RDMA/UDP stacks: the chained
-// null acks, write notices and window credits that dominate our traces are
-// tens of bytes each, so the per-frame header + per-frame software cost
-// dwarfs them.  First-frame-immediate matters on our chained rounds: a
-// delay-everything window would space each chain step a full window apart
-// -- clocked by the batched network itself -- so consecutive acks would
-// never share a frame; transmitting the idle-path frame at once keeps the
-// chain pipelined and coalesces exactly the pile-ups.
+// Frame coalescing as a transport decorator.  Wraps any backend and runs a
+// net::CoalescingWindow per destination: sends to one destination (unicast)
+// -- or one medium shard (multicast) -- that pile up while the window is
+// open leave as ONE combined wire frame whose payload is the concatenation
+// of its constituents.  This is the classic small-frame batching of
+// RDMA/UDP stacks: the chained null acks, write notices and window credits
+// that dominate our traces are tens of bytes each, so the per-frame header
+// + per-frame software cost dwarfs them.
 //
 // Semantics preserved:
 //   * Per-destination FIFO: a queue flushes in enqueue order, and the
@@ -33,8 +26,8 @@
 // A deferring inner backend (the forwarding tree) keeps its multicast path:
 // its frames leave hop by hop from interior nodes the decorator cannot see,
 // so coalescing them here would be wrong -- TreeMulticastTransport instead
-// piggybacks per interior edge itself (same window, same carrier/rider
-// split).  Its unicasts still batch here.
+// piggybacks per interior edge on its own CoalescingWindow (same window,
+// same carrier/rider split).  Its unicasts still batch here.
 //
 // window == 0 never constructs this class (see make_transport): zero-window
 // behaviour is frame-for-frame the unwrapped backend.
@@ -42,8 +35,9 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
+#include <span>
 
+#include "net/coalescing_window.hpp"
 #include "net/transport.hpp"
 
 namespace repseq::net {
@@ -76,15 +70,10 @@ class BatchingTransport final : public Transport {
     DeliverFn deliver;
     AccountFn account;
   };
-  /// Per-destination coalescing state: sends queued behind the currently
-  /// open window, if any.
-  struct Queue {
-    std::vector<Pending> q;
-    bool window_open = false;
-  };
 
-  /// Queues are keyed per (src, dst) for unicast and per (src, shard) for
-  /// multicast -- the granularity at which frames may legally combine.
+  /// Queues are keyed per (src, dst) for unicast -- bit 63 set -- and per
+  /// (src, shard) for multicast: the granularity at which frames may
+  /// legally combine.
   static std::uint64_t unicast_key(NodeId src, NodeId dst) {
     return (std::uint64_t{1} << 63) | (std::uint64_t{src} << 32) | dst;
   }
@@ -92,19 +81,14 @@ class BatchingTransport final : public Transport {
     return (std::uint64_t{src} << 32) | shard;
   }
 
-  /// First-frame-immediate: transmits at once if the destination has no
-  /// window open (and opens one); queues behind the open window otherwise.
-  void enqueue(std::uint64_t key, bool is_multicast, const Message& msg, const DeliverFn& deliver,
+  void enqueue(std::uint64_t key, const Message& msg, const DeliverFn& deliver,
                const AccountFn& account);
-  /// Window-close event: transmits everything queued as one combined frame
-  /// (re-opening the window), or just closes an idle window.
-  void flush(std::uint64_t key, bool is_multicast);
   /// Hands one (possibly combined) frame to the inner backend and splits
   /// the committed totals across constituents (carrier/rider).
-  void transmit(bool is_multicast, const std::vector<Pending>& batch);
+  void transmit(std::uint64_t key, std::span<const Pending> batch);
 
   std::unique_ptr<Transport> inner_;
-  std::unordered_map<std::uint64_t, Queue> queues_;
+  CoalescingWindow<Pending> window_;
 };
 
 }  // namespace repseq::net

@@ -18,8 +18,9 @@ namespace repseq::net {
 
 /// Which wire model carries the cluster's traffic (see net/transport.hpp).
 enum class TransportKind {
-  /// Unicast rides the switch, multicast rides the shared hub (the paper's
-  /// testbed: switched Ethernet + a multicast hub).
+  /// Unicast rides the switch, multicast rides one shared hub (the paper's
+  /// testbed: switched Ethernet + a multicast hub).  Always one medium,
+  /// whatever NetConfig::hub_shards says.
   HubSwitch,
   /// Software multicast: a k-ary forwarding tree of switched unicasts with
   /// per-hop latency (the Section 6.1.2 hand-inserted tree broadcast).
@@ -29,7 +30,7 @@ enum class TransportKind {
   DirectAll,
   /// S independent hub media (NetConfig::hub_shards); each multicast group
   /// hashes to one shard, so rounds on disjoint groups never serialize on
-  /// the same medium.  S = 1 degenerates to HubSwitch frame for frame.
+  /// the same medium.  The same wire model as HubSwitch, which is S = 1.
   ShardedHub,
 };
 
@@ -102,8 +103,10 @@ struct NetConfig {
   /// Fan-out of the TreeMulticast forwarding tree (k-ary, k >= 1).
   std::size_t mcast_tree_fanout = 2;
 
-  /// Number of independent hub media for the ShardedHub transport (S >= 1).
-  /// Ignored by every other backend.
+  /// Number of multicast serialization domains (S >= 1): the hub media of
+  /// the ShardedHub transport, and the concurrency domains the
+  /// TreeMulticast transport reports when batch_window > 0.  HubSwitch
+  /// always uses one medium; DirectAll and the unbatched tree ignore it.
   std::size_t hub_shards = 4;
 
   /// Link rate of each node's switched full-duplex port, bytes per second.

@@ -57,9 +57,10 @@ class Network {
     return nics_.size() > 1 ? transport_->sender_frames(nics_.size() - 1) : 1;
   }
 
-  /// Multicast serialization domains of the active backend (1 everywhere
-  /// except the sharded hub); upper layers size per-shard round tables and
-  /// per-shard traffic accounting off this.
+  /// Multicast serialization domains of the active backend
+  /// (Transport::shard_count: hub_shards on the sharded hub and on the tree
+  /// with a coalescing window, 1 otherwise); upper layers size per-shard
+  /// round tables and per-shard traffic accounting off this.
   [[nodiscard]] std::size_t hub_shards() const { return transport_->shard_count(); }
 
   /// Time shard `s` of the multicast medium spent transmitting.

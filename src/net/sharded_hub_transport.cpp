@@ -5,12 +5,9 @@
 namespace repseq::net {
 
 ShardedHubTransport::ShardedHubTransport(sim::Engine& eng, const NetConfig& cfg,
-                                         std::vector<std::unique_ptr<Nic>>& nics)
-    : SwitchedTransport(eng, cfg, nics) {
-  const std::size_t shards = std::max<std::size_t>(1, cfg.hub_shards);
-  hubs_.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s) hubs_.emplace_back(eng, cfg);
-}
+                                         std::vector<std::unique_ptr<Nic>>& nics,
+                                         std::size_t shards)
+    : SwitchedTransport(eng, cfg, nics), hubs_(std::max<std::size_t>(1, shards)) {}
 
 void ShardedHubTransport::multicast(const Message& msg, std::size_t wire_bytes,
                                     const DeliverFn& deliver, const AccountFn& account) {
@@ -18,7 +15,10 @@ void ShardedHubTransport::multicast(const Message& msg, std::size_t wire_bytes,
   // it at the same instant once it has fully propagated.  Frames on other
   // shards are concurrent.
   Hub& hub = hubs_[shard_of(msg.mcast_group, hubs_.size())];
-  const sim::SimTime done = hub.transmit(wire_bytes, eng_.now());
+  const sim::SimDuration tx = cfg_.hub_tx_time(wire_bytes);
+  hub.free_at = std::max(eng_.now(), hub.free_at) + tx;
+  hub.busy += tx;
+  const sim::SimTime done = hub.free_at + cfg_.hub_latency;
   account(1, wire_bytes);
   for (NodeId n = 0; n < nics_.size(); ++n) {
     if (n == msg.src) continue;  // the sender consumes its own data locally

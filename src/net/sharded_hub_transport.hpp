@@ -1,33 +1,40 @@
-// Sharded multicast medium: S independent half-duplex hubs, one of which
-// carries any given group send.  The shard is chosen by hashing the frame's
+// The hub multicast medium: S independent half-duplex hubs, one of which
+// carries any given group send, while unicast rides the switch.  With S = 1
+// this is the paper's testbed wiring (TransportKind::HubSwitch: one shared
+// hub, because their switch forwarded multicast slowly); a hub frame
+// reaches every group member simultaneously.  With S > 1
+// (TransportKind::ShardedHub) the shard is chosen by hashing the frame's
 // multicast group (net::shard_of), so traffic for disjoint groups -- e.g.
-// RSE rounds for different pages -- never serializes on the same medium.
-// This removes the single hub as the serialization bottleneck for
-// concurrent rounds; with S = 1 the backend is frame-for-frame identical to
-// HubSwitchTransport.  Unicast still rides the switch.
+// RSE rounds for different pages -- never serializes on the same medium,
+// which removes the single hub as the bottleneck for concurrent rounds.
 #pragma once
 
 #include <vector>
 
-#include "net/hub.hpp"
 #include "net/transport.hpp"
 
 namespace repseq::net {
 
 class ShardedHubTransport final : public SwitchedTransport {
  public:
+  /// `shards` media (at least one).
   ShardedHubTransport(sim::Engine& eng, const NetConfig& cfg,
-                      std::vector<std::unique_ptr<Nic>>& nics);
+                      std::vector<std::unique_ptr<Nic>>& nics, std::size_t shards);
 
   void multicast(const Message& msg, std::size_t wire_bytes, const DeliverFn& deliver,
                  const AccountFn& account) override;
 
   [[nodiscard]] std::size_t shard_count() const override { return hubs_.size(); }
   [[nodiscard]] sim::SimDuration shard_busy(std::size_t s) const override {
-    return s < hubs_.size() ? hubs_[s].busy_total() : sim::SimDuration{};
+    return s < hubs_.size() ? hubs_[s].busy : sim::SimDuration{};
   }
 
  private:
+  /// One half-duplex hub: exactly one frame occupies it at a time.
+  struct Hub {
+    sim::SimTime free_at{};
+    sim::SimDuration busy{};
+  };
   std::vector<Hub> hubs_;
 };
 

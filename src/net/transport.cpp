@@ -2,7 +2,6 @@
 
 #include "net/batching_transport.hpp"
 #include "net/direct_all_transport.hpp"
-#include "net/hub_switch_transport.hpp"
 #include "net/sharded_hub_transport.hpp"
 #include "net/tree_multicast_transport.hpp"
 #include "util/check.hpp"
@@ -15,13 +14,15 @@ std::unique_ptr<Transport> make_backend(sim::Engine& eng, const NetConfig& cfg,
                                         std::vector<std::unique_ptr<Nic>>& nics) {
   switch (cfg.transport) {
     case TransportKind::HubSwitch:
-      return std::make_unique<HubSwitchTransport>(eng, cfg, nics);
+      // The paper's testbed: one hub carries every multicast, whatever
+      // hub_shards says.
+      return std::make_unique<ShardedHubTransport>(eng, cfg, nics, 1);
     case TransportKind::TreeMulticast:
       return std::make_unique<TreeMulticastTransport>(eng, cfg, nics);
     case TransportKind::DirectAll:
       return std::make_unique<DirectAllTransport>(eng, cfg, nics);
     case TransportKind::ShardedHub:
-      return std::make_unique<ShardedHubTransport>(eng, cfg, nics);
+      return std::make_unique<ShardedHubTransport>(eng, cfg, nics, cfg.hub_shards);
   }
   REPSEQ_CHECK(false, "unknown transport kind");
 }

@@ -100,9 +100,10 @@ class Transport {
   }
 
   /// Number of independent multicast serialization domains this backend
-  /// exposes.  1 for every single-medium or unicast-composed backend; the
-  /// sharded hub reports its shard count.  Upper layers size their
-  /// per-shard round tables off this.
+  /// exposes: NetConfig::hub_shards on the sharded hub and on the tree with
+  /// a coalescing window, 1 on the hub, the fan-out strawman and the
+  /// unbatched tree.  Upper layers size their per-shard round tables off
+  /// this.
   [[nodiscard]] virtual std::size_t shard_count() const { return 1; }
 
   /// Total time shard `s` of the multicast medium was busy transmitting

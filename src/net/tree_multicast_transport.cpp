@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <utility>
-#include <vector>
 
 #include "obs/trace.hpp"
 #include "util/check.hpp"
@@ -12,6 +11,7 @@ namespace repseq::net {
 
 void TreeMulticastTransport::multicast(const Message& msg, std::size_t wire_bytes,
                                        const DeliverFn& deliver, const AccountFn& account) {
+  (void)wire_bytes;  // every hop frames its own (possibly combined) payload
   const std::size_t n = nics_.size();
   if (n <= 1) return;
   const std::size_t k = std::max<std::size_t>(1, cfg_.mcast_tree_fanout);
@@ -27,8 +27,7 @@ void TreeMulticastTransport::multicast(const Message& msg, std::size_t wire_byte
   // The callbacks outlive this call: interior hops run as scheduled events
   // at their parents' arrival instants, so the flight state is shared by
   // (and kept alive through) every pending forwarding event.
-  auto fl = util::make_pooled<Flight>(Flight{msg.src, root, n, k, wire_bytes,
-                                             msg.payload_bytes,
+  auto fl = util::make_pooled<Flight>(Flight{msg.src, root, n, k, msg.payload_bytes,
                                              shard_of(msg.mcast_group, shard_count()), deliver,
                                              account});
   if (root == msg.src) {
@@ -40,7 +39,7 @@ void TreeMulticastTransport::multicast(const Message& msg, std::size_t wire_byte
   // any tree hop (the sender's several in-flight injections -- and any tree
   // forwards it owes on the same edge -- leave as one frame), and a lost
   // injection prunes the tree descent before a single tree hop is charged.
-  enqueue_hop(msg.src, root, fl, 0);
+  edges_.push(edge_key(msg.src, root), PendingHop{fl, 0});
   // The sender holds the payload natively, so its own subtree needs no
   // wave: it forwards its children right now, off the injection's critical
   // path, and the descent never transmits the edge into the sender's
@@ -64,62 +63,19 @@ void TreeMulticastTransport::forward_children(const util::PoolPtr<const Flight>&
     // time): the wave flows around it.  Unreachable when the sender is the
     // root -- every descent position is then a true receiver.
     if (fl->node_at(c) == fl->src) continue;
+    const NodeId parent = fl->node_at(pos);
+    const NodeId child = fl->node_at(c);
+    PendingHop hop{fl, c};
     if (cfg_.batch_window.ns > 0) {
-      enqueue_hop(fl->node_at(pos), fl->node_at(c), fl, c);
-      continue;
-    }
-    const sim::SimTime at =
-        forward_hop(fl->node_at(pos), fl->node_at(c), fl->wire_bytes, eng_.now());
-    if (obs::enabled(obs::Cat::Net)) [[unlikely]] {
-      obs::tracer().instant(obs::Cat::Net, eng_.now(),
-                            static_cast<std::int32_t>(fl->node_at(pos)) + 1, "net-tree",
-                            "tree-hop",
-                            {{"child", static_cast<double>(fl->node_at(c))},
-                             {"wire_bytes", static_cast<double>(fl->wire_bytes)}});
-    }
-    busy_[fl->shard] += cfg_.link_tx_time(fl->wire_bytes);
-    fl->account(1, fl->wire_bytes);
-    if (fl->deliver(fl->node_at(c), at)) {
-      eng_.schedule_at(at, [this, fl, c] { forward_children(fl, c); });
+      edges_.push(edge_key(parent, child), std::move(hop));
+    } else {
+      transmit_hops(parent, child, {&hop, 1});
     }
   }
-}
-
-void TreeMulticastTransport::enqueue_hop(NodeId parent, NodeId child,
-                                         const util::PoolPtr<const Flight>& fl,
-                                         std::size_t child_pos) {
-  const std::uint64_t key = edge_key(parent, child);
-  Edge& e = edges_[key];
-  if (e.window_open) {
-    e.q.push_back(PendingHop{fl, child_pos});
-    return;
-  }
-  // Idle edge: the frame leaves at once and opens the window behind it, so
-  // the first frame of a burst -- and every step of a chained round -- pays
-  // no coalescing delay; only the pile-up does.
-  e.window_open = true;
-  eng_.schedule_in(cfg_.batch_window, [this, key] { flush_edge(key); });
-  transmit_hops(parent, child, {PendingHop{fl, child_pos}});
-}
-
-void TreeMulticastTransport::flush_edge(std::uint64_t key) {
-  Edge& e = edges_[key];
-  if (e.q.empty()) {
-    // Nothing arrived while the window was open: the edge goes idle and the
-    // next hop will again leave immediately.
-    e.window_open = false;
-    return;
-  }
-  const std::vector<PendingHop> hops = std::move(e.q);
-  e.q.clear();
-  // Traffic is still flowing on this edge: re-arm the window so a sustained
-  // stream keeps leaving as one combined frame per window.
-  eng_.schedule_in(cfg_.batch_window, [this, key] { flush_edge(key); });
-  transmit_hops(static_cast<NodeId>(key >> 32), static_cast<NodeId>(key & 0xffffffffu), hops);
 }
 
 void TreeMulticastTransport::transmit_hops(NodeId parent, NodeId child,
-                                           const std::vector<PendingHop>& hops) {
+                                           std::span<const PendingHop> hops) {
   // One wire frame carries every queued flight's payload across this edge:
   // concatenated payloads under one set of headers.
   std::size_t payload_total = 0;

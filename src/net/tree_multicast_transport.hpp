@@ -20,40 +20,31 @@
 // Piggybacking (NetConfig::batch_window > 0): a node with several group
 // forwards queued on the same (parent, child) edge coalesces them into ONE
 // combined wire frame -- the event-driven per-hop scheduling makes the set
-// of concurrent in-flight forwards visible exactly here.  Two design points
-// make the coalescing actually bite on round traffic:
-//
-//   * Group-affine trees.  Per-sender rotation minimizes edge sharing (a
-//     directed pair (a, b) is an edge of exactly two of the N rotated
-//     trees), capping piggybacking's merge factor near 1.  With a window,
-//     every multicast of a group instead rides ONE tree, rooted at the
-//     group's first sender (in round protocols, the section owner whose
-//     write notices dominate the group's traffic) -- all of a round's
-//     sends traverse the same N-1 edges and pile up in the same queues,
-//     and the dominant sender pays no injection at all.  A sender that is
-//     not the root injects its frame with one
-//     ordinary switched unicast to the root (charged to the flight like
-//     any hop; a lost injection prunes the descent).  The sender's own
-//     subtree never waits for -- or pays -- that round trip: holding the
-//     payload natively, the sender forwards its children at send time and
-//     the descent wave flows around its position without transmitting the
-//     edge into it.
-//
-//   * First-frame-immediate windows.  An edge with no window open
-//     transmits a lone frame at once and opens a window; frames arriving
-//     while the window is open queue and leave as one combined frame at
-//     flush, which re-opens the window while traffic keeps coming.  A
-//     delay-everything window would self-defeat on chained rounds: each
-//     chain step would wait a full window per hop, so consecutive acks
-//     would always arrive a window apart and never merge.  Immediate
-//     first frames keep the chain pipelined; only the pile-up pays delay.
+// of concurrent in-flight forwards visible exactly here.  Each edge is one
+// key of a net::CoalescingWindow, so an idle edge still transmits a lone
+// frame at once (first-frame-immediate, see coalescing_window.hpp).
+// Group-affine trees make the coalescing actually bite on round traffic:
+// per-sender rotation minimizes edge sharing (a directed pair (a, b) is an
+// edge of exactly two of the N rotated trees), capping piggybacking's merge
+// factor near 1.  With a window, every multicast of a group instead rides
+// ONE tree, rooted at the group's first sender (in round protocols, the
+// section owner whose write notices dominate the group's traffic) -- all of
+// a round's sends traverse the same N-1 edges and pile up in the same
+// queues, and the dominant sender pays no injection at all.  A sender that
+// is not the root injects its frame with one ordinary switched unicast to
+// the root (charged to the flight like any hop; a lost injection prunes the
+// descent).  The sender's own subtree never waits for -- or pays -- that
+// round trip: holding the payload natively, the sender forwards its
+// children at send time and the descent wave flows around its position
+// without transmitting the edge into it.
 //
 // Charging a combined frame uses the carrier/rider split of transport.hpp
 // (riders pay their payload, the carrier pays the rest), each routed to its
 // own flight's AccountFn; each constituent still draws its own loss
 // decision and continues its own downstream forwarding, so a lost rider
 // prunes only that flight's subtree.  Window 0 keeps the per-sender
-// rotated trees and the immediate per-flight hop path, frame for frame.
+// rotated trees and sends every hop at once as a one-hop frame through the
+// same transmit path.
 //
 // Concurrency domains: coalescing pays only if flights overlap, and the
 // tree -- having no shared medium at all -- never needed the single-round
@@ -67,9 +58,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
+#include "net/coalescing_window.hpp"
 #include "net/transport.hpp"
 #include "util/pool_ptr.hpp"
 
@@ -79,7 +72,11 @@ class TreeMulticastTransport final : public SwitchedTransport {
  public:
   TreeMulticastTransport(sim::Engine& eng, const NetConfig& cfg,
                          std::vector<std::unique_ptr<Nic>>& nics)
-      : SwitchedTransport(eng, cfg, nics) {
+      : SwitchedTransport(eng, cfg, nics),
+        edges_(eng, cfg.batch_window, [this](std::uint64_t key, std::span<const PendingHop> hops) {
+          transmit_hops(static_cast<NodeId>(key >> 32), static_cast<NodeId>(key & 0xffffffffu),
+                        hops);
+        }) {
     busy_.resize(shard_count());
   }
 
@@ -118,7 +115,6 @@ class TreeMulticastTransport final : public SwitchedTransport {
     NodeId root;  // == src without a window; the group's tree root with one
     std::size_t nodes;
     std::size_t fanout;
-    std::size_t wire_bytes;
     std::size_t payload_bytes;
     std::size_t shard;  // busy-attribution domain of this flight's group
     DeliverFn deliver;
@@ -129,40 +125,24 @@ class TreeMulticastTransport final : public SwitchedTransport {
     }
   };
 
-  /// One flight's hop on an edge awaiting that edge's window flush.
+  /// One flight's hop on an edge: sent at once (window 0, or an idle edge)
+  /// or held until that edge's window closes.
   struct PendingHop {
     util::PoolPtr<const Flight> fl;
     std::size_t child_pos;
-  };
-
-  /// Per-(parent, child) piggyback state: hops queued behind the currently
-  /// open window, if any.
-  struct Edge {
-    std::vector<PendingHop> q;
-    bool window_open = false;
   };
 
   /// Transmits the frame from tree position `pos` (whose node holds a
   /// complete copy as of the current virtual instant) to each of its
   /// children, scheduling each child's own forwarding at its arrival --
   /// immediately when the window is zero, else via the edge's piggyback
-  /// queue.
+  /// window.
   void forward_children(const util::PoolPtr<const Flight>& fl, std::size_t pos);
-
-  /// First-frame-immediate piggybacking: transmits at once if the edge has
-  /// no window open (and opens one); queues behind the open window
-  /// otherwise.
-  void enqueue_hop(NodeId parent, NodeId child, const util::PoolPtr<const Flight>& fl,
-                   std::size_t child_pos);
-
-  /// Window-close event: transmits one combined frame carrying everything
-  /// queued (re-opening the window), or just closes an idle window.
-  void flush_edge(std::uint64_t key);
 
   /// Puts one wire frame carrying `hops` on the (parent, child) edge:
   /// carrier/rider accounting, per-constituent loss draw, surviving
   /// constituents resume their own forwarding at the child.
-  void transmit_hops(NodeId parent, NodeId child, const std::vector<PendingHop>& hops);
+  void transmit_hops(NodeId parent, NodeId child, std::span<const PendingHop> hops);
 
   static std::uint64_t edge_key(NodeId parent, NodeId child) {
     return (std::uint64_t{parent} << 32) | child;
@@ -170,7 +150,8 @@ class TreeMulticastTransport final : public SwitchedTransport {
 
   /// Per-domain forwarding-uplink busy (size shard_count()).
   std::vector<sim::SimDuration> busy_;
-  std::unordered_map<std::uint64_t, Edge> edges_;
+  /// Per-(parent, child) piggyback windows (used only when window > 0).
+  CoalescingWindow<PendingHop> edges_;
   /// Sticky group-affine roots: group -> its first sender (window > 0).
   std::unordered_map<std::uint32_t, NodeId> roots_;
 };

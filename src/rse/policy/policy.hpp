@@ -29,12 +29,13 @@ inline constexpr std::size_t kStrategyCount = 3;
 [[nodiscard]] const char* strategy_name(SectionStrategy s);
 [[nodiscard]] std::optional<SectionStrategy> parse_strategy(std::string_view s);
 
-/// Decision procedures layered over the shared cost model.
+/// Decision procedures layered over the shared cost model.  Both probe every
+/// unpinned site with execute-and-broadcast first; a fixed strategy for a
+/// site is a pin (PolicyConfig::pins), not a policy.
 enum class PolicyKind : std::uint8_t {
-  Static,      // always PolicyConfig::static_strategy (no telemetry)
   Greedy,      // per section entry: argmin of the modeled strategy costs
-  Hysteresis,  // greedy, but a challenger must undercut the incumbent by
-               // switch_margin and the site must have dwelt min_dwell runs
+  Hysteresis,  // greedy, but a challenger must undercut the incumbent by a
+               // margin and the site must have dwelt since its last switch
 };
 
 [[nodiscard]] const char* policy_name(PolicyKind k);
@@ -42,24 +43,6 @@ enum class PolicyKind : std::uint8_t {
 
 struct PolicyConfig {
   PolicyKind kind = PolicyKind::Hysteresis;
-
-  /// What the Static policy always picks.
-  SectionStrategy static_strategy = SectionStrategy::Replicated;
-
-  /// First occurrence of a site under an adaptive policy.  BroadcastAfter
-  /// doubles as the measurement probe: it is the one strategy whose bracket
-  /// observes the section's full write set (the broadcast has to collect
-  /// exactly those diffs), so one occurrence fills the whole profile.
-  SectionStrategy bootstrap = SectionStrategy::BroadcastAfter;
-
-  /// Hysteresis: a challenger's modeled cost must be below
-  /// incumbent * (1 - switch_margin) to trigger a switch.
-  double switch_margin = 0.15;
-  /// Hysteresis: minimum occurrences of a site between switches.
-  std::uint64_t min_dwell = 1;
-
-  /// EWMA smoothing factor for the per-site telemetry (0 < alpha <= 1).
-  double alpha = 0.5;
 
   /// Per-site strategy pins for A/B runs (REPSEQ_PIN_SITE): a pinned site
   /// always executes its pinned strategy -- including its *first*

@@ -8,6 +8,25 @@
 
 namespace repseq::rse::policy {
 
+namespace {
+
+// First occurrence of an unpinned site: BroadcastAfter doubles as the
+// measurement probe, the one strategy whose bracket observes the section's
+// full write set (the broadcast collects exactly those diffs).
+constexpr SectionStrategy kBootstrap = SectionStrategy::BroadcastAfter;
+// Hysteresis: a challenger must cost below incumbent * (1 - kSwitchMargin),
+// at least kMinDwell occurrences after the site's last switch.
+constexpr double kSwitchMargin = 0.15;
+constexpr std::uint64_t kMinDwell = 1;
+// EWMA smoothing factor of the per-site telemetry (0 < kAlpha <= 1).
+constexpr double kAlpha = 0.5;
+
+double ewma(double prev, double sample, bool first) {
+  return first ? sample : (1.0 - kAlpha) * prev + kAlpha * sample;
+}
+
+}  // namespace
+
 const char* strategy_name(SectionStrategy s) {
   switch (s) {
     case SectionStrategy::MasterOnly:
@@ -22,8 +41,6 @@ const char* strategy_name(SectionStrategy s) {
 
 const char* policy_name(PolicyKind k) {
   switch (k) {
-    case PolicyKind::Static:
-      return "static";
     case PolicyKind::Greedy:
       return "greedy";
     case PolicyKind::Hysteresis:
@@ -33,7 +50,6 @@ const char* policy_name(PolicyKind k) {
 }
 
 std::optional<PolicyKind> parse_policy(std::string_view s) {
-  if (s == "static") return PolicyKind::Static;
   if (s == "greedy") return PolicyKind::Greedy;
   if (s == "hysteresis" || s == "hyst") return PolicyKind::Hysteresis;
   return std::nullopt;
@@ -88,10 +104,6 @@ PolicyEngine::PolicyEngine(tmk::Cluster& cluster, PolicyConfig cfg)
       });
 }
 
-double PolicyEngine::ewma(double prev, double sample, bool first) const {
-  return first ? sample : (1.0 - cfg_.alpha) * prev + cfg_.alpha * sample;
-}
-
 std::uint64_t PolicyEngine::master_par_diff_msgs() const {
   return cluster_.node(0).stats().par.diff_msgs_sent;
 }
@@ -124,8 +136,7 @@ const SectionProfile* PolicyEngine::profile(std::uint32_t site) const {
 }
 
 SectionStrategy PolicyEngine::decide(const SiteState& st) const {
-  if (cfg_.kind == PolicyKind::Static) return cfg_.static_strategy;
-  if (st.profile.runs == 0) return cfg_.bootstrap;
+  if (st.profile.runs == 0) return kBootstrap;
 
   double cost[kStrategyCount];
   std::size_t best = 0;
@@ -139,9 +150,9 @@ SectionStrategy PolicyEngine::decide(const SiteState& st) const {
   // Hysteresis: the incumbent survives unless the challenger undercuts it
   // by the margin and the site has dwelt long enough since its last switch.
   if (challenger == st.current) return st.current;
-  if (st.profile.runs - st.last_switch_run < cfg_.min_dwell) return st.current;
+  if (st.profile.runs - st.last_switch_run < kMinDwell) return st.current;
   const double incumbent = cost[static_cast<std::size_t>(st.current)];
-  if (cost[best] < incumbent * (1.0 - cfg_.switch_margin)) return challenger;
+  if (cost[best] < incumbent * (1.0 - kSwitchMargin)) return challenger;
   return st.current;
 }
 
@@ -200,7 +211,7 @@ SectionStrategy PolicyEngine::open_section(tmk::NodeRuntime& master, std::uint32
     // were computed from plus the per-strategy costs themselves (recomputed
     // here -- decide() keeps them internal -- and meaningful once the site
     // has a measured profile).
-    const bool modeled = cfg_.kind != PolicyKind::Static && st.profile.runs > 0;
+    const bool modeled = st.profile.runs > 0;
     obs::tracer().instant(
         obs::Cat::Rse, cluster_.engine().now(), 1, "policy", "decision",
         {{"seq", static_cast<double>(d.seq)},

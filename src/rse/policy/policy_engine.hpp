@@ -76,7 +76,6 @@ class PolicyEngine {
 
   [[nodiscard]] SectionStrategy decide(const SiteState& st) const;
   void finalize_aftermath();
-  [[nodiscard]] double ewma(double prev, double sample, bool first) const;
 
   // Cluster-wide counter sums (the values a real master would piggyback on
   // the bracketing synchronization messages).

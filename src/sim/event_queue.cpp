@@ -1,30 +1,10 @@
 #include "sim/event_queue.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <string>
 
 #include "util/check.hpp"
 
 namespace repseq::sim {
-
-namespace {
-std::size_t arity_from_env() {
-  const char* v = std::getenv("REPSEQ_EVENTQ");
-  if (v == nullptr) return 4;
-  const std::string s(v);
-  if (s == "quad") return 4;
-  if (s == "binary") return 2;
-  REPSEQ_CHECK(false, "unknown REPSEQ_EVENTQ '" + s + "' (accepted: binary|quad)");
-  return 4;
-}
-}  // namespace
-
-EventQueue::EventQueue() : EventQueue(arity_from_env()) {}
-
-EventQueue::EventQueue(std::size_t arity) : arity_(arity) {
-  REPSEQ_CHECK(arity_ == 2 || arity_ == 4, "event queue arity must be 2 or 4");
-}
 
 std::uint32_t EventQueue::acquire_slot() {
   if (free_head_ != kNil) {
@@ -56,7 +36,7 @@ void EventQueue::cancel(Handle h) {
 void EventQueue::sift_up(std::size_t i) const {
   Item it = heap_[i];
   while (i > 0) {
-    const std::size_t parent = (i - 1) / arity_;
+    const std::size_t parent = (i - 1) / kArity;
     if (!it.before(heap_[parent])) break;
     heap_[i] = heap_[parent];
     i = parent;
@@ -68,10 +48,10 @@ void EventQueue::sift_down(std::size_t i) const {
   const std::size_t n = heap_.size();
   Item it = heap_[i];
   while (true) {
-    const std::size_t first = arity_ * i + 1;
+    const std::size_t first = kArity * i + 1;
     if (first >= n) break;
     std::size_t best = first;
-    const std::size_t last = std::min(first + arity_, n);
+    const std::size_t last = std::min(first + kArity, n);
     for (std::size_t c = first + 1; c < last; ++c) {
       if (heap_[c].before(heap_[best])) best = c;
     }

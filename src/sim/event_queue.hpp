@@ -1,16 +1,14 @@
 // Cancellable event queue for the discrete-event engine, built for zero
 // steady-state allocation: entries live in a slab of pooled slots reused
 // through a free list, callbacks are stored inline (no per-event
-// std::function heap cell), and the ready structure is an implicit d-ary
+// std::function heap cell), and the ready structure is an implicit 4-ary
 // heap of 24-byte plain records.
 //
 // Ties on the timestamp are broken by insertion sequence number, which makes
-// the event order -- and therefore the whole simulation -- deterministic,
-// and makes the pop sequence independent of the heap's arity (the (time,
-// seq) order is total).  REPSEQ_EVENTQ=binary|quad selects the arity at
-// construction; the 4-ary default won the schedule/pop microbenchmark on
-// the 256-node sweeps (shallower tree, sift-down touches one cache line of
-// children per level).
+// the event order -- and therefore the whole simulation -- deterministic
+// (the (time, seq) order is total).  Four children per node beat a binary
+// heap on the schedule/pop microbenchmark of the 256-node sweeps (shallower
+// tree, sift-down touches one cache line of children per level).
 //
 // Cancellation is O(1) and eager on the slot, lazy on the heap: the slot's
 // callback is destroyed and the slot recycled immediately (generation
@@ -152,11 +150,6 @@ class EventQueue {
     EventFn fn;
   };
 
-  /// Arity 2 or 4; defaults to the REPSEQ_EVENTQ environment axis
-  /// (binary|quad), quad when unset.
-  EventQueue();
-  explicit EventQueue(std::size_t arity);
-
   /// Schedules `fn` to run at absolute time `t`.  Returns a handle usable
   /// with cancel().  The callback is constructed directly in its pooled
   /// slot; no allocation happens unless the slab or heap must grow.
@@ -191,10 +184,10 @@ class EventQueue {
   [[nodiscard]] std::size_t peak_live() const { return peak_live_; }
   /// Total events ever scheduled (cancellations included).
   [[nodiscard]] std::uint64_t scheduled_total() const { return next_seq_; }
-  [[nodiscard]] std::size_t arity() const { return arity_; }
 
  private:
   static constexpr std::uint32_t kNil = 0xffffffffu;
+  static constexpr std::size_t kArity = 4;
 
   struct Slot {
     EventFn fn;
@@ -231,7 +224,6 @@ class EventQueue {
   /// Removes the heap top (no slot bookkeeping).
   void heap_pop_top() const;
 
-  std::size_t arity_;
   // mutable: drop_cancelled() prunes dead records from const observers.
   mutable std::vector<Item> heap_;
   std::vector<Slot> slots_;

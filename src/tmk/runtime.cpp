@@ -1,8 +1,6 @@
 #include "tmk/runtime.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <set>
 
@@ -16,22 +14,6 @@ namespace {
 sim::SimDuration per_byte(double ns_per_byte, std::size_t bytes) {
   return sim::SimDuration{static_cast<std::int64_t>(ns_per_byte * static_cast<double>(bytes))};
 }
-
-// Debug tracing for one page, enabled via REPSEQ_TRACE_PAGE=<id>.
-int traced_page() {
-  static const int p = [] {
-    const char* v = std::getenv("REPSEQ_TRACE_PAGE");
-    return v != nullptr ? std::atoi(v) : -1;
-  }();
-  return p;
-}
-
-#define REPSEQ_PAGE_TRACE(page, fmt, ...)                                       \
-  do {                                                                          \
-    if (static_cast<int>(page) == traced_page()) [[unlikely]] {                 \
-      std::fprintf(stderr, "[page %u] node %u: " fmt "\n", (page), id_, ##__VA_ARGS__); \
-    }                                                                           \
-  } while (false)
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -173,7 +155,6 @@ void NodeRuntime::write_barrier(GAddr addr, std::size_t bytes) {
         break;
       }
       // ReadOnly: create the twin and commit, yield-free.
-      REPSEQ_PAGE_TRACE(p, "write fault: twin created (vc_self=%u)", vc_.at(id_));
       acquire_twin(p);
       std::memcpy(ps.twin.get(), page_span(p).data(), pb);
       ps.prot = PageProt::Writable;
@@ -226,7 +207,6 @@ void NodeRuntime::end_interval() {
     ps.valid_vc.set(id_, idx);
     if (ps.has_twin()) {
       ps.open_intervals.push_back(idx);
-      REPSEQ_PAGE_TRACE(p, "end_interval idx=%u (twin kept)", idx);
     } else if (own_diffs_.find({p, idx}) == own_diffs_.end()) {
       // The twin was flushed early (mid-interval diff request) and nothing
       // was written afterwards.  The interval's modifications already
@@ -234,7 +214,6 @@ void NodeRuntime::end_interval() {
       // an empty diff so requests for this interval are answerable.
       own_diffs_[{p, idx}].push_back(util::make_pooled<RegisteredDiff>(RegisteredDiff{
           next_diff_seq_++, {idx}, util::make_pooled<Diff>()}));
-      REPSEQ_PAGE_TRACE(p, "end_interval idx=%u (no twin: empty diff registered)", idx);
     }
   }
   current_dirty_.clear();
@@ -259,7 +238,6 @@ void NodeRuntime::apply_notice(const IntervalRecordPtr& rec, bool on_server) {
     }
     ps.prot = PageProt::Invalid;
     ps.pending.push_back(rec);
-    REPSEQ_PAGE_TRACE(p, "invalidated by notice owner=%u idx=%u", rec->owner, rec->index);
   }
 }
 
@@ -285,8 +263,6 @@ void NodeRuntime::flush_diff(PageId p, bool on_server) {
                            {"wire_bytes", static_cast<double>(diff->wire_bytes())},
                            {"on_server", on_server ? 1.0 : 0.0}});
   }
-  REPSEQ_PAGE_TRACE(p, "flush_diff open=%zu dirty=%d vc_self=%u", ps.open_intervals.size(),
-                    ps.dirty_in_current ? 1 : 0, vc_.at(id_));
   // Coverage rule.  The diff carries every modification since the twin was
   // taken, which may span several *closed* intervals plus a prefix of the
   // still-open one.  It is registered under the closed intervals only: any
@@ -365,10 +341,6 @@ void NodeRuntime::apply_packet(const DiffPacket& pkt) {
   // are still cleared below.
   const bool already_applied = ps.valid_vc.at(pkt.owner) >= oldest;
   if (chk_ != nullptr && !already_applied) [[unlikely]] chk_->on_diff_apply(*this, pkt);
-  REPSEQ_PAGE_TRACE(pkt.page, "apply diff owner=%u covers[0]=%u nwords=%zu seq=%llu%s",
-                    pkt.owner, pkt.covers.empty() ? 0u : pkt.covers[0],
-                    pkt.diff->word_count(), (unsigned long long)pkt.seq,
-                    already_applied ? " (skipped: already applied)" : "");
   if (!already_applied) {
     pkt.diff->apply(page_span(pkt.page));
   }
@@ -485,7 +457,6 @@ void NodeRuntime::fault_in_page(PageId p) {
   // Outer loop: in rare interleavings a new write notice arrives while the
   // fetched diffs are being applied; the page is then still invalid and the
   // missing diffs are fetched in another pass (all within this one fault).
-  REPSEQ_PAGE_TRACE(p, "read fault begins (pending=%zu)", ps.pending.size());
   while (ps.prot == PageProt::Invalid) {
     const WantedByOwner wanted = wanted_for_page(p);
     const std::uint64_t req_id = next_req_id();

@@ -730,18 +730,6 @@ Trace run_script(NetConfig cfg) {
   return t;
 }
 
-TEST(ShardedHub, SingleShardFrameForFrameIdenticalToHubSwitch) {
-  // S = 1 must be indistinguishable from HubSwitch on the wire: same
-  // arrival instants at every receiver, same counters, same finish time.
-  // Any drift is a bug in the per-shard plumbing.
-  NetConfig hub;
-  hub.transport = TransportKind::HubSwitch;
-  NetConfig sharded1;
-  sharded1.transport = TransportKind::ShardedHub;
-  sharded1.hub_shards = 1;
-  EXPECT_EQ(run_script(sharded1), run_script(hub));
-}
-
 TEST(ShardedHub, DistinctGroupsRideIndependentMedia) {
   // Two concurrent multicasts whose groups land on different shards must
   // not serialize: both arrive at the same instant.  On HubSwitch the same

@@ -132,12 +132,13 @@ TEST(Policy, PinnedSiteSkipsProbeAndHoldsItsStrategy) {
 }
 
 TEST(PolicyParsing, NamesRoundTrip) {
-  for (PolicyKind k : {PolicyKind::Static, PolicyKind::Greedy, PolicyKind::Hysteresis}) {
+  for (PolicyKind k : {PolicyKind::Greedy, PolicyKind::Hysteresis}) {
     const auto parsed = parse_policy(policy_name(k));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, k);
   }
   EXPECT_FALSE(parse_policy("bogus").has_value());
+  EXPECT_FALSE(parse_policy("static").has_value());  // a fixed strategy is a pin
 
   using apps::harness::parse_mode;
   EXPECT_EQ(parse_mode("adaptive"), Mode::Adaptive);
@@ -213,16 +214,17 @@ TEST(Policy, AllNodesAgreeOnTheDecisionSequence) {
   }
 }
 
-TEST(Policy, StaticPolicyMatchesOptimizedPlusOneOpenFramePerSection) {
-  // REPSEQ_POLICY=static + static_strategy=Replicated must execute exactly
-  // like Mode::Optimized; the only extra traffic is the one section-open
+TEST(Policy, PinnedReplicatedMatchesOptimizedPlusOneOpenFramePerSection) {
+  // Pinning Barnes-Hut's only section site to Replicated
+  // (REPSEQ_PIN_SITE=1=replicated) must execute exactly like
+  // Mode::Optimized; the only extra traffic is the one section-open
   // multicast frame per section (HubSwitch: one frame per send).
   apps::bh::BhConfig cfg;
   cfg.bodies = 512;
   cfg.steps = 2;
-  RunOptions stat = opts(Mode::Adaptive, 4, PolicyKind::Static);
-  stat.policy.static_strategy = SectionStrategy::Replicated;
-  const RunReport a = run_barnes_hut(stat, cfg);
+  RunOptions pinned = opts(Mode::Adaptive, 4);
+  pinned.policy.pins = {{apps::bh::kSectionTreeBuild, SectionStrategy::Replicated}};
+  const RunReport a = run_barnes_hut(pinned, cfg);
   const RunReport o = run_barnes_hut(opts(Mode::Optimized, 4), cfg);
 
   EXPECT_EQ(a.checksum, o.checksum);

@@ -412,7 +412,7 @@ INSTANTIATE_TEST_SUITE_P(
         OrderingAxis{SeqMode::Adaptive, rse::FlowControl::Windowed,
                      rse::policy::PolicyKind::Hysteresis},
         OrderingAxis{SeqMode::Adaptive, rse::FlowControl::None,
-                     rse::policy::PolicyKind::Static}),
+                     rse::policy::PolicyKind::Greedy}),
     [](const ::testing::TestParamInfo<OrderingAxis>& info) {
       const OrderingAxis& ax = info.param;
       std::string name = ax.mode == SeqMode::Replicated        ? "Replicated"
@@ -422,9 +422,7 @@ INSTANTIATE_TEST_SUITE_P(
               : ax.flow == rse::FlowControl::Windowed ? "Windowed"
                                                       : "NoFlow";
       if (ax.mode == SeqMode::Adaptive) {
-        name += ax.policy == rse::policy::PolicyKind::Static   ? "Static"
-                : ax.policy == rse::policy::PolicyKind::Greedy ? "Greedy"
-                                                               : "Hysteresis";
+        name += ax.policy == rse::policy::PolicyKind::Greedy ? "Greedy" : "Hysteresis";
       }
       return name;
     });
@@ -499,7 +497,7 @@ TEST_P(TraceInvarianceSweep, TracingDoesNotPerturbChecksumOrIntervalVectors) {
   ncfg.hub_shards = ax.shards;
   ncfg.batch_window = sim::microseconds(ax.window_us);
 
-  // The Cluster constructor reads REPSEQ_TRACE, like REPSEQ_EVENTQ above.
+  // The Cluster constructor reads REPSEQ_TRACE.
   ::unsetenv("REPSEQ_TRACE");
   const ShardRunResult off = run_ordering_workload(ncfg, work);
 
@@ -612,87 +610,6 @@ TEST_P(DeterminismSweep, TwoRunsProduceIdenticalEventCounts) {
 }
 
 INSTANTIATE_TEST_SUITE_P(NodeCounts, DeterminismSweep, ::testing::Values(2u, 4u, 7u));
-
-// ---------------------------------------------------------------------------
-// Event-queue structure invariance: REPSEQ_EVENTQ selects the scheduler
-// heap's arity (binary vs quad).  The queue's (time, seq) order is total, so
-// the pop sequence -- and therefore every protocol decision downstream --
-// must be bit-identical whichever structure serves it.  This is the
-// regression gate for swapping event-queue implementations.
-// ---------------------------------------------------------------------------
-
-struct ArityRunResult {
-  long checksum = 0;
-  std::int64_t final_ns = 0;
-  std::uint64_t events = 0;
-  std::uint64_t msgs = 0;
-  std::vector<VectorClock> interval_vectors;
-  std::vector<rse::policy::Decision> decisions;
-};
-
-ArityRunResult run_with_eventq(const char* arity) {
-  ::setenv("REPSEQ_EVENTQ", arity, 1);
-  constexpr std::size_t kNodes = 9;
-  TmkConfig cfg;
-  cfg.heap_bytes = 1u << 20;
-  Cluster cl(cfg, net::NetConfig{}, kNodes);
-  ::unsetenv("REPSEQ_EVENTQ");
-  rse::RseController rse(cl, rse::FlowControl::Chained);
-  rse::policy::PolicyConfig pcfg;
-  pcfg.kind = rse::policy::PolicyKind::Greedy;
-  rse::policy::PolicyEngine policy(cl, pcfg);
-  ompnow::Team team(cl, SeqMode::Adaptive, &rse, &policy);
-  auto a = ShArray<long>::alloc(cl, 2048, /*page_aligned=*/true);
-
-  ArityRunResult out;
-  cl.run([&](NodeRuntime&) {
-    team.parallel_for(0, 2048, Schedule::StaticBlock, [&](const Ctx&, long i) {
-      a.store(static_cast<std::size_t>(i), 7 * i + 5);
-    });
-    for (int round = 0; round < 3; ++round) {
-      team.sequential(1, [&](const Ctx&) {
-        for (std::size_t i = 0; i < 2048; ++i) a.store(i, a.load(i) % 1000003 + 13);
-      });
-      team.parallel_for(0, 2048, Schedule::StaticCyclic, [&](const Ctx&, long i) {
-        a.store(static_cast<std::size_t>(i), a.load(static_cast<std::size_t>(i)) * 2 + 1);
-      });
-    }
-    team.sequential(2, [&](const Ctx&) {
-      long s = 0;
-      for (std::size_t i = 0; i < 2048; ++i) s += a.load(i);
-      out.checksum = s;
-    });
-  });
-  out.final_ns = cl.engine().now().ns;
-  out.events = cl.engine().events_executed();
-  out.msgs = cl.network().messages_sent();
-  for (net::NodeId n = 0; n < kNodes; ++n) {
-    out.interval_vectors.push_back(cl.node(n).vc());
-  }
-  out.decisions = policy.decisions();
-  return out;
-}
-
-TEST(EventQueueArity, BinaryAndQuadEnginesProduceIdenticalDecisionLogs) {
-  const ArityRunResult bin = run_with_eventq("binary");
-  const ArityRunResult quad = run_with_eventq("quad");
-
-  EXPECT_EQ(bin.checksum, quad.checksum);
-  EXPECT_EQ(bin.final_ns, quad.final_ns);
-  EXPECT_EQ(bin.events, quad.events);
-  EXPECT_EQ(bin.msgs, quad.msgs);
-  EXPECT_EQ(bin.interval_vectors, quad.interval_vectors);
-
-  ASSERT_EQ(bin.decisions.size(), quad.decisions.size());
-  ASSERT_GT(bin.decisions.size(), 0u) << "workload must exercise the policy engine";
-  for (std::size_t i = 0; i < bin.decisions.size(); ++i) {
-    const rse::policy::Decision& b = bin.decisions[i];
-    const rse::policy::Decision& q = quad.decisions[i];
-    EXPECT_TRUE(b.same_choice(q)) << "decision " << i;
-    EXPECT_EQ(b.section_s, q.section_s) << "decision " << i;
-    EXPECT_EQ(b.mcast_kb, q.mcast_kb) << "decision " << i;
-  }
-}
 
 }  // namespace
 }  // namespace repseq::tmk
