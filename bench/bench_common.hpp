@@ -12,6 +12,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -30,8 +31,11 @@ namespace repseq::bench {
 }
 
 /// Reads an integer override from the environment (REPSEQ_<NAME>).  The
-/// whole value must be one base-10 integer ("4x" or "four" exits 2).
-inline long env_long(const char* name, long fallback) {
+/// whole value must be one base-10 integer ("4x" or "four" exits 2) and at
+/// least `min` (REPSEQ_NODES=-4 exits 2 instead of wrapping into a huge
+/// unsigned cap).
+inline long env_long(const char* name, long fallback,
+                     long min = std::numeric_limits<long>::min()) {
   const std::string var = std::string("REPSEQ_") + name;
   const char* v = std::getenv(var.c_str());
   if (v == nullptr) return fallback;
@@ -39,10 +43,12 @@ inline long env_long(const char* name, long fallback) {
   errno = 0;
   const long n = std::strtol(v, &end, 10);
   if (end == v || *end != '\0' || errno == ERANGE) env_value_error(var.c_str(), v, "an integer");
+  if (n < min) env_value_error(var.c_str(), v, ("an integer >= " + std::to_string(min)).c_str());
   return n;
 }
 
-inline std::size_t bench_nodes() { return static_cast<std::size_t>(env_long("NODES", 32)); }
+/// Node count (or node-count cap) of a sweep: REPSEQ_NODES=N, N >= 2.
+inline std::size_t bench_nodes() { return static_cast<std::size_t>(env_long("NODES", 32, 2)); }
 
 /// The wire backend for a sweep: REPSEQ_TRANSPORT=hub|tree|direct|sharded
 /// overrides the bench's own default, so every sweep can run on any
@@ -56,9 +62,9 @@ inline net::TransportKind bench_transport(
   return *k;
 }
 
-/// Shard count for the sharded-hub backend (REPSEQ_HUB_SHARDS=S).
+/// Shard count for the sharded-hub backend (REPSEQ_HUB_SHARDS=S, S >= 1).
 inline std::size_t bench_hub_shards() {
-  return static_cast<std::size_t>(std::max(1L, env_long("HUB_SHARDS", 4)));
+  return static_cast<std::size_t>(env_long("HUB_SHARDS", 4, 1));
 }
 
 /// Adaptive-mode decision procedure: REPSEQ_POLICY=greedy|hysteresis
@@ -115,7 +121,7 @@ inline sim::SimDuration bench_batch_window(sim::SimDuration fallback = {}) {
 inline std::vector<std::size_t> sweep_node_counts() {
   std::vector<std::size_t> out;
   for (std::size_t n : {2, 4, 8, 16, 24, 32}) {
-    if (n <= std::max<std::size_t>(2, bench_nodes())) out.push_back(n);
+    if (n <= bench_nodes()) out.push_back(n);
   }
   return out;
 }

@@ -128,7 +128,7 @@ int main() {
   using namespace repseq;
   using namespace repseq::bench;
 
-  const std::size_t cap = static_cast<std::size_t>(env_long("NODES", 1024));
+  const std::size_t cap = static_cast<std::size_t>(env_long("NODES", 1024, 2));
   std::vector<std::size_t> node_counts;
   for (std::size_t n : {32, 64, 128, 256, 512, 1024}) {
     if (n <= cap) node_counts.push_back(n);

@@ -379,18 +379,24 @@ void Checker::coverage_check(tmk::NodeRuntime& rt, tmk::PageId page) {
   }
 }
 
-void Checker::on_diff_apply(tmk::NodeRuntime& rt, const tmk::DiffPacket& pkt) {
+void Checker::on_diff_apply(tmk::NodeRuntime& rt, const tmk::DiffPacket& pkt,
+                            const std::vector<tmk::NoticeKey>& satisfied) {
   if (!protocol()) return;
+  const auto& covers = pkt.covers();
   std::uint32_t newest = 0;
-  for (std::uint32_t i : pkt.covers) {
+  for (std::uint32_t i : covers) {
     if (i <= rt.log().known(pkt.owner)) newest = std::max(newest, i);
   }
   if (newest == 0) return;
   const tmk::VectorClock& cover_vc = rt.log().get(pkt.owner, newest).vc;
   for (const tmk::IntervalRecordPtr& r : rt.page(pkt.page).pending) {
     if (r->owner == pkt.owner &&
-        std::find(pkt.covers.begin(), pkt.covers.end(), r->index) != pkt.covers.end()) {
+        std::find(covers.begin(), covers.end(), r->index) != covers.end()) {
       continue;  // satisfied by this very packet
+    }
+    if (std::find(satisfied.begin(), satisfied.end(),
+                  tmk::NoticeKey{pkt.page, r->owner, r->index}) != satisfied.end()) {
+      continue;  // satisfied by an earlier packet of the batch, cleared at its end
     }
     // The covering interval's clock knowing the pending interval means the
     // pending one happens-before it: its diff must land FIRST, or the later

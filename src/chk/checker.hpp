@@ -41,6 +41,7 @@ namespace repseq::tmk {
 class Cluster;
 class NodeRuntime;
 struct DiffPacket;
+struct NoticeKey;
 }  // namespace repseq::tmk
 
 namespace repseq::chk {
@@ -151,7 +152,10 @@ class Checker {
   /// set; the protocol propagates the possibly-mutated one).
   void on_interval_commit(tmk::NodeRuntime& rt, const tmk::IntervalRecordPtr& rec);
   /// A diff packet about to be applied (already-applied batches excluded).
-  void on_diff_apply(tmk::NodeRuntime& rt, const tmk::DiffPacket& pkt);
+  /// `satisfied` lists the notices earlier packets of its batch satisfied;
+  /// the page's pending list still holds them until the batch ends.
+  void on_diff_apply(tmk::NodeRuntime& rt, const tmk::DiffPacket& pkt,
+                     const std::vector<tmk::NoticeKey>& satisfied);
   /// A page flipping Invalid -> ReadOnly after its pending notices cleared.
   void on_page_revalidate(tmk::NodeRuntime& rt, tmk::PageId page);
   /// The node merged a sync payload (its protocol clock grew).

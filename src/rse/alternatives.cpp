@@ -30,9 +30,8 @@ void broadcast_section_updates(tmk::NodeRuntime& master, const tmk::VectorClock&
     const tmk::IntervalRecord& rec = master.log().get(0, i);
     for (tmk::PageId p : rec.pages) {
       for (tmk::DiffPacket& pkt : master.collect_diffs(p, {i}, /*on_server=*/false)) {
-        const bool dup = std::any_of(packets.begin(), packets.end(), [&](const auto& q) {
-          return q.diff == pkt.diff && q.page == pkt.page;
-        });
+        const bool dup = std::any_of(packets.begin(), packets.end(),
+                                     [&](const auto& q) { return q.reg == pkt.reg; });
         if (!dup) packets.push_back(std::move(pkt));
       }
     }

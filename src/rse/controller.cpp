@@ -1,6 +1,7 @@
 #include "rse/controller.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <set>
 #include <string>
 
@@ -186,25 +187,38 @@ std::optional<net::NodeId> RseController::elected_requester(const NodeState& st,
   return std::nullopt;
 }
 
-tmk::WantedByOwner RseController::union_missing(tmk::NodeRuntime& rt, const NodeState& st,
-                                                PageId page) const {
-  std::map<net::NodeId, std::set<std::uint32_t>> want;
-  const auto& notices = rt.page_notices(page);
-  for (net::NodeId t = 0; t < st.table_index.size(); ++t) {
-    auto it = st.table_index[t].find(page);
-    if (it == st.table_index[t].end()) continue;  // t holds a valid copy
-    const tmk::VectorClock& valid = *it->second;
-    for (const tmk::IntervalRecordPtr& rec : notices) {
-      if (rec->owner == t) continue;  // own writes are never missing
-      if (!valid.covers(rec->owner, rec->index)) {
-        want[rec->owner].insert(rec->index);
-      }
+tmk::WantedByOwner RseController::union_missing(const std::vector<tmk::IntervalRecordPtr>& notices,
+                                                const std::vector<FaultingThread>& faulting) {
+  // Interval (o, i) is missing somewhere iff some faulting thread other
+  // than o (an owner never misses its own writes) has validity below i for
+  // o, i.e. iff i exceeds the lowest such validity.  So the faulting threads
+  // are walked once per owner, not once per notice, and every notice costs
+  // one comparison.
+  std::vector<net::NodeId> owners;
+  owners.reserve(notices.size());
+  for (const tmk::IntervalRecordPtr& rec : notices) owners.push_back(rec->owner);
+  std::sort(owners.begin(), owners.end());
+  owners.erase(std::unique(owners.begin(), owners.end()), owners.end());
+  std::vector<std::uint32_t> floor(owners.size(), std::numeric_limits<std::uint32_t>::max());
+  for (const auto& [t, valid] : faulting) {
+    for (std::size_t k = 0; k < owners.size(); ++k) {
+      if (owners[k] != t) floor[k] = std::min(floor[k], valid->at(owners[k]));
     }
   }
+  std::vector<std::pair<net::NodeId, std::uint32_t>> missing;
+  for (const tmk::IntervalRecordPtr& rec : notices) {
+    const auto k = static_cast<std::size_t>(
+        std::lower_bound(owners.begin(), owners.end(), rec->owner) - owners.begin());
+    if (rec->index > floor[k]) missing.emplace_back(rec->owner, rec->index);
+  }
+  std::sort(missing.begin(), missing.end());
+  missing.erase(std::unique(missing.begin(), missing.end()), missing.end());
   tmk::WantedByOwner out;
-  out.reserve(want.size());
-  for (auto& [owner, ivs] : want) {
-    out.emplace_back(owner, std::vector<std::uint32_t>(ivs.begin(), ivs.end()));
+  for (const auto& [owner, index] : missing) {
+    if (out.empty() || out.back().first != owner) {
+      out.emplace_back(owner, std::vector<std::uint32_t>{});
+    }
+    out.back().second.push_back(index);
   }
   return out;
 }
@@ -225,7 +239,12 @@ void RseController::on_fault(tmk::NodeRuntime& rt, PageId page) {
   const auto requester = elected_requester(st, page);
   const bool i_request = requester.has_value() && *requester == rt.id();
   if (i_request) {
-    tmk::WantedByOwner wanted = union_missing(rt, st, page);
+    std::vector<FaultingThread> faulting;
+    for (net::NodeId t = 0; t < st.table_index.size(); ++t) {
+      const auto it = st.table_index[t].find(page);
+      if (it != st.table_index[t].end()) faulting.emplace_back(t, it->second);
+    }
+    tmk::WantedByOwner wanted = union_missing(rt.page_notices(page), faulting);
     REPSEQ_CHECK(!wanted.empty(), "requester elected with nothing to request");
     ++c.fwd_requests;
     if (flow_ == FlowControl::None) {
@@ -269,7 +288,8 @@ void RseController::on_fault(tmk::NodeRuntime& rt, PageId page) {
                              {"wait_ns", static_cast<double>(wait.ns)}});
     }
     REPSEQ_CHECK(attempts <= rt.config().max_retries,
-                 "RSE recovery retries exhausted for page " + std::to_string(page));
+                 "RSE recovery retries exhausted: " +
+                     tmk::stuck_request(rt.id(), page, rt.wanted_for_page(page), attempts, wait));
     recover(rt, page);
     wait = std::min(sim::SimDuration{wait.ns * 2}, wait_cap);
   }
@@ -499,7 +519,8 @@ void RseController::apply_mcast_packets(tmk::NodeRuntime& rt,
   // Completeness is tracked incrementally: the page's pending set is
   // snapshotted into `needed` when staging begins (pending only ever shrinks
   // to empty mid-section, via the pull path, which drops the entry below)
-  // and arriving covers tick entries off -- no per-arrival rescan.
+  // and arriving covers flag entries and count them down -- no per-arrival
+  // rescan.
   NodeState& st = state_[rt.id()];
   for (const tmk::DiffPacket& pkt : pkts) {
     const auto& pending = rt.page(pkt.page).pending;
@@ -512,21 +533,26 @@ void RseController::apply_mcast_packets(tmk::NodeRuntime& rt,
     auto [it, inserted] = st.staged.try_emplace(pkt.page);
     NodeState::StagedPage& sp = it->second;
     if (inserted) {
+      // A page's frames usually number its pending notices: one reservation
+      // instead of regrowth as they arrive.
+      sp.frames.reserve(pending.size());
       sp.needed.reserve(pending.size());
-      for (const tmk::IntervalRecordPtr& r : pending) sp.needed.emplace_back(r->owner, r->index);
-      std::sort(sp.needed.begin(), sp.needed.end());
+      for (const tmk::IntervalRecordPtr& r : pending) sp.needed.push_back({{r->owner, r->index}});
+      std::sort(sp.needed.begin(), sp.needed.end(),
+                [](const auto& a, const auto& b) { return a.id < b.id; });
+      sp.remaining = sp.needed.size();
     }
-    const std::pair<net::NodeId, std::uint64_t> key{pkt.owner, pkt.seq};
-    const auto sit = std::lower_bound(sp.seen.begin(), sp.seen.end(), key);
-    if (sit != sp.seen.end() && *sit == key) continue;  // duplicate frame
-    sp.seen.insert(sit, key);
-    sp.frames.push_back(pkt);
-    for (std::uint32_t i : pkt.covers) {
-      const std::pair<net::NodeId, std::uint32_t> notice{pkt.owner, i};
-      const auto nit = std::lower_bound(sp.needed.begin(), sp.needed.end(), notice);
-      if (nit != sp.needed.end() && *nit == notice) sp.needed.erase(nit);
+    sp.frames.push_back(pkt);  // a duplicate frame lands once (apply_packets_causally)
+    for (std::uint32_t i : pkt.covers()) {
+      const std::pair<net::NodeId, std::uint32_t> id{pkt.owner, i};
+      const auto nit = std::lower_bound(sp.needed.begin(), sp.needed.end(), id,
+                                        [](const auto& n, const auto& k) { return n.id < k; });
+      if (nit != sp.needed.end() && nit->id == id && !nit->covered) {
+        nit->covered = true;
+        --sp.remaining;
+      }
     }
-    if (sp.needed.empty()) {
+    if (sp.remaining == 0) {
       std::vector<tmk::DiffPacket> batch = std::move(sp.frames);
       st.staged.erase(it);
       rt.apply_packets_causally(std::move(batch), on_server);

@@ -53,6 +53,16 @@ class RseController final : public tmk::RseHooks {
   /// known write notices, not the whole heap.
   [[nodiscard]] static tmk::ValidNoticesP local_valid_notices(tmk::NodeRuntime& rt);
 
+  /// A thread that will fault on a page, with its valid-notice clock for it.
+  using FaultingThread = std::pair<net::NodeId, const tmk::VectorClock*>;
+  /// The elected requester's merged request (Section 5.4.2): the union over
+  /// the `faulting` threads of the intervals in `notices` (the page's known
+  /// write notices) each one misses.  Owners ascending, intervals ascending
+  /// and unique per owner.
+  [[nodiscard]] static tmk::WantedByOwner union_missing(
+      const std::vector<tmk::IntervalRecordPtr>& notices,
+      const std::vector<FaultingThread>& faulting);
+
   // --- RseHooks (dispatcher + fault integration) ---
   void on_fault(tmk::NodeRuntime& rt, tmk::PageId page) override;
   /// Registers the handler set for the configured FlowControl variant.
@@ -115,17 +125,20 @@ class RseController final : public tmk::RseHooks {
     /// Multicast diff frames staged for one page until its whole pending set
     /// is covered; only then do they apply, in one causal batch (see
     /// apply_mcast_packets).  `needed` snapshots the page's pending
-    /// (owner, index) notices when staging begins and arriving covers erase
-    /// entries, so completeness costs O(log) per cover instead of a rescan
-    /// of everything staged.  `seen` mirrors frames' (owner, seq) keys for
-    /// O(log) duplicate detection; both stay sorted.  A round's wanted set
-    /// can hold hundreds of intervals at 1024 nodes, so linear scans here
-    /// turn quadratic per round per receiver (measured 1.3x on the ilink
-    /// sweep).
+    /// (owner, index) notices, sorted, when staging begins; arriving covers
+    /// flag entries and `remaining` counts the unflagged, so completeness
+    /// costs O(log) per cover instead of a rescan of everything staged.  A
+    /// round's wanted set can hold hundreds of intervals at 1024 nodes, so
+    /// linear work per frame here turns quadratic per round per receiver
+    /// (measured 1.3x on the ilink sweep).
+    struct Notice {
+      std::pair<net::NodeId, std::uint32_t> id;  // (owner, index)
+      bool covered = false;                       // a staged frame covers it
+    };
     struct StagedPage {
       std::vector<tmk::DiffPacket> frames;
-      std::vector<std::pair<net::NodeId, std::uint32_t>> needed;
-      std::vector<std::pair<net::NodeId, std::uint64_t>> seen;
+      std::vector<Notice> needed;
+      std::size_t remaining = 0;
     };
     std::map<tmk::PageId, StagedPage> staged;
 
@@ -140,10 +153,6 @@ class RseController final : public tmk::RseHooks {
   /// shows it will fault (Section 5.4.1).
   [[nodiscard]] std::optional<net::NodeId> elected_requester(const NodeState& st,
                                                              tmk::PageId page) const;
-
-  /// Union over all faulting threads of their missing diffs for `page`.
-  [[nodiscard]] tmk::WantedByOwner union_missing(tmk::NodeRuntime& rt, const NodeState& st,
-                                                 tmk::PageId page) const;
 
   /// The shard of the multicast medium carrying round traffic for `page`
   /// (must agree with the sharded-hub backend's group placement).

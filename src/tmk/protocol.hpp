@@ -5,6 +5,7 @@
 // would occupy so that message/byte accounting matches the paper's tables.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -46,11 +47,24 @@ enum class MsgKind : std::uint32_t {
   RseRoundTick,      // master-local timer: force round progression on loss
 };
 
-/// One diff and the write-notice intervals of (owner, page) it satisfies.
-/// Lazy diff creation can merge several intervals into one diff, so `covers`
-/// may list more than one index (paper Section 5.1).
+/// A diff frozen at its owner's flush together with its full registration:
+/// the write-notice intervals of (owner, page) it satisfies.  Lazy diff
+/// creation can merge several intervals into one diff, so `covers` may list
+/// more than one index (paper Section 5.1).  Immutable once registered.
+struct RegisteredDiff {
+  /// Creation sequence at the owner; orders multiple diffs registered under
+  /// the same interval (early flushes of a still-open interval).
+  std::uint64_t seq = 0;
+  std::vector<std::uint32_t> covers;  // every interval this diff backs
+  DiffPtr diff;
+};
+using RegisteredDiffPtr = util::PoolPtr<const RegisteredDiff>;
+
+/// One diff on the wire: a handle to the owner's registration, so copying a
+/// packet (reply payloads, multicast staging at every receiver) is a count
+/// bump, never an allocation.
 ///
-/// `covers` is always the diff's FULL registration (every interval it was
+/// `covers()` is always the diff's FULL registration (every interval it was
 /// frozen for), not just the intervals a particular requester asked about.
 /// Receivers use min(covers) against their per-page validity clock to
 /// recognize a batch they have already applied: re-applying a frozen batch
@@ -58,15 +72,24 @@ enum class MsgKind : std::uint32_t {
 struct DiffPacket {
   NodeId owner = 0;
   PageId page = 0;
-  std::vector<std::uint32_t> covers;
-  DiffPtr diff;
-  /// Creation sequence at the owner; orders multiple diffs registered under
-  /// the same interval (early flushes of a still-open interval).
-  std::uint64_t seq = 0;
+  RegisteredDiffPtr reg;
+
+  [[nodiscard]] std::uint64_t seq() const { return reg->seq; }
+  [[nodiscard]] const std::vector<std::uint32_t>& covers() const { return reg->covers; }
+  [[nodiscard]] const Diff& diff() const { return *reg->diff; }
 
   [[nodiscard]] std::size_t wire_bytes() const {
-    return diff->wire_bytes() + 4 * covers.size();
+    return reg->diff->wire_bytes() + 4 * reg->covers.size();
   }
+};
+
+/// One write notice a diff batch satisfies: interval `index` of `owner` on
+/// `page`.  Ordered page-major, so a sorted run groups a page's covers.
+struct NoticeKey {
+  PageId page = 0;
+  NodeId owner = 0;
+  std::uint32_t index = 0;
+  auto operator<=>(const NoticeKey&) const = default;
 };
 
 // Per-owner list of wanted interval indices for one page.

@@ -1,8 +1,11 @@
 #include "tmk/runtime.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <set>
+#include <tuple>
+#include <utility>
 
 #include "chk/checker.hpp"
 #include "obs/trace.hpp"
@@ -306,98 +309,109 @@ std::vector<DiffPacket> NodeRuntime::collect_diffs(PageId page,
     if (twin_covers_request) flush_diff(page, on_server);
   }
   // Answer each registered batch once, carrying its FULL covers so the
-  // receiver can recognize batches it has already applied.
-  std::map<const RegisteredDiff*, RegisteredDiffPtr> unique;
+  // receiver can recognize batches it has already applied.  A registration
+  // listed under several requested intervals appears once, in seq order.
+  std::vector<DiffPacket> out;
+  out.reserve(intervals.size());
   for (std::uint32_t i : intervals) {
     auto it = own_diffs_.find({page, i});
     REPSEQ_CHECK(it != own_diffs_.end(),
                  "diff requested for unknown interval " + std::to_string(i) + " of page " +
                      std::to_string(page));
-    for (const RegisteredDiffPtr& rd : it->second) {
-      unique.emplace(rd.get(), rd);
-    }
+    for (const RegisteredDiffPtr& rd : it->second) out.push_back({id_, page, rd});
   }
-  std::vector<DiffPacket> out;
-  out.reserve(unique.size());
-  for (const auto& [_, rd] : unique) {
-    DiffPacket pkt;
-    pkt.owner = id_;
-    pkt.page = page;
-    pkt.covers = rd->covers;
-    pkt.diff = rd->diff;
-    pkt.seq = rd->seq;
-    out.push_back(std::move(pkt));
-  }
+  std::sort(out.begin(), out.end(),
+            [](const DiffPacket& a, const DiffPacket& b) { return a.seq() < b.seq(); });
+  out.erase(std::unique(out.begin(), out.end(),
+                        [](const DiffPacket& a, const DiffPacket& b) { return a.reg == b.reg; }),
+            out.end());
   return out;
 }
 
-void NodeRuntime::apply_packet(const DiffPacket& pkt) {
-  PageState& ps = pages_[pkt.page];
-  const std::uint32_t oldest = *std::min_element(pkt.covers.begin(), pkt.covers.end());
-  // Batch guard: if this copy's validity already reaches the batch's oldest
-  // interval, this exact frozen batch was applied here before.  Re-applying
-  // it would overwrite every write that landed since (local writes and other
-  // owners' diffs) with the batch's stale image.  The notices it satisfies
-  // are still cleared below.
-  const bool already_applied = ps.valid_vc.at(pkt.owner) >= oldest;
-  if (chk_ != nullptr && !already_applied) [[unlikely]] chk_->on_diff_apply(*this, pkt);
-  if (!already_applied) {
-    pkt.diff->apply(page_span(pkt.page));
+void NodeRuntime::causal_order(const IntervalLog& log, const std::vector<DiffPacket>& pkts,
+                               std::vector<CausalKey>& keys) {
+  keys.clear();
+  for (std::size_t pos = 0; pos < pkts.size(); ++pos) {
+    const DiffPacket& pkt = pkts[pos];
+    // Covers can extend past this node's log (a batch may be frozen through
+    // intervals whose notices have not reached us yet); key on the newest
+    // cover we know about.
+    const std::uint32_t known = log.known(pkt.owner);
+    std::uint32_t newest = 0;
+    for (std::uint32_t i : pkt.covers()) {
+      if (i <= known) newest = std::max(newest, i);
+    }
+    REPSEQ_CHECK(newest > 0, "diff batch with no locally-known cover");
+    keys.push_back({log.get(pkt.owner, newest).lamport(), pkt.seq(), pkt.owner,
+                    static_cast<std::uint32_t>(pos)});
   }
-  std::uint32_t newest = 0;
-  for (std::uint32_t i : pkt.covers) {
-    newest = std::max(newest, i);
-    auto it = std::find_if(ps.pending.begin(), ps.pending.end(),
-                           [&](const IntervalRecordPtr& r) {
-                             return r->owner == pkt.owner && r->index == i;
-                           });
-    if (it != ps.pending.end()) ps.pending.erase(it);
-  }
-  if (newest > ps.valid_vc.at(pkt.owner)) ps.valid_vc.set(pkt.owner, newest);
+  std::sort(keys.begin(), keys.end(), [](const CausalKey& a, const CausalKey& b) {
+    return std::tie(a.lamport, a.owner, a.seq, a.pos) < std::tie(b.lamport, b.owner, b.seq, b.pos);
+  });
 }
 
 void NodeRuntime::apply_packets_causally(std::vector<DiffPacket> pkts, bool on_server) {
   // Causal order: by the Lamport projection of the newest covered interval.
   // Data-race-free programs order same-word writers totally, so the writer
   // whose interval is causally latest must land last.
-  auto lamport = [&](const DiffPacket& pkt) {
-    // Covers can extend past this node's log (a batch may be frozen through
-    // intervals whose notices have not reached us yet); key on the newest
-    // cover we know about.
-    std::uint32_t newest = 0;
-    for (std::uint32_t i : pkt.covers) {
-      if (i <= log_.known(pkt.owner)) newest = std::max(newest, i);
-    }
-    REPSEQ_CHECK(newest > 0, "diff batch with no locally-known cover");
-    return log_.get(pkt.owner, newest).lamport();
-  };
-  std::stable_sort(pkts.begin(), pkts.end(), [&](const DiffPacket& a, const DiffPacket& b) {
-    const auto la = lamport(a);
-    const auto lb = lamport(b);
-    if (la != lb) return la < lb;
-    if (a.owner != b.owner) return a.owner < b.owner;
-    return a.seq < b.seq;
-  });
+  //
+  // The reused buffers are taken for the whole call: the cost charge below
+  // can yield, and a batch applied on this node's other fiber meanwhile
+  // then grows buffers of its own instead of clobbering these.
+  std::vector<CausalKey> order = std::exchange(order_buffer_, {});
+  std::vector<NoticeKey> satisfied = std::exchange(satisfied_buffer_, {});
+  causal_order(log_, pkts, order);
   // Oracle-validation mutation: undo the causal sort (the PR 4 bug class);
   // the diff-apply-causality oracle must fire on the first stale apply.
-  if (chk::g_test_mutation == chk::Mutation::ReorderDiffApply && pkts.size() > 1) [[unlikely]] {
-    std::reverse(pkts.begin(), pkts.end());
+  if (chk::g_test_mutation == chk::Mutation::ReorderDiffApply && order.size() > 1) [[unlikely]] {
+    std::reverse(order.begin(), order.end());
   }
-  std::set<PageId> touched;
+  satisfied.clear();
+  std::size_t applied = 0;
   std::size_t bytes = 0;
-  for (const DiffPacket& pkt : pkts) {
-    apply_packet(pkt);
-    touched.insert(pkt.page);
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    const DiffPacket& pkt = pkts[order[k].pos];
+    // A registration listed twice (a multicast frame delivered again by
+    // recovery) sorts next to itself; it lands and is charged once.
+    if (k > 0 && pkt.reg == pkts[order[k - 1].pos].reg) continue;
+    PageState& ps = pages_[pkt.page];
+    const auto [oldest, newest] = std::minmax_element(pkt.covers().begin(), pkt.covers().end());
+    // Batch guard: if this copy's validity already reaches the batch's
+    // oldest interval, this exact frozen batch was applied here before.
+    // Re-applying it would overwrite every write that landed since (local
+    // writes and other owners' diffs) with the batch's stale image.  The
+    // notices it satisfies are still cleared below.
+    if (ps.valid_vc.at(pkt.owner) < *oldest) {
+      // The oracle must see the notices pending as this packet lands: the
+      // page's list minus what earlier packets of the batch satisfied.
+      if (chk_ != nullptr) [[unlikely]] chk_->on_diff_apply(*this, pkt, satisfied);
+      pkt.diff().apply(page_span(pkt.page));
+    }
+    if (*newest > ps.valid_vc.at(pkt.owner)) ps.valid_vc.set(pkt.owner, *newest);
+    for (std::uint32_t i : pkt.covers()) satisfied.push_back({pkt.page, pkt.owner, i});
+    ++applied;
     bytes += pkt.wire_bytes();
   }
-  if (obs::enabled(obs::Cat::Tmk) && !pkts.empty()) [[unlikely]] {
+  // Clear the satisfied pending notices, one pass per touched page (sorted,
+  // `satisfied` groups each page's covers into one run).
+  std::sort(satisfied.begin(), satisfied.end());
+  for (auto run = satisfied.begin(); run != satisfied.end();) {
+    const PageId p = run->page;
+    const auto end = std::find_if(run, satisfied.end(),
+                                  [p](const NoticeKey& k) { return k.page != p; });
+    std::erase_if(pages_[p].pending, [&](const IntervalRecordPtr& r) {
+      return std::binary_search(run, end, NoticeKey{p, r->owner, r->index});
+    });
+    run = end;
+  }
+  if (obs::enabled(obs::Cat::Tmk) && applied > 0) [[unlikely]] {
     obs::tracer().instant(obs::Cat::Tmk, cluster_.engine().now(),
                           static_cast<std::int32_t>(id_) + 1, "tmk", "diff-apply",
-                          {{"packets", static_cast<double>(pkts.size())},
+                          {{"packets", static_cast<double>(applied)},
                            {"bytes", static_cast<double>(bytes)},
                            {"on_server", on_server ? 1.0 : 0.0}});
   }
-  const sim::SimDuration cost = config().diff_apply_fixed * static_cast<std::int64_t>(pkts.size()) +
+  const sim::SimDuration cost = config().diff_apply_fixed * static_cast<std::int64_t>(applied) +
                                 per_byte(config().diff_apply_ns_per_byte, bytes);
   if (on_server) {
     cpu_.service(cost);
@@ -405,7 +419,9 @@ void NodeRuntime::apply_packets_causally(std::vector<DiffPacket> pkts, bool on_s
     charge(cost);
     cpu_.flush();
   }
-  for (PageId p : touched) {
+  for (std::size_t k = 0; k < satisfied.size(); ++k) {
+    if (k > 0 && satisfied[k].page == satisfied[k - 1].page) continue;
+    const PageId p = satisfied[k].page;
     PageState& ps = pages_[p];
     if (ps.pending.empty() && ps.prot == PageProt::Invalid) {
       ps.prot = PageProt::ReadOnly;
@@ -413,6 +429,23 @@ void NodeRuntime::apply_packets_causally(std::vector<DiffPacket> pkts, bool on_s
       notify_page_valid(p);
     }
   }
+  order_buffer_ = std::move(order);
+  satisfied_buffer_ = std::move(satisfied);
+}
+
+std::string stuck_request(NodeId node, PageId page, const WantedByOwner& outstanding,
+                          int attempts, sim::SimDuration timeout) {
+  char timeout_ms[32];
+  std::snprintf(timeout_ms, sizeof timeout_ms, "%.3f", timeout.millis());
+  std::string out = "node " + std::to_string(node) + ", page " + std::to_string(page) + ", " +
+                    std::to_string(attempts) + " attempts timed out (timeout " + timeout_ms +
+                    " ms); outstanding servers:";
+  for (const auto& [server, ivs] : outstanding) {
+    out += " " + std::to_string(server) + " (intervals";
+    for (std::uint32_t i : ivs) out += " " + std::to_string(i);
+    out += ")";
+  }
+  return out;
 }
 
 WantedByOwner NodeRuntime::wanted_for_page(PageId p) const {
@@ -463,6 +496,13 @@ void NodeRuntime::fault_in_page(PageId p) {
     auto& slot = expect_replies(req_id);
 
     std::set<NodeId> outstanding;
+    auto unanswered = [&] {
+      WantedByOwner out;
+      for (const auto& w : wanted) {
+        if (outstanding.contains(w.first)) out.push_back(w);
+      }
+      return out;
+    };
     auto send_requests = [&](const std::set<NodeId>& to) {
       for (const auto& [owner, ivs] : wanted) {
         if (!to.contains(owner)) continue;
@@ -489,7 +529,8 @@ void NodeRuntime::fault_in_page(PageId p) {
                                  {"outstanding", static_cast<double>(outstanding.size())}});
         }
         REPSEQ_CHECK(retries <= config().max_retries,
-                     "diff request retries exhausted for page " + std::to_string(p));
+                     "diff request retries exhausted: " +
+                         stuck_request(id_, p, unanswered(), retries, config().request_timeout));
         send_requests(outstanding);
         continue;
       }
@@ -888,7 +929,7 @@ void NodeRuntime::register_base_protocol(ProtocolEngine& engine) {
     std::map<PageId, std::set<std::pair<NodeId, std::uint32_t>>> covered;
     for (const DiffPacket& pkt : u.packets) {
       auto& c = covered[pkt.page];
-      for (std::uint32_t i : pkt.covers) c.emplace(pkt.owner, i);
+      for (std::uint32_t i : pkt.covers()) c.emplace(pkt.owner, i);
     }
     std::map<PageId, bool> page_complete;
     for (const auto& [page, c] : covered) {

@@ -22,6 +22,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -64,6 +65,12 @@ class RseHooks {
   /// called once, when the hooks attach to the cluster).
   virtual void register_handlers(ProtocolEngine& engine) = 0;
 };
+
+/// The diagnostic of a retry-exhaustion abort: the node whose request for
+/// `page` is stuck, every server still owing a reply with the intervals
+/// wanted from it, the attempts that timed out and the last timeout.
+[[nodiscard]] std::string stuck_request(NodeId node, PageId page, const WantedByOwner& outstanding,
+                                        int attempts, sim::SimDuration timeout);
 
 class NodeRuntime {
  public:
@@ -155,13 +162,27 @@ class NodeRuntime {
   std::vector<DiffPacket> collect_diffs(PageId page, const std::vector<std::uint32_t>& intervals,
                                         bool on_server);
 
-  /// Applies one diff packet; updates validity, clears satisfied pending
-  /// notices.
-  void apply_packet(const DiffPacket& pkt);
-
-  /// Sorts packets causally (Lamport projection of the newest covered
-  /// interval) and applies them all, charging apply costs.
+  /// Applies a batch of packets in causal order (see causal_order), each
+  /// registration once however often it is listed, updates page validity,
+  /// clears the pending notices the batch satisfies and charges the apply
+  /// costs.
   void apply_packets_causally(std::vector<DiffPacket> pkts, bool on_server);
+
+  /// One packet's place in a batch's causal order.
+  struct CausalKey {
+    std::uint64_t lamport = 0;  // of the packet's newest cover `log` knows
+    std::uint64_t seq = 0;
+    NodeId owner = 0;
+    std::uint32_t pos = 0;  // the packet's index in the batch as it arrived
+  };
+  /// Fills `keys` with the batch's application order: by the Lamport
+  /// projection of each packet's newest cover known to `log`, then owner,
+  /// seq and arrival position -- the order a stable sort on (Lamport,
+  /// owner, seq) gives.  Each key is computed once per packet, not per
+  /// comparison.  `keys` is a caller-owned buffer, so this allocates
+  /// nothing once it has grown.
+  static void causal_order(const IntervalLog& log, const std::vector<DiffPacket>& pkts,
+                           std::vector<CausalKey>& keys);
 
   /// The base-protocol fault path: request diffs from the last writers.
   void fault_in_page(PageId p);
@@ -279,17 +300,14 @@ class NodeRuntime {
   VectorClock vc_;
   IntervalLog log_;
   std::vector<PageId> current_dirty_;
-  /// A diff frozen at flush time together with its full registration.
-  struct RegisteredDiff {
-    std::uint64_t seq;
-    std::vector<std::uint32_t> covers;  // every interval this diff backs
-    DiffPtr diff;
-  };
-  using RegisteredDiffPtr = util::PoolPtr<const RegisteredDiff>;
   /// Own diffs per (page, interval); the same registration may appear under
   /// several intervals (merged lazy diffs).
   std::map<std::pair<PageId, std::uint32_t>, std::vector<RegisteredDiffPtr>> own_diffs_;
   std::uint64_t next_diff_seq_ = 1;
+  /// apply_packets_causally's buffers, kept between batches so
+  /// steady-state batches allocate nothing.
+  std::vector<CausalKey> order_buffer_;
+  std::vector<NoticeKey> satisfied_buffer_;
   std::map<PageId, std::vector<IntervalRecordPtr>> page_notice_index_;
   std::vector<std::unique_ptr<std::byte[]>> twin_pool_;
   std::vector<PageId> twinned_pages_;  // PageState::twin_slot indexes it

@@ -47,9 +47,24 @@ inline std::uint32_t bucket_for(std::size_t bytes) {
   return kUnpooled;
 }
 
+/// One thread's free lists.  Blocks still listed when the thread exits go
+/// back to the system, so a leak checker sees no orphaned blocks (pooled
+/// objects never outlive the thread that allocated them).
+struct FreeLists {
+  std::vector<void*> lists[kBuckets];
+  FreeLists() = default;
+  FreeLists(const FreeLists&) = delete;
+  FreeLists& operator=(const FreeLists&) = delete;
+  ~FreeLists() {
+    for (const std::vector<void*>& list : lists) {
+      for (void* blk : list) ::operator delete(blk, std::align_val_t{alignof(std::max_align_t)});
+    }
+  }
+};
+
 inline std::vector<void*>& free_list(std::uint32_t bucket) {
-  thread_local std::vector<void*> lists[kBuckets];
-  return lists[bucket];
+  thread_local FreeLists fl;
+  return fl.lists[bucket];
 }
 
 /// Returns a block with room for `bytes` of object storage; the header is

@@ -243,5 +243,36 @@ TEST(Stats, PhaseTaggingSeparatesSequentialAndParallelTraffic) {
   EXPECT_GT(par.diff_bytes_sent, 0u);
 }
 
+// Retry exhaustion names the stuck request, not just its page: with every
+// diff request lost, the fault gives up after max_retries timeouts and the
+// abort lists both servers still owing a reply, with the intervals wanted
+// from each.
+TEST(RetryExhaustionDeathTest, BaseFaultListsOutstandingServers) {
+  auto run = [] {
+    TmkConfig cfg;
+    cfg.heap_bytes = 1u << 20;
+    cfg.request_timeout = sim::milliseconds(1);
+    cfg.max_retries = 2;
+    net::NetConfig ncfg;
+    ncfg.loss_probability = 1.0;
+    Cluster cl(cfg, ncfg, 3);
+    auto data = ShArray<int>::alloc(cl, 16, /*page_aligned=*/true);
+    const auto work = cl.register_work([&](NodeRuntime& rt) {
+      if (rt.id() != 0) data.store(rt.id(), 1);
+      rt.barrier(1);
+      if (rt.id() == 0) (void)data.load(0);
+    });
+    cl.run([&](NodeRuntime& rt) {
+      rt.fork(work);
+      cl.work(work)(rt);
+      rt.join_master();
+    });
+  };
+  EXPECT_DEATH(run(),
+               "diff request retries exhausted: node 0, page [0-9]+, 3 attempts timed out "
+               "\\(timeout 1\\.000 ms\\); outstanding servers: 1 \\(intervals 1\\) "
+               "2 \\(intervals 1\\)");
+}
+
 }  // namespace
 }  // namespace repseq::tmk

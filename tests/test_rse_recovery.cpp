@@ -207,5 +207,33 @@ TEST(LossRecoverySeeds, ManySeedsConverge) {
   }
 }
 
+// Recovery exhaustion names the stuck request: with every diff frame lost,
+// the faulters (nodes 0 and 2; node 1 wrote the page) retry with doubling
+// waits of 1, 2 and 4 ms, then abort listing the server that still owes
+// them interval 1.
+TEST(RetryExhaustionDeathTest, RseRecoveryListsOutstandingServers) {
+  auto run = [] {
+    tmk::TmkConfig cfg;
+    cfg.heap_bytes = 1u << 20;
+    cfg.rse_wait_timeout = sim::milliseconds(1);
+    cfg.max_retries = 2;
+    net::NetConfig ncfg;
+    ncfg.loss_probability = 1.0;
+    tmk::Cluster cl(cfg, ncfg, 3);
+    RseController rse(cl, FlowControl::Chained);
+    ompnow::Team team(cl, SeqMode::Replicated, &rse);
+    auto data = tmk::ShArray<int>::alloc(cl, 16, /*page_aligned=*/true);
+    cl.run([&](tmk::NodeRuntime&) {
+      team.parallel([&](const Ctx& ctx) {
+        if (ctx.tid == 1) data.store(0, 5);
+      });
+      team.sequential([&](const Ctx&) { (void)data.load(0); });
+    });
+  };
+  EXPECT_DEATH(run(),
+               "RSE recovery retries exhausted: node [02], page [0-9]+, 3 attempts timed out "
+               "\\(timeout 4\\.000 ms\\); outstanding servers: 1 \\(intervals 1\\)");
+}
+
 }  // namespace
 }  // namespace repseq::rse
