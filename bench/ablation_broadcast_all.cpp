@@ -27,7 +27,7 @@ int main() {
 
   {
     apps::ilink::IlinkConfig cfg = ilink_config();
-    cfg.iterations = static_cast<int>(env_long("ILINK_ITERATIONS", 4));
+    cfg.iterations = env_int("ILINK_ITERATIONS", 4, 1);
     const auto orig = apps::harness::run_ilink(options_for(Mode::Original), cfg);
     const auto bcast = apps::harness::run_ilink(bcast_opt, cfg);
     const auto opt = apps::harness::run_ilink(options_for(Mode::Optimized), cfg);
@@ -49,7 +49,7 @@ int main() {
 
   {
     apps::bh::BhConfig cfg = bh_config();
-    cfg.bodies = static_cast<int>(env_long("A2_BH_BODIES", 2048));
+    cfg.bodies = env_int("A2_BH_BODIES", 2048, 1);
     const auto bcast = apps::harness::run_barnes_hut(bcast_opt, cfg);
     const auto opt = apps::harness::run_barnes_hut(options_for(Mode::Optimized), cfg);
     if (bcast.checksum != opt.checksum) {

@@ -3,9 +3,9 @@
 // paper-vs-measured table layout.
 //
 // Absolute numbers are not expected to match the paper (the substrate is a
-// calibrated simulator and the workloads are scaled down; see
-// EXPERIMENTS.md); every harness prints the paper's value next to the
-// measured one so the *shape* can be checked row by row.
+// calibrated simulator and the workloads are scaled down); every harness
+// prints the paper's value next to the measured one so the *shape* can be
+// checked row by row.
 #pragma once
 
 #include <algorithm>
@@ -31,11 +31,11 @@ namespace repseq::bench {
 }
 
 /// Reads an integer override from the environment (REPSEQ_<NAME>).  The
-/// whole value must be one base-10 integer ("4x" or "four" exits 2) and at
-/// least `min` (REPSEQ_NODES=-4 exits 2 instead of wrapping into a huge
-/// unsigned cap).
-inline long env_long(const char* name, long fallback,
-                     long min = std::numeric_limits<long>::min()) {
+/// whole value must be one base-10 integer ("4x" or "four" exits 2) in
+/// [min, max] (REPSEQ_NODES=-4 exits 2 instead of wrapping into a huge
+/// unsigned cap; REPSEQ_BH_STEPS=0 instead of printing a NaN speedup).
+inline long env_long(const char* name, long fallback, long min,
+                     long max = std::numeric_limits<long>::max()) {
   const std::string var = std::string("REPSEQ_") + name;
   const char* v = std::getenv(var.c_str());
   if (v == nullptr) return fallback;
@@ -43,8 +43,18 @@ inline long env_long(const char* name, long fallback,
   errno = 0;
   const long n = std::strtol(v, &end, 10);
   if (end == v || *end != '\0' || errno == ERANGE) env_value_error(var.c_str(), v, "an integer");
-  if (n < min) env_value_error(var.c_str(), v, ("an integer >= " + std::to_string(min)).c_str());
+  if (n < min || n > max) {
+    std::string range = "an integer >= " + std::to_string(min);
+    if (max != std::numeric_limits<long>::max()) range += " and <= " + std::to_string(max);
+    env_value_error(var.c_str(), v, range.c_str());
+  }
   return n;
+}
+
+/// env_long for an int-typed axis: values above INT_MAX exit 2 instead of
+/// narrowing (REPSEQ_BH_BODIES=4294967552 would otherwise run 256 bodies).
+inline int env_int(const char* name, int fallback, int min) {
+  return static_cast<int>(env_long(name, fallback, min, std::numeric_limits<int>::max()));
 }
 
 /// Node count (or node-count cap) of a sweep: REPSEQ_NODES=N, N >= 2.
@@ -138,21 +148,21 @@ inline net::NetConfig bench_net_config() {
 /// The scaled Barnes-Hut workload (paper: 131072 bodies, 2 steps).
 inline apps::bh::BhConfig bh_config() {
   apps::bh::BhConfig cfg;
-  cfg.bodies = static_cast<int>(env_long("BH_BODIES", 4096));
-  cfg.steps = static_cast<int>(env_long("BH_STEPS", 2));
+  cfg.bodies = env_int("BH_BODIES", 4096, 1);
+  cfg.steps = env_int("BH_STEPS", 2, 1);
   return cfg;
 }
 
 /// The scaled Ilink workload (paper: CLP input, 180 iterations).
 inline apps::ilink::IlinkConfig ilink_config() {
   apps::ilink::IlinkConfig cfg;
-  cfg.families = static_cast<int>(env_long("ILINK_FAMILIES", cfg.families));
-  cfg.children = static_cast<int>(env_long("ILINK_CHILDREN", cfg.children));
-  cfg.genotypes = static_cast<int>(env_long("ILINK_GENOTYPES", cfg.genotypes));
-  cfg.iterations = static_cast<int>(env_long("ILINK_ITERATIONS", cfg.iterations));
-  cfg.min_nonzero = static_cast<int>(env_long("ILINK_MIN_NZ", cfg.min_nonzero));
-  cfg.max_nonzero = static_cast<int>(env_long("ILINK_MAX_NZ", cfg.max_nonzero));
-  cfg.threshold = static_cast<int>(env_long("ILINK_THRESHOLD", cfg.threshold));
+  cfg.families = env_int("ILINK_FAMILIES", cfg.families, 1);
+  cfg.children = env_int("ILINK_CHILDREN", cfg.children, 1);
+  cfg.genotypes = env_int("ILINK_GENOTYPES", cfg.genotypes, 1);
+  cfg.iterations = env_int("ILINK_ITERATIONS", cfg.iterations, 1);
+  cfg.min_nonzero = env_int("ILINK_MIN_NZ", cfg.min_nonzero, 0);
+  cfg.max_nonzero = env_int("ILINK_MAX_NZ", cfg.max_nonzero, 1);
+  cfg.threshold = env_int("ILINK_THRESHOLD", cfg.threshold, 0);
   return cfg;
 }
 
@@ -165,7 +175,9 @@ inline apps::harness::RunOptions options_for(apps::harness::Mode mode,
   o.net = bench_net_config();
   o.policy.kind = bench_policy();
   o.policy.pins = bench_pin_sites();
-  o.tmk.heap_bytes = static_cast<std::size_t>(env_long("HEAP_MB", 24)) << 20;
+  // The upper bound keeps the shift to bytes from wrapping.
+  constexpr long kMaxHeapMb = std::numeric_limits<long>::max() >> 20;
+  o.tmk.heap_bytes = static_cast<std::size_t>(env_long("HEAP_MB", 24, 1, kMaxHeapMb)) << 20;
   return o;
 }
 

@@ -4,12 +4,11 @@
 // global category mask, indistinguishable from the unhooked loop -- the
 // simulator's hot paths (event dispatch, sends, faults) pay nothing when
 // REPSEQ_TRACE is unset.  The enabled rows quantify what a recording run
-// pays per event, and that the registry and Accumulator percentile paths
-// stay allocation-free in steady state.
+// pays per event, and that the Accumulator percentile path stays
+// allocation-free in steady state.
 #include <cstdint>
 
 #include "micro_runner.hpp"
-#include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "sim/clock.hpp"
 #include "util/stats_accum.hpp"
@@ -57,18 +56,6 @@ int main() {
     if ((t & 0xffff) == 0) obs::tracer().configure("/dev/null");
   });
   obs::tracer().configure("", 0);
-
-  // Registry: steady-state counter increment through the labeled lookup,
-  // and the pre-resolved handle the hot paths should hold instead.
-  obs::Registry reg;
-  bench("registry/counter-lookup-inc", [&] {
-    reg.counter("decisions", {{"site", "1"}, {"strategy", "replicated"}}).inc();
-  });
-  obs::Counter& c = reg.counter("decisions", {{"site", "1"}, {"strategy", "replicated"}});
-  bench("registry/counter-handle-inc", [&] {
-    c.inc();
-    do_not_optimize(c.value());
-  });
 
   // Accumulator with the streaming-percentile histogram: add stays O(1)
   // and allocation-free after the first sample's bucket allocation.

@@ -114,33 +114,6 @@ struct AdaptivePoint {
   std::string site_policy;  // per-site "site:decisions/switches/final"
 };
 
-/// Renders the registry's per-site decision telemetry (ROADMAP's "decision
-/// telemetry in the table benches"): for each decision site, how many
-/// sections it decided, how many switch points it hit, and the strategy it
-/// settled on.
-std::string site_policy_summary(const repseq::tmk::Cluster& cl) {
-  using namespace repseq;
-  const obs::Registry& m = cl.metrics();
-  std::string out;
-  for (const std::string& site : m.label_values("policy_decisions", "site")) {
-    std::uint64_t decisions = 0;
-    for (std::size_t s = 0; s < rse::policy::kStrategyCount; ++s) {
-      decisions += m.counter_value(
-          "policy_decisions",
-          {{"site", site},
-           {"strategy", rse::policy::strategy_name(static_cast<rse::policy::SectionStrategy>(s))}});
-    }
-    const std::uint64_t switches = m.counter_value("policy_switches", {{"site", site}});
-    const char* final_strategy = rse::policy::strategy_name(
-        static_cast<rse::policy::SectionStrategy>(static_cast<std::size_t>(
-            m.gauge_value("policy_final_strategy", {{"site", site}}))));
-    if (!out.empty()) out += ' ';
-    out += site + ':' + std::to_string(decisions) + '/' + std::to_string(switches) + '/' +
-           final_strategy;
-  }
-  return out.empty() ? "-" : out;
-}
-
 /// Adaptive-policy probe over the same hot-spot workload, repeated for a few
 /// rounds so the policy converges past its bootstrap: the master writes the
 /// block, everyone reads it, and the rse::policy engine picks the section
@@ -190,7 +163,7 @@ AdaptivePoint adaptive_probe(std::size_t nodes) {
   p.sections = policy.sections();
   p.by_strategy = policy.strategy_counts();
   p.switches = policy.switches();
-  p.site_policy = site_policy_summary(cl);
+  p.site_policy = apps::harness::site_policy_summary(policy.decisions());
   return p;
 }
 
@@ -255,7 +228,7 @@ int main() {
   std::printf("\nEach site's first section is the broadcast bootstrap probe; afterwards the\n"
               "cost model keeps the write-heavy producer section off the master and the\n"
               "read-only consumer section on it (checksum invariant per node count).\n"
-              "site:dec/sw/final reads per-site decision telemetry off the metrics\n"
-              "registry: sections decided, switch points, and the settled strategy.\n");
+              "site:dec/sw/final summarizes the decision log per site: sections\n"
+              "decided, switch points, and the settled strategy.\n");
   return 0;
 }

@@ -10,10 +10,10 @@ int main() {
   using apps::harness::Mode;
 
   apps::bh::BhConfig bh = bh_config();
-  bh.bodies = static_cast<int>(env_long("SWEEP_BH_BODIES", 2048));
+  bh.bodies = env_int("SWEEP_BH_BODIES", 2048, 1);
   apps::ilink::IlinkConfig il = ilink_config();
-  il.iterations = static_cast<int>(env_long("SWEEP_ILINK_ITERS", 2));
-  il.families = static_cast<int>(env_long("SWEEP_ILINK_FAMILIES", 2));
+  il.iterations = env_int("SWEEP_ILINK_ITERS", 2, 1);
+  il.families = env_int("SWEEP_ILINK_FAMILIES", 2, 1);
 
   print_header("Sweep: speedup vs cluster size (base vs replicated)",
                "PPoPP'01 Tables 1/3 give the 32-node endpoints",

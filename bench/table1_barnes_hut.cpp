@@ -3,7 +3,7 @@
 // Three runs: the sequential program on one node, the base ("Original")
 // OpenMP/TreadMarks system, and the system with replicated sequential
 // execution ("Optimized").  The workload is scaled down from the paper's
-// 131072 bodies (see EXPERIMENTS.md); the shape to check is:
+// 131072 bodies; the shape to check is:
 //   * optimized total < original total;
 //   * optimized sequential-section time > original (replication overhead);
 //   * optimized parallel-section time substantially < original.

@@ -2,9 +2,9 @@
 //
 // The paper ran the real Ilink on the CLP pedigree (180 iterations); this
 // harness runs the structurally-equivalent synthetic linkage workload (see
-// DESIGN.md Section 1).  Shape to check: the optimized system's win is much
-// larger than for Barnes-Hut (paper: speedup 1.9 -> 5.5, +189%), because
-// the base system's parallel sections are almost pure contention.
+// src/apps/ilink/ilink.hpp).  Shape to check: the optimized system's win is
+// much larger than for Barnes-Hut (paper: speedup 1.9 -> 5.5, +189%),
+// because the base system's parallel sections are almost pure contention.
 #include "bench_common.hpp"
 
 int main() {

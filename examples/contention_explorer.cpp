@@ -14,9 +14,11 @@
 // reports its per-strategy decision counts.
 #include <algorithm>
 #include <array>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -89,18 +91,27 @@ Sample probe(std::size_t nodes, ompnow::SeqMode mode, const net::NetConfig& ncfg
   return s;
 }
 
+/// The whole of `s` as one base-10 integer >= `min`; nullopt for anything
+/// else ("4x", "four", out of range).
+std::optional<long> parse_count(const char* s, long min) {
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(s, &end, 10);
+  if (end == s || *end != '\0' || errno == ERANGE || v < min) return std::nullopt;
+  return v;
+}
+
 /// REPSEQ_NODES caps the sweep (default full sweep to 1024 nodes) so CI can
 /// bound the run's budget, mirroring the bench harnesses.
 std::size_t nodes_cap() {
   const char* s = std::getenv("REPSEQ_NODES");
   if (s == nullptr || *s == '\0') return 1024;
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (end == s || *end != '\0' || v < 2) {
+  const auto v = parse_count(s, 2);
+  if (!v) {
     std::fprintf(stderr, "error: REPSEQ_NODES='%s' is not a node count >= 2\n", s);
     std::exit(2);
   }
-  return static_cast<std::size_t>(v);
+  return static_cast<std::size_t>(*v);
 }
 
 int usage(const char* argv0) {
@@ -160,12 +171,12 @@ int main(int argc, char** argv) {
       ncfg.transport = *kind;
       ++positional;
     } else if (positional == 1) {
-      const long shards = std::atol(argv[i]);
-      if (shards < 1) {
-        std::fprintf(stderr, "shard count must be >= 1, got '%s'\n", argv[i]);
+      const auto shards = parse_count(argv[i], 1);
+      if (!shards) {
+        std::fprintf(stderr, "shard count must be an integer >= 1, got '%s'\n", argv[i]);
         return 2;
       }
-      ncfg.hub_shards = static_cast<std::size_t>(shards);
+      ncfg.hub_shards = static_cast<std::size_t>(*shards);
       ++positional;
     } else {
       return usage(argv[0]);

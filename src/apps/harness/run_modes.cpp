@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <map>
 #include <memory>
 
 #include "ompnow/team.hpp"
@@ -68,6 +69,28 @@ ompnow::SeqMode seq_mode_for(Mode m) {
   }
 }
 
+std::string site_policy_summary(const std::vector<rse::policy::Decision>& log) {
+  struct Site {
+    std::uint64_t decisions = 0;
+    std::uint64_t switches = 0;
+    rse::policy::SectionStrategy last{};
+  };
+  std::map<std::uint32_t, Site> sites;
+  for (const rse::policy::Decision& d : log) {
+    Site& s = sites[d.site];
+    ++s.decisions;
+    s.switches += d.switched ? 1 : 0;
+    s.last = d.strategy;
+  }
+  std::string out;
+  for (const auto& [site, s] : sites) {
+    if (!out.empty()) out += ' ';
+    out += std::to_string(site) + ':' + std::to_string(s.decisions) + '/' +
+           std::to_string(s.switches) + '/' + rse::policy::strategy_name(s.last);
+  }
+  return out.empty() ? "-" : out;
+}
+
 namespace {
 
 struct Bench {
@@ -130,34 +153,6 @@ struct Bench {
       r.sections_by_strategy = policy->strategy_counts();
       r.policy_switches = policy->switches();
       r.decisions = policy->decisions();
-    }
-
-    // Per-site telemetry from the metrics registry (PolicyEngine records a
-    // labeled counter per decision; see policy_engine.cpp).
-    const obs::Registry& m = cluster->metrics();
-    for (const std::string& site : m.label_values("policy_decisions", "site")) {
-      RunReport::SitePolicy sp;
-      sp.site = static_cast<std::uint32_t>(std::stoul(site));
-      for (std::size_t s = 0; s < rse::policy::kStrategyCount; ++s) {
-        const char* strat = rse::policy::strategy_name(static_cast<rse::policy::SectionStrategy>(s));
-        sp.decisions += m.counter_value("policy_decisions", {{"site", site}, {"strategy", strat}});
-      }
-      sp.switches = m.counter_value("policy_switches", {{"site", site}});
-      sp.final_strategy = rse::policy::strategy_name(static_cast<rse::policy::SectionStrategy>(
-          static_cast<std::size_t>(m.gauge_value("policy_final_strategy", {{"site", site}}))));
-      r.site_policy.push_back(std::move(sp));
-    }
-    std::sort(r.site_policy.begin(), r.site_policy.end(),
-              [](const RunReport::SitePolicy& a, const RunReport::SitePolicy& b) {
-                return a.site < b.site;
-              });
-
-    // Correctness-checker violation counts (chk::Checker records one labeled
-    // counter per oracle; nonzero only under a no-abort test config).
-    for (const std::string& checker : m.label_values("chk_violations", "checker")) {
-      const std::uint64_t count = m.counter_value("chk_violations", {{"checker", checker}});
-      r.check_violations += count;
-      r.check_violations_by_checker.emplace_back(checker, count);
     }
 
     // "diff requests": for sequential sections the paper counts the single

@@ -9,7 +9,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "apps/barnes_hut/bh.hpp"
@@ -96,20 +95,8 @@ struct RunReport {
   /// Sections executed per strategy, indexed by rse::policy::SectionStrategy.
   std::array<std::uint64_t, rse::policy::kStrategyCount> sections_by_strategy{};
   std::uint64_t policy_switches = 0;  // switch points across all sites
-  /// The master's full decision log (site, strategy, switch flag, and the
-  /// close-time reporting telemetry).
+  /// The master's full decision log (seq, site, strategy, switch flag).
   std::vector<rse::policy::Decision> decisions;
-
-  /// Per-site decision telemetry, sourced from the cluster's metrics
-  /// registry (obs::Registry) rather than PhaseCounters: one row per
-  /// decision site, numerically ordered.  Empty outside Mode::Adaptive.
-  struct SitePolicy {
-    std::uint32_t site = 0;
-    std::uint64_t decisions = 0;    // sections decided at this site
-    std::uint64_t switches = 0;     // switch points at this site
-    std::string final_strategy;     // the strategy the site settled on
-  };
-  std::vector<SitePolicy> site_policy;
 
   double checksum = 0;  // application result for cross-mode verification
   std::uint64_t aux = 0;
@@ -122,13 +109,13 @@ struct RunReport {
   std::uint64_t sim_events = 0;
   std::size_t peak_live_events = 0;
   double host_wall_s = 0;
-
-  // Correctness-checker telemetry (the chk layer; zero when REPSEQ_CHECK is
-  // off).  Nonzero only when a run survived a violation, i.e. under a
-  // test's no-abort config -- production checking aborts on the first one.
-  std::uint64_t check_violations = 0;
-  std::vector<std::pair<std::string, std::uint64_t>> check_violations_by_checker;
 };
+
+/// Per-site summary of a decision log: "site:decisions/switches/final" for
+/// each site in numeric order -- sections decided there, how many of them
+/// switched strategy, and the strategy of the last one -- or "-" for an
+/// empty log.
+[[nodiscard]] std::string site_policy_summary(const std::vector<rse::policy::Decision>& log);
 
 RunReport run_barnes_hut(const RunOptions& opt, const bh::BhConfig& cfg);
 RunReport run_ilink(const RunOptions& opt, const ilink::IlinkConfig& cfg);

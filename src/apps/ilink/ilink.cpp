@@ -1,6 +1,7 @@
 #include "apps/ilink/ilink.hpp"
 
 #include <cmath>
+#include <string>
 
 #include "sim/rng.hpp"
 #include "util/check.hpp"
@@ -36,6 +37,19 @@ std::uint32_t probe_index(std::uint32_t i, int o, int genotypes) {
 }  // namespace
 
 IlinkWorld setup_world(tmk::Cluster& cluster, const IlinkConfig& cfg) {
+  // The pedigree generator below draws from [min_nonzero, max_nonzero) and
+  // spaces indices by up to 2 * genotypes / max_nonzero: an empty range
+  // would divide by zero deep inside the RNG.
+  REPSEQ_CHECK(cfg.families >= 1,
+               "IlinkConfig.families must be >= 1, got " + std::to_string(cfg.families));
+  REPSEQ_CHECK(0 <= cfg.min_nonzero && cfg.min_nonzero < cfg.max_nonzero,
+               "IlinkConfig needs 0 <= min_nonzero < max_nonzero, got min_nonzero " +
+                   std::to_string(cfg.min_nonzero) + ", max_nonzero " +
+                   std::to_string(cfg.max_nonzero));
+  REPSEQ_CHECK(cfg.max_nonzero <= std::int64_t{2} * cfg.genotypes,
+               "IlinkConfig needs max_nonzero <= 2 * genotypes, got max_nonzero " +
+                   std::to_string(cfg.max_nonzero) + ", genotypes " +
+                   std::to_string(cfg.genotypes));
   IlinkWorld w;
   const std::size_t page_doubles = cluster.config().page_bytes / sizeof(double);
   auto round_up = [&](std::size_t v) {

@@ -126,7 +126,6 @@ Checker::Checker(tmk::Cluster& cluster, Config cfg) : cluster_(cluster), cfg_(cf
 }
 
 void Checker::record_violation(const char* checker, std::string detail) {
-  cluster_.metrics().counter("chk_violations", {{"checker", checker}}).inc();
   std::fprintf(stderr, "chk: VIOLATION [%s]\n%s\n", checker, detail.c_str());
   violations_.push_back(Violation{checker, std::move(detail)});
   if (cfg_.abort_on_violation) std::abort();

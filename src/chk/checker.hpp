@@ -107,7 +107,7 @@ class ScopedMutation {
 };
 
 struct Violation {
-  std::string checker;  // registry label: "race", "diff-apply-causality", ...
+  std::string checker;  // oracle name: "race", "diff-apply-causality", ...
   std::string detail;   // full multi-line diagnostic
 };
 

@@ -13,6 +13,7 @@ Network::Network(sim::Engine& eng, NetConfig cfg, std::size_t nodes)
     nics_.push_back(std::make_unique<Nic>(eng_, cfg_, static_cast<NodeId>(n)));
   }
   transport_ = make_transport(eng_, cfg_, nics_);
+  shard_mcast_.resize(transport_->shard_count());
 }
 
 bool Network::deliver_at(sim::SimTime t, NodeId dst, const Message& msg) {
@@ -31,7 +32,6 @@ std::uint64_t Network::unicast(Message msg, SendAccount account) {
   REPSEQ_CHECK(msg.dst != msg.src, "unicast to self");
   msg.id = next_id_++;
   const std::size_t wire = cfg_.wire_bytes(msg.payload_bytes);
-  if (tap_) tap_(msg, wire, /*is_multicast=*/false);
   if (obs::enabled(obs::Cat::Net)) [[unlikely]] {
     obs::tracer().instant(obs::Cat::Net, eng_.now(), static_cast<std::int32_t>(msg.src) + 1,
                           "net", "unicast",
@@ -121,7 +121,6 @@ std::uint64_t Network::multicast(Message msg, SendAccount account) {
   msg.dst = kMulticastDst;
   msg.id = next_id_++;
   const std::size_t wire = cfg_.wire_bytes(msg.payload_bytes);
-  if (tap_) tap_(msg, wire, /*is_multicast=*/true);
   if (obs::enabled(obs::Cat::Net)) [[unlikely]] {
     obs::tracer().instant(obs::Cat::Net, eng_.now(), static_cast<std::int32_t>(msg.src) + 1,
                           "net", "multicast",
@@ -130,6 +129,7 @@ std::uint64_t Network::multicast(Message msg, SendAccount account) {
                            {"kind", static_cast<double>(msg.kind)}});
   }
   const sim::SimTime sent = eng_.now();
+  const std::size_t shard = shard_of_group(msg.mcast_group);
 
   // Frame accounting is backend-dependent: a true multicast medium carries
   // one frame regardless of group size (paper: "each multicast message is
@@ -151,6 +151,8 @@ std::uint64_t Network::multicast(Message msg, SendAccount account) {
         [&](std::size_t frames, std::size_t bytes) {
           messages_sent_ += frames;
           bytes_sent_ += bytes;
+          shard_mcast_[shard].frames += frames;
+          shard_mcast_[shard].bytes += bytes;
           if (account) account(frames, bytes);
         });
     flush_group_schedule(sched, msg);
@@ -164,6 +166,7 @@ std::uint64_t Network::multicast(Message msg, SendAccount account) {
     Network* nw;
     Message msg;
     sim::SimTime sent;
+    std::size_t shard;
     SendAccount account;
     /// Deliveries reported synchronously (the root's own hops), batched
     /// by flush_group_schedule like any synchronous send.
@@ -171,7 +174,7 @@ std::uint64_t Network::multicast(Message msg, SendAccount account) {
     std::vector<std::pair<sim::SimTime, NodeId>> sched;
   };
   auto b = util::make_pooled<Burst>(
-      Burst{this, std::move(msg), sent, std::move(account), /*collecting=*/true, {}});
+      Burst{this, std::move(msg), sent, shard, std::move(account), /*collecting=*/true, {}});
 
   transport_->multicast(
       b->msg, wire,
@@ -190,8 +193,11 @@ std::uint64_t Network::multicast(Message msg, SendAccount account) {
         return true;
       },
       [b](std::size_t frames, std::size_t bytes) {
-        b->nw->messages_sent_ += frames;
-        b->nw->bytes_sent_ += bytes;
+        Network& nw = *b->nw;
+        nw.messages_sent_ += frames;
+        nw.bytes_sent_ += bytes;
+        nw.shard_mcast_[b->shard].frames += frames;
+        nw.shard_mcast_[b->shard].bytes += bytes;
         if (b->account) b->account(frames, bytes);
       });
 

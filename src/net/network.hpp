@@ -33,8 +33,8 @@ class Network {
   /// Under frame coalescing (NetConfig::batch_window) a send's committed
   /// bytes are its *share* of a combined frame, and frames may be zero for
   /// a send that rode another send's frame.  Callers that charge the
-  /// committed cost to per-phase/per-shard counters must capture stable
-  /// references: the callback outlives the send call.
+  /// committed cost to per-phase counters must capture stable references:
+  /// the callback outlives the send call.
   using SendAccount = std::function<void(std::size_t frames, std::size_t bytes)>;
 
   /// Sends point-to-point.  Returns the assigned message id.
@@ -60,7 +60,7 @@ class Network {
   /// Multicast serialization domains of the active backend
   /// (Transport::shard_count: hub_shards on the sharded hub and on the tree
   /// with a coalescing window, 1 otherwise); upper layers size per-shard
-  /// round tables and per-shard traffic accounting off this.
+  /// round tables off this.
   [[nodiscard]] std::size_t hub_shards() const { return transport_->shard_count(); }
 
   /// Time shard `s` of the multicast medium spent transmitting.
@@ -73,16 +73,18 @@ class Network {
     return shard_of(group, transport_->shard_count());
   }
 
+  /// Multicast frames/bytes committed on shard `s`.  Every frame of a send
+  /// counts on the send's shard, fixed when it was sent, even when the
+  /// frame commits later (a deferred forwarding hop or window flush).
+  [[nodiscard]] std::uint64_t mcast_frames(std::size_t s) const { return shard_mcast_[s].frames; }
+  [[nodiscard]] std::uint64_t mcast_bytes(std::size_t s) const { return shard_mcast_[s].bytes; }
+
   /// Observability for tests and the benchmark harness.
   [[nodiscard]] std::uint64_t messages_sent() const { return messages_sent_; }
   [[nodiscard]] std::uint64_t bytes_sent() const { return bytes_sent_; }
   [[nodiscard]] std::uint64_t deliveries() const { return deliveries_; }
   [[nodiscard]] std::uint64_t losses_injected() const { return losses_injected_; }
   [[nodiscard]] std::uint64_t total_drops() const;
-
-  /// Optional tap invoked for every send (protocol-layer accounting).
-  using SendTap = std::function<void(const Message&, std::size_t wire_bytes, bool is_multicast)>;
-  void set_send_tap(SendTap tap) { tap_ = std::move(tap); }
 
   /// Restricts loss injection to messages for which the filter returns
   /// true.  The DSM layer exempts synchronization traffic, whose transport
@@ -117,7 +119,6 @@ class Network {
   std::vector<std::unique_ptr<Nic>> nics_;
   std::unique_ptr<Transport> transport_;
   sim::Rng loss_rng_;
-  SendTap tap_{};
   LossFilter lossable_{};
 
   std::uint64_t next_id_ = 1;
@@ -125,6 +126,12 @@ class Network {
   std::uint64_t bytes_sent_ = 0;
   std::uint64_t deliveries_ = 0;
   std::uint64_t losses_injected_ = 0;
+
+  struct ShardMcast {
+    std::uint64_t frames = 0;
+    std::uint64_t bytes = 0;
+  };
+  std::vector<ShardMcast> shard_mcast_;  // [shard], sized hub_shards()
 };
 
 }  // namespace repseq::net

@@ -59,25 +59,17 @@ struct PolicyConfig {
 [[nodiscard]] std::optional<std::map<std::uint32_t, SectionStrategy>> parse_pin_sites(
     std::string_view s);
 
-/// One entry of the per-section decision log.  The (seq, site, strategy,
-/// switched) tuple is what the master multicasts at section entry and what
-/// every node's log must agree on; the trailing fields are master-side
-/// reporting telemetry filled at section close (virtual time and multicast
-/// traffic are transport-dependent, so they are *recorded*, never fed back
-/// into the decision function).
+/// One entry of the per-section decision log: what the master multicasts
+/// at section entry and what every node's log must agree on.  The log is
+/// the one record of the policy's choices; per-site summaries are derived
+/// from it (apps::harness::site_policy_summary).
 struct Decision {
   std::uint64_t seq = 0;   // cluster-global section sequence number
   std::uint32_t site = 0;  // application-stamped section site id
   SectionStrategy strategy = SectionStrategy::Replicated;
   bool switched = false;   // site changed strategy at this entry
 
-  double section_s = 0;    // wall (virtual) time inside the section bracket
-  double mcast_kb = 0;     // multicast traffic the bracket put on the medium
-
-  [[nodiscard]] bool same_choice(const Decision& o) const {
-    return seq == o.seq && site == o.site && strategy == o.strategy &&
-           switched == o.switched;
-  }
+  bool operator==(const Decision&) const = default;
 };
 
 }  // namespace repseq::rse::policy

@@ -1,7 +1,6 @@
 #include "rse/policy/policy_engine.hpp"
 
 #include <set>
-#include <string>
 
 #include "obs/trace.hpp"
 #include "util/check.hpp"
@@ -120,16 +119,6 @@ std::uint64_t PolicyEngine::total_seq_fwd_requests() const {
   return sum;
 }
 
-std::uint64_t PolicyEngine::total_seq_mcast_bytes() const {
-  std::uint64_t sum = 0;
-  for (net::NodeId n = 0; n < cluster_.node_count(); ++n) {
-    for (const tmk::ShardCounters& s : cluster_.node(n).stats().seq.shard_traffic) {
-      sum += s.mcast_bytes;
-    }
-  }
-  return sum;
-}
-
 const SectionProfile* PolicyEngine::profile(std::uint32_t site) const {
   auto it = sites_.find(site);
   return it == sites_.end() ? nullptr : &it->second.profile;
@@ -196,16 +185,6 @@ SectionStrategy PolicyEngine::open_section(tmk::NodeRuntime& master, std::uint32
   d.switched = switched;
   log_[0].push_back(d);
 
-  // Registry: the per-site decision telemetry the sweep tables consume.
-  {
-    obs::Registry& m = cluster_.metrics();
-    const std::string site_label = std::to_string(site);
-    m.counter("policy_decisions", {{"site", site_label}, {"strategy", strategy_name(chosen)}})
-        .inc();
-    if (switched) m.counter("policy_switches", {{"site", site_label}}).inc();
-    m.gauge("policy_final_strategy", {{"site", site_label}})
-        .set(static_cast<double>(static_cast<std::size_t>(chosen)));
-  }
   if (obs::enabled(obs::Cat::Rse)) [[unlikely]] {
     // The decision with its full cost-model inputs: the profile the costs
     // were computed from plus the per-strategy costs themselves (recomputed
@@ -240,10 +219,8 @@ SectionStrategy PolicyEngine::open_section(tmk::NodeRuntime& master, std::uint32
   section_open_ = true;
   open_site_ = site;
   open_strategy_ = chosen;
-  open_t0_ = cluster_.engine().now();
   snap_master_seq_faults_ = master.stats().seq.page_faults;
   snap_fwd_requests_ = total_seq_fwd_requests();
-  snap_mcast_bytes_ = total_seq_mcast_bytes();
   if (chosen != SectionStrategy::Replicated) {
     // Close the master's open interval so the write-set measurement sees a
     // clean dirty-page slate: a page dirtied by an *earlier* section and
@@ -285,14 +262,6 @@ void PolicyEngine::close_section(tmk::NodeRuntime& master) {
   }
   p.faults_in = ewma(p.faults_in, static_cast<double>(faults_in), first);
   ++p.runs;
-
-  Decision& d = log_[0].back();
-  d.section_s = (cluster_.engine().now() - open_t0_).seconds();
-  d.mcast_kb = static_cast<double>(total_seq_mcast_bytes() - snap_mcast_bytes_) / 1024.0;
-  cluster_.metrics()
-      .histogram("section_seconds", {{"site", std::to_string(open_site_)},
-                                     {"strategy", strategy_name(open_strategy_)}})
-      .observe(d.section_s);
 
   aftermath_pending_ = true;
   aftermath_site_ = open_site_;

@@ -11,12 +11,11 @@
 //
 // Telemetry discipline: the decision function consumes only protocol-level
 // counts (pages written, stale pages read, post-section faults), which are
-// identical across transport backends and shard counts; wall-clock section
-// times and multicast byte counters are transport-dependent and are kept as
-// reporting fields on the decision log only.  In a real system the counter
-// deltas the master reads here would piggyback on the join/barrier messages
-// that already bracket every section at zero extra frames; the simulation
-// reads them from tmk::Stats directly.
+// identical across transport backends and shard counts; transport-dependent
+// measures (virtual section time, multicast bytes) never feed it.  In a real
+// system the counter deltas the master reads here would piggyback on the
+// join/barrier messages that already bracket every section at zero extra
+// frames; the simulation reads them from tmk::NodeStats directly.
 #pragma once
 
 #include <array>
@@ -53,10 +52,10 @@ class PolicyEngine {
   [[nodiscard]] const PolicyConfig& config() const { return cfg_; }
   [[nodiscard]] const CostModel& model() const { return model_; }
 
-  /// The master's decision log (decision + close-time reporting telemetry).
+  /// The master's decision log.
   [[nodiscard]] const std::vector<Decision>& decisions() const { return log_[0]; }
   /// Per-node copy of the agreed decision sequence, built from the
-  /// section-open multicasts (master-side fields are zero on slave copies).
+  /// section-open multicasts.
   [[nodiscard]] const std::vector<Decision>& node_log(net::NodeId n) const { return log_[n]; }
 
   [[nodiscard]] std::uint64_t sections() const { return log_[0].size(); }
@@ -82,7 +81,6 @@ class PolicyEngine {
   [[nodiscard]] std::uint64_t master_par_diff_msgs() const;
   [[nodiscard]] std::uint64_t master_par_diff_bytes() const;
   [[nodiscard]] std::uint64_t total_seq_fwd_requests() const;
-  [[nodiscard]] std::uint64_t total_seq_mcast_bytes() const;
 
   tmk::Cluster& cluster_;
   PolicyConfig cfg_;
@@ -98,10 +96,8 @@ class PolicyEngine {
   bool section_open_ = false;
   std::uint32_t open_site_ = 0;
   SectionStrategy open_strategy_ = SectionStrategy::Replicated;
-  sim::SimTime open_t0_{};
   std::uint64_t snap_master_seq_faults_ = 0;
   std::uint64_t snap_fwd_requests_ = 0;
-  std::uint64_t snap_mcast_bytes_ = 0;
   std::uint32_t snap_master_vc0_ = 0;
 
   // Aftermath window: close -> next open, attributed to the closed section.

@@ -155,7 +155,7 @@ struct LockGrantP {
   /// Shadow happens-before snapshot for the chk race detector; empty (and
   /// excluded from wire_bytes) unless checking is on -- the analysis rides
   /// the sync messages without perturbing the accounted wire.
-  VectorClock chk;
+  VectorClock chk{};
   [[nodiscard]] std::size_t wire_bytes() const {
     return 16 + vc.wire_bytes() + records_wire_bytes(records);
   }
@@ -168,7 +168,7 @@ struct BarrierArriveP {
   std::uint64_t barrier_seq = 0;
   VectorClock vc;
   std::vector<IntervalRecordPtr> records;
-  VectorClock chk;  // shadow clock side-channel, excluded from wire_bytes
+  VectorClock chk{};  // shadow clock side-channel, excluded from wire_bytes
   [[nodiscard]] std::size_t wire_bytes() const {
     return 8 + vc.wire_bytes() + records_wire_bytes(records);
   }
@@ -178,7 +178,7 @@ struct BarrierDepartP {
   std::uint64_t barrier_seq = 0;
   VectorClock vc;
   std::vector<IntervalRecordPtr> records;
-  VectorClock chk;  // shadow clock side-channel, excluded from wire_bytes
+  VectorClock chk{};  // shadow clock side-channel, excluded from wire_bytes
   [[nodiscard]] std::size_t wire_bytes() const {
     return 8 + vc.wire_bytes() + records_wire_bytes(records);
   }
@@ -188,7 +188,7 @@ struct ForkP {
   std::uint64_t work_id = 0;  // "pointer to the region subroutine"
   VectorClock vc;
   std::vector<IntervalRecordPtr> records;
-  VectorClock chk;  // shadow clock side-channel, excluded from wire_bytes
+  VectorClock chk{};  // shadow clock side-channel, excluded from wire_bytes
   [[nodiscard]] std::size_t wire_bytes() const {
     // work descriptor: function id + argument block (paper: subroutine
     // pointer, arguments, and additional information)
@@ -199,7 +199,7 @@ struct ForkP {
 struct JoinP {
   VectorClock vc;
   std::vector<IntervalRecordPtr> records;
-  VectorClock chk;  // shadow clock side-channel, excluded from wire_bytes
+  VectorClock chk{};  // shadow clock side-channel, excluded from wire_bytes
   [[nodiscard]] std::size_t wire_bytes() const {
     return 8 + vc.wire_bytes() + records_wire_bytes(records);
   }

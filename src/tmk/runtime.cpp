@@ -598,17 +598,13 @@ void NodeRuntime::send_raw_multicast(net::Message msg, bool on_server) {
   // the event-driven tree transmits interior hops from deferred forwarding
   // events (and a lost frame prunes its whole subtree uncharged), so the
   // charge lands through a callback instead of a synchronous count.  Each
-  // frame is attributed to the phase and shard of the *send*, whose traffic
-  // it is, even if it commits after a phase flip.
+  // frame is attributed to the phase of the *send*, whose traffic it is,
+  // even if it commits after a phase flip.
   PhaseCounters& c = stats_.for_phase(cluster_.phase());
-  const std::size_t shard = nw.shard_of_group(msg.mcast_group);
   const bool diff = is_diff_traffic(kind);
-  nw.multicast(std::move(msg), [&c, shard, diff](std::size_t frames, std::size_t bytes) {
+  nw.multicast(std::move(msg), [&c, diff](std::size_t frames, std::size_t bytes) {
     c.msgs_sent += frames;
     c.bytes_sent += bytes;
-    ShardCounters& sc = c.shard_mut(shard);
-    sc.mcast_msgs += frames;
-    sc.mcast_bytes += bytes;
     if (diff) {
       c.diff_msgs_sent += frames;
       c.diff_bytes_sent += bytes;
@@ -1065,15 +1061,9 @@ PhaseCounters Cluster::total(Phase p) const {
 
 std::vector<HubOccupancy> Cluster::hub_occupancy() const {
   std::vector<HubOccupancy> out(network_->hub_shards());
-  for (const auto& node : nodes_) {
-    for (const PhaseCounters* c : {&node->stats_.seq, &node->stats_.par}) {
-      for (std::size_t s = 0; s < c->shard_traffic.size() && s < out.size(); ++s) {
-        out[s].mcast_msgs += c->shard_traffic[s].mcast_msgs;
-        out[s].mcast_bytes += c->shard_traffic[s].mcast_bytes;
-      }
-    }
+  for (std::size_t s = 0; s < out.size(); ++s) {
+    out[s] = {network_->mcast_frames(s), network_->mcast_bytes(s), network_->hub_busy(s)};
   }
-  for (std::size_t s = 0; s < out.size(); ++s) out[s].busy = network_->hub_busy(s);
   return out;
 }
 

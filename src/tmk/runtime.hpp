@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "net/network.hpp"
-#include "obs/registry.hpp"
 #include "sim/channel.hpp"
 #include "sim/cpu.hpp"
 #include "sim/engine.hpp"
@@ -364,15 +363,9 @@ class Cluster {
   /// Aggregate statistics over all nodes.
   [[nodiscard]] PhaseCounters total(Phase p) const;
 
-  /// The run's labeled metrics registry (counters/gauges/histograms).  New
-  /// telemetry goes here instead of growing PhaseCounters by hand; one
-  /// registry per cluster keeps sweep runs isolated.
-  [[nodiscard]] obs::Registry& metrics() { return metrics_; }
-  [[nodiscard]] const obs::Registry& metrics() const { return metrics_; }
-
-  /// Per-shard multicast occupancy over the whole run (both phases):
-  /// frames/bytes charged by the protocol layer plus medium busy time from
-  /// the transport.  Size equals the backend's shard count.
+  /// Per-shard multicast occupancy over the whole run (both phases): the
+  /// network's committed frames/bytes plus medium busy time from the
+  /// transport.  Size equals the backend's shard count.
   [[nodiscard]] std::vector<HubOccupancy> hub_occupancy() const;
 
   /// The RSE engine attachment point (one controller per cluster).  The
@@ -400,7 +393,6 @@ class Cluster {
   std::vector<std::unique_ptr<NodeRuntime>> nodes_;
   std::vector<std::function<void(NodeRuntime&)>> work_table_;
   ProtocolEngine protocol_;
-  obs::Registry metrics_;
   std::unique_ptr<chk::Checker> checker_;
   Phase phase_ = Phase::Sequential;
   RseHooks* rse_hooks_ = nullptr;

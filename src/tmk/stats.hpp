@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "sim/clock.hpp"
 #include "util/stats_accum.hpp"
@@ -18,22 +17,11 @@ enum class Phase : std::uint8_t {
   Parallel,    // between a fork and its join
 };
 
-/// Multicast wire traffic charged to one shard of the multicast medium
-/// (one entry per serialization domain; single-medium backends have one).
-struct ShardCounters {
-  std::uint64_t mcast_msgs = 0;
-  std::uint64_t mcast_bytes = 0;
-
-  void merge(const ShardCounters& o) {
-    mcast_msgs += o.mcast_msgs;
-    mcast_bytes += o.mcast_bytes;
-  }
-};
-
-/// One shard's aggregate occupancy over a whole run: the frames/bytes the
-/// protocol layer put on it plus the time the medium spent transmitting
-/// (busy cycles).  Benches report max-per-shard busy to show whether the
-/// medium -- not the protocol -- is the serialization bottleneck.
+/// One shard's aggregate occupancy over a whole run: the multicast
+/// frames/bytes the network committed on it plus the time the medium spent
+/// transmitting (busy cycles).  Benches report max-per-shard busy to show
+/// whether the medium -- not the protocol -- is the serialization
+/// bottleneck.
 struct HubOccupancy {
   std::uint64_t mcast_msgs = 0;
   std::uint64_t mcast_bytes = 0;
@@ -58,26 +46,6 @@ struct PhaseCounters {
   /// Total time this node spent blocked in fault handling.
   sim::SimDuration fault_wait{};
 
-  /// Multicast frames/bytes by medium shard (index = shard id; grown on
-  /// demand to the active backend's shard count).  Only the charge path
-  /// grows it -- read-side consumers must use shard_peek (or iterate the
-  /// vector) so a lookup of a never-charged shard cannot fabricate a
-  /// phantom empty entry.
-  std::vector<ShardCounters> shard_traffic;
-
-  /// Mutating accessor for the charge/merge path: grows the vector to
-  /// cover shard `s`.
-  ShardCounters& shard_mut(std::size_t s) {
-    if (shard_traffic.size() <= s) shard_traffic.resize(s + 1);
-    return shard_traffic[s];
-  }
-
-  /// Const peek for read-side consumers: a never-charged shard reads as
-  /// zero counters without allocating an entry.
-  [[nodiscard]] ShardCounters shard_peek(std::size_t s) const {
-    return s < shard_traffic.size() ? shard_traffic[s] : ShardCounters{};
-  }
-
   void merge(const PhaseCounters& o) {
     msgs_sent += o.msgs_sent;
     bytes_sent += o.bytes_sent;
@@ -90,9 +58,6 @@ struct PhaseCounters {
     recoveries += o.recoveries;
     response_ms.merge(o.response_ms);
     fault_wait += o.fault_wait;
-    for (std::size_t s = 0; s < o.shard_traffic.size(); ++s) {
-      shard_mut(s).merge(o.shard_traffic[s]);
-    }
   }
 };
 
@@ -104,14 +69,6 @@ struct NodeStats {
   [[nodiscard]] const PhaseCounters& for_phase(Phase p) const {
     return p == Phase::Sequential ? seq : par;
   }
-};
-
-/// Wall (virtual) time breakdown measured at the master, matching the rows
-/// of Tables 1 and 3.
-struct TimeBreakdown {
-  sim::SimDuration total{};
-  sim::SimDuration sequential{};  // time in sequential sections
-  sim::SimDuration parallel{};    // time in parallel sections
 };
 
 }  // namespace repseq::tmk

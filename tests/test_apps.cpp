@@ -149,6 +149,17 @@ TEST(Ilink, ConditionalParallelizationTakesBothPaths) {
   EXPECT_GT(res.serial_updates, 0u);
 }
 
+TEST(Ilink, EmptyNonzeroRangeAbortsNamingTheFields) {
+  // min_nonzero == max_nonzero leaves the generator an empty range to draw
+  // from; setup_world must say so instead of dying with SIGFPE.
+  ilink::IlinkConfig cfg = small_ilink();
+  cfg.min_nonzero = cfg.max_nonzero;
+  tmk::TmkConfig tc;
+  tc.heap_bytes = 16u << 20;
+  tmk::Cluster cl(tc, net::NetConfig{}, 2);
+  EXPECT_DEATH((void)ilink::setup_world(cl, cfg), "min_nonzero < max_nonzero");
+}
+
 TEST(Ilink, OptimizedCutsParallelTrafficSharply) {
   ilink::IlinkConfig cfg = small_ilink();
   cfg.families = 3;

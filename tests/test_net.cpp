@@ -499,26 +499,6 @@ TEST(Network, LossInjectionDropsSomeDeliveries) {
   EXPECT_EQ(nw.deliveries() + nw.losses_injected(), 200u);
 }
 
-TEST(Network, SendTapObservesTraffic) {
-  sim::Engine eng;
-  Network nw(eng, NetConfig{}, 3);
-  std::uint64_t tapped_bytes = 0;
-  int tapped_mcast = 0;
-  nw.set_send_tap([&](const Message&, std::size_t wire, bool mc) {
-    tapped_bytes += wire;
-    tapped_mcast += mc ? 1 : 0;
-  });
-  eng.spawn("drain1", [&] { (void)nw.nic(1).inbox().pop(); });
-  eng.spawn("drain2", [&] { (void)nw.nic(2).inbox().pop(); });
-  eng.spawn("tx", [&] {
-    nw.unicast(make_msg(0, 1, 100));
-    nw.multicast(make_msg(0, kMulticastDst, 200));
-  });
-  eng.run();
-  EXPECT_EQ(tapped_bytes, nw.bytes_sent());
-  EXPECT_EQ(tapped_mcast, 1);
-}
-
 // ---------------------------------------------------------------------------
 // Backend-specific behaviors
 // ---------------------------------------------------------------------------
@@ -804,6 +784,52 @@ TEST(ShardedHub, ShardBusyConservesSingleHubTotal) {
   EXPECT_GT(sharded_active, 1u);
 }
 
+TEST(ShardedHub, NetworkCountsEachMulticastOnItsGroupsShard) {
+  // The facade charges each committed multicast frame to the shard its
+  // group maps to: per shard, frames and bytes equal those of the sends
+  // placed there, and unicasts touch no shard.
+  constexpr std::size_t kShards = 4;
+  NetConfig cfg;
+  cfg.transport = TransportKind::ShardedHub;
+  cfg.hub_shards = kShards;
+
+  for (const bool with_unicasts : {false, true}) {
+    sim::Engine eng;
+    Network nw(eng, cfg, 4);
+    std::array<std::uint64_t, kShards> frames{};
+    std::array<std::uint64_t, kShards> bytes{};
+    eng.spawn("tx", [&] {
+      for (std::uint64_t g = 0; g < 12; ++g) {
+        const std::size_t payload = 1000 + 250 * g;
+        nw.multicast(make_msg(0, kMulticastDst, payload, 0, g));
+        ++frames[shard_of(g, kShards)];
+        bytes[shard_of(g, kShards)] += cfg.wire_bytes(payload);
+        if (with_unicasts) nw.unicast(make_msg(0, 1 + g % 3, 700));
+      }
+    });
+    eng.run();
+
+    ASSERT_EQ(nw.hub_shards(), kShards);
+    std::uint64_t frames_sum = 0;
+    std::uint64_t bytes_sum = 0;
+    std::size_t active = 0;
+    for (std::size_t s = 0; s < kShards; ++s) {
+      EXPECT_EQ(nw.mcast_frames(s), frames[s]) << "shard " << s << " unicasts " << with_unicasts;
+      EXPECT_EQ(nw.mcast_bytes(s), bytes[s]) << "shard " << s << " unicasts " << with_unicasts;
+      frames_sum += nw.mcast_frames(s);
+      bytes_sum += nw.mcast_bytes(s);
+      if (frames[s] > 0) ++active;
+    }
+    EXPECT_GT(active, 1u) << "groups must spread over shards";
+    if (with_unicasts) {
+      EXPECT_EQ(nw.messages_sent(), frames_sum + 12);
+    } else {
+      EXPECT_EQ(frames_sum, nw.messages_sent());
+      EXPECT_EQ(bytes_sum, nw.bytes_sent());
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Frame coalescing (BatchingTransport + tree piggybacking)
 // ---------------------------------------------------------------------------
@@ -900,6 +926,39 @@ TEST(Batching, TreePiggybackMergesBackToBackGroupSends) {
   EXPECT_EQ(nw.deliveries(), kSends * (kNodes - 1));
   EXPECT_LT(nw.messages_sent(), kSends * (kNodes - 1))
       << "piggybacking saved no frames on a same-group burst";
+}
+
+TEST(Batching, TreeDeferredCommitsLandOnTheSendsShard) {
+  // On the tree with a window, hops commit from forwarding and flush
+  // events after the send returned; each still counts on its send's shard,
+  // so with only multicasts sent the shards sum to the facade's totals.
+  constexpr std::size_t kNodes = 8;
+  sim::Engine eng;
+  NetConfig cfg;
+  cfg.transport = TransportKind::TreeMulticast;
+  cfg.hub_shards = 4;
+  cfg.batch_window = sim::microseconds(500);
+  Network nw(eng, cfg, kNodes);
+
+  std::uint64_t committed_at_return = 0;
+  eng.spawn("tx", [&] {
+    for (std::uint64_t g = 0; g < 8; ++g) {
+      nw.multicast(make_msg(static_cast<NodeId>(g % 3), kMulticastDst, 1500, 0, g % 5));
+    }
+    committed_at_return = nw.messages_sent();
+  });
+  eng.run();
+
+  ASSERT_EQ(nw.hub_shards(), 4u);
+  std::uint64_t frames_sum = 0;
+  std::uint64_t bytes_sum = 0;
+  for (std::size_t s = 0; s < nw.hub_shards(); ++s) {
+    frames_sum += nw.mcast_frames(s);
+    bytes_sum += nw.mcast_bytes(s);
+  }
+  EXPECT_LT(committed_at_return, nw.messages_sent()) << "no commit was deferred";
+  EXPECT_EQ(frames_sum, nw.messages_sent());
+  EXPECT_EQ(bytes_sum, nw.bytes_sent());
 }
 
 TEST(NetConfig, ParseBatchWindowAcceptsMicrosecondsRejectsJunk) {

@@ -1,6 +1,6 @@
 // Observability-layer unit tests: tracer span handling (nesting, orphan
-// repair, ring eviction), category filtering, the metrics registry's label
-// canonicalization, and the Accumulator's streaming percentiles.
+// repair, ring eviction), category filtering, and the Accumulator's
+// streaming percentiles.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -8,7 +8,6 @@
 #include <sstream>
 #include <string>
 
-#include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "util/stats_accum.hpp"
 
@@ -131,46 +130,6 @@ TEST(Tracer, RingEvictionDropsOldestAndCounts) {
   EXPECT_EQ(obs::tracer().slabs_dropped(), 1u);
   EXPECT_EQ(obs::tracer().event_count(), cap);
   obs::tracer().configure("", 0);  // discard without writing the ~1M events
-}
-
-TEST(Registry, LabelOrderIsCanonical) {
-  obs::Registry reg;
-  reg.counter("decisions", {{"site", "1"}, {"strategy", "replicated"}}).inc();
-  reg.counter("decisions", {{"strategy", "replicated"}, {"site", "1"}}).inc(2);
-  // Both orderings named the same series.
-  EXPECT_EQ(reg.counter_value("decisions", {{"site", "1"}, {"strategy", "replicated"}}), 3u);
-  EXPECT_EQ(reg.snapshot().size(), 1u);
-}
-
-TEST(Registry, DistinctLabelsAreDistinctSeries) {
-  obs::Registry reg;
-  reg.counter("decisions", {{"site", "1"}}).inc();
-  reg.counter("decisions", {{"site", "2"}}).inc(5);
-  reg.counter("decisions").inc(7);  // unlabeled is its own series too
-  EXPECT_EQ(reg.counter_value("decisions", {{"site", "1"}}), 1u);
-  EXPECT_EQ(reg.counter_value("decisions", {{"site", "2"}}), 5u);
-  EXPECT_EQ(reg.counter_value("decisions"), 7u);
-  EXPECT_EQ(reg.counter_value("decisions", {{"site", "3"}}), 0u);  // absent
-  const auto sites = reg.label_values("decisions", "site");
-  ASSERT_EQ(sites.size(), 2u);
-  EXPECT_EQ(sites[0], "1");
-  EXPECT_EQ(sites[1], "2");
-}
-
-TEST(Registry, GaugesAndHistogramsSnapshotDeterministically) {
-  obs::Registry reg;
-  reg.gauge("final_strategy", {{"site", "1"}}).set(2.0);
-  obs::Histogram& h = reg.histogram("section_seconds", {{"strategy", "replicated"}});
-  for (int i = 1; i <= 100; ++i) h.observe(static_cast<double>(i));
-  const auto snap = reg.snapshot();
-  ASSERT_EQ(snap.size(), 2u);
-  // snapshot() sorts by (name, labels): final_strategy before section_seconds.
-  EXPECT_EQ(snap[0].name, "final_strategy");
-  EXPECT_EQ(snap[0].gauge_value, 2.0);
-  EXPECT_EQ(snap[1].name, "section_seconds");
-  ASSERT_NE(snap[1].hist, nullptr);
-  EXPECT_EQ(snap[1].hist->count(), 100u);
-  EXPECT_NEAR(snap[1].hist->percentile(0.5), 50.0, 50.0 * 0.08);
 }
 
 TEST(Accumulator, StreamingPercentilesApproximateExactRanks) {

@@ -51,7 +51,7 @@ void expect_same_choices(const std::vector<Decision>& a, const std::vector<Decis
                          const char* what) {
   ASSERT_EQ(a.size(), b.size()) << what;
   for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_TRUE(a[i].same_choice(b[i]))
+    EXPECT_TRUE(a[i] == b[i])
         << what << ": decision " << i << " differs: site " << a[i].site << " vs " << b[i].site
         << ", strategy " << strategy_name(a[i].strategy) << " vs "
         << strategy_name(b[i].strategy);
@@ -148,6 +148,20 @@ TEST(PolicyParsing, NamesRoundTrip) {
   EXPECT_FALSE(parse_mode("bogus").has_value());
   EXPECT_EQ(apps::harness::parse_flow("windowed"), rse::FlowControl::Windowed);
   EXPECT_FALSE(apps::harness::parse_flow("bogus").has_value());
+}
+
+TEST(PolicyReport, SiteSummaryCountsSwitchesAndFinalStrategyPerSite) {
+  using S = SectionStrategy;
+  // Two interleaved sites; site 10 precedes site 2 in the log and sorts
+  // before it as a string, but the summary orders sites numerically.
+  const std::vector<Decision> log = {
+      {1, 10, S::BroadcastAfter, false}, {2, 2, S::BroadcastAfter, false},
+      {3, 10, S::Replicated, true},      {4, 2, S::BroadcastAfter, false},
+      {5, 10, S::MasterOnly, true},      {6, 2, S::Replicated, true},
+      {7, 10, S::MasterOnly, false},
+  };
+  EXPECT_EQ(apps::harness::site_policy_summary(log), "2:3/1/replicated 10:4/2/master-only");
+  EXPECT_EQ(apps::harness::site_policy_summary({}), "-");
 }
 
 TEST(Policy, DecisionSequenceIsDeterministicAcrossReruns) {

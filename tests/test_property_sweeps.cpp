@@ -239,9 +239,9 @@ ShardRunResult run_replicated_stencil(const net::NetConfig& ncfg, rse::FlowContr
     out.interval_vectors.push_back(cl.node(n).vc());
   }
 
-  // Per-shard accounting consistency: the protocol layer's frame/byte
-  // counters must agree with the transport's busy time shard by shard --
-  // a shard carried frames if and only if its medium transmitted.
+  // Per-shard accounting consistency: the network's per-shard frame/byte
+  // counts must agree with the transport's busy time shard by shard -- a
+  // shard carried frames if and only if its medium transmitted.
   const std::vector<HubOccupancy> occ = cl.hub_occupancy();
   EXPECT_EQ(occ.size(), cl.network().hub_shards());
   std::uint64_t frames_total = 0;
@@ -476,8 +476,8 @@ INSTANTIATE_TEST_SUITE_P(Windows, BatchWindowSweep, ::testing::Values(50, 500, 5
 // (REPSEQ_TRACE set, all categories) may not perturb a single protocol
 // decision.  Checksums and interval vectors must be bit-identical with the
 // tracer on vs off, on all four wire backends, batched and unbatched -- the
-// adaptive workload also drags the policy-decision and registry hooks
-// through the comparison.
+// adaptive workload also drags the policy-decision hooks through the
+// comparison.
 // ---------------------------------------------------------------------------
 
 struct TraceAxis {
