@@ -8,96 +8,47 @@
 // checked row by row.
 #pragma once
 
-#include <algorithm>
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include "apps/harness/run_modes.hpp"
+#include "util/axis.hpp"
 #include "util/table.hpp"
 
 namespace repseq::bench {
 
-/// A malformed axis value must kill the run, not silently fall back: a
-/// sweep that quietly ran the wrong transport/policy/flow/size produces
-/// tables that look fine and mean nothing.
-[[noreturn]] inline void env_value_error(const char* var, const char* got,
-                                         const char* accepted) {
-  std::fprintf(stderr, "error: unknown %s '%s' (accepted: %s)\n", var, got, accepted);
-  std::exit(2);
-}
-
-/// Reads an integer override from the environment (REPSEQ_<NAME>).  The
-/// whole value must be one base-10 integer ("4x" or "four" exits 2) in
-/// [min, max] (REPSEQ_NODES=-4 exits 2 instead of wrapping into a huge
-/// unsigned cap; REPSEQ_BH_STEPS=0 instead of printing a NaN speedup).
-inline long env_long(const char* name, long fallback, long min,
-                     long max = std::numeric_limits<long>::max()) {
-  const std::string var = std::string("REPSEQ_") + name;
-  const char* v = std::getenv(var.c_str());
-  if (v == nullptr) return fallback;
-  char* end = nullptr;
-  errno = 0;
-  const long n = std::strtol(v, &end, 10);
-  if (end == v || *end != '\0' || errno == ERANGE) env_value_error(var.c_str(), v, "an integer");
-  if (n < min || n > max) {
-    std::string range = "an integer >= " + std::to_string(min);
-    if (max != std::numeric_limits<long>::max()) range += " and <= " + std::to_string(max);
-    env_value_error(var.c_str(), v, range.c_str());
-  }
-  return n;
-}
-
-/// env_long for an int-typed axis: values above INT_MAX exit 2 instead of
-/// narrowing (REPSEQ_BH_BODIES=4294967552 would otherwise run 256 bodies).
+/// An int-typed integer axis (REPSEQ_<NAME>, whole value, >= min): values
+/// above INT_MAX exit 2 instead of narrowing (REPSEQ_BH_BODIES=4294967552
+/// would otherwise run 256 bodies).
 inline int env_int(const char* name, int fallback, int min) {
-  return static_cast<int>(env_long(name, fallback, min, std::numeric_limits<int>::max()));
+  return static_cast<int>(util::env_long(name, fallback, min, std::numeric_limits<int>::max()));
 }
 
 /// Node count (or node-count cap) of a sweep: REPSEQ_NODES=N, N >= 2.
-inline std::size_t bench_nodes() { return static_cast<std::size_t>(env_long("NODES", 32, 2)); }
+inline std::size_t bench_nodes(std::size_t fallback = 32) {
+  return static_cast<std::size_t>(util::env_long("NODES", static_cast<long>(fallback), 2));
+}
 
 /// The wire backend for a sweep: REPSEQ_TRANSPORT=hub|tree|direct|sharded
 /// overrides the bench's own default, so every sweep can run on any
 /// transport.
 inline net::TransportKind bench_transport(
     net::TransportKind fallback = net::TransportKind::HubSwitch) {
-  const char* v = std::getenv("REPSEQ_TRANSPORT");
-  if (v == nullptr) return fallback;
-  const auto k = net::parse_transport(v);
-  if (!k) env_value_error("REPSEQ_TRANSPORT", v, "hub|tree|direct|sharded");
-  return *k;
+  return util::env_or("TRANSPORT", fallback, net::parse_transport, "hub|tree|direct|sharded");
 }
 
-/// Shard count for the sharded-hub backend (REPSEQ_HUB_SHARDS=S, S >= 1).
-inline std::size_t bench_hub_shards() {
-  return static_cast<std::size_t>(env_long("HUB_SHARDS", 4, 1));
-}
-
-/// Adaptive-mode decision procedure: REPSEQ_POLICY=greedy|hysteresis
-/// (parsed by rse::policy::parse_policy, the single parser for the axis --
-/// the mode and flow axes live in apps::harness::parse_mode/parse_flow and
-/// the transport axis in net::parse_transport).
+/// Adaptive-mode decision procedure: REPSEQ_POLICY=greedy|hysteresis.
 inline rse::policy::PolicyKind bench_policy(
     rse::policy::PolicyKind fallback = rse::policy::PolicyKind::Hysteresis) {
-  const char* v = std::getenv("REPSEQ_POLICY");
-  if (v == nullptr) return fallback;
-  const auto k = rse::policy::parse_policy(v);
-  if (!k) env_value_error("REPSEQ_POLICY", v, "greedy|hysteresis");
-  return *k;
+  return util::env_or("POLICY", fallback, rse::policy::parse_policy, "greedy|hysteresis");
 }
 
 /// RSE flow-control variant: REPSEQ_FLOW=chained|windowed|none overrides a
 /// bench's default so any sweep can be repeated under another scheme.
 inline rse::FlowControl bench_flow(rse::FlowControl fallback = rse::FlowControl::Chained) {
-  const char* v = std::getenv("REPSEQ_FLOW");
-  if (v == nullptr) return fallback;
-  const auto f = apps::harness::parse_flow(v);
-  if (!f) env_value_error("REPSEQ_FLOW", v, "chained|windowed|none");
-  return *f;
+  return util::env_or("FLOW", fallback, apps::harness::parse_flow, "chained|windowed|none");
 }
 
 /// Per-site strategy pins for adaptive A/B runs:
@@ -105,25 +56,8 @@ inline rse::FlowControl bench_flow(rse::FlowControl fallback = rse::FlowControl:
 /// master-only|replicated|broadcast.  A pinned site always executes the
 /// pinned strategy (its first occurrence skips the bootstrap probe).
 inline std::map<std::uint32_t, rse::policy::SectionStrategy> bench_pin_sites() {
-  const char* v = std::getenv("REPSEQ_PIN_SITE");
-  if (v == nullptr) return {};
-  const auto pins = rse::policy::parse_pin_sites(v);
-  if (!pins) {
-    env_value_error("REPSEQ_PIN_SITE", v,
-                    "<site>=<master-only|replicated|broadcast>[,...]");
-  }
-  return *pins;
-}
-
-/// Frame-coalescing window in virtual microseconds:
-/// REPSEQ_BATCH_WINDOW=<us> (0 = no coalescing, the default).  Malformed
-/// values fail loud like every other axis.
-inline sim::SimDuration bench_batch_window(sim::SimDuration fallback = {}) {
-  const char* v = std::getenv("REPSEQ_BATCH_WINDOW");
-  if (v == nullptr) return fallback;
-  const auto w = net::parse_batch_window(v);
-  if (!w) env_value_error("REPSEQ_BATCH_WINDOW", v, "non-negative integer microseconds");
-  return *w;
+  return util::env_or("PIN_SITE", {}, rse::policy::parse_pin_sites,
+                      "<site>=<master-only|replicated|broadcast>[,...]");
 }
 
 /// Node counts for the cluster-size sweeps, capped by REPSEQ_NODES so CI
@@ -136,12 +70,16 @@ inline std::vector<std::size_t> sweep_node_counts() {
   return out;
 }
 
-/// NetConfig with the env-selected transport + shard count applied.
+/// NetConfig with the env-selected transport, shard count
+/// (REPSEQ_HUB_SHARDS=S, S >= 1) and frame-coalescing window
+/// (REPSEQ_BATCH_WINDOW=<virtual us>, 0 = no coalescing) applied.
 inline net::NetConfig bench_net_config() {
   net::NetConfig ncfg;
   ncfg.transport = bench_transport();
-  ncfg.hub_shards = bench_hub_shards();
-  ncfg.batch_window = bench_batch_window();
+  ncfg.hub_shards = static_cast<std::size_t>(
+      util::env_long("HUB_SHARDS", static_cast<long>(ncfg.hub_shards), 1));
+  ncfg.batch_window = util::env_or("BATCH_WINDOW", ncfg.batch_window, net::parse_batch_window,
+                                   "non-negative integer microseconds");
   return ncfg;
 }
 
@@ -177,7 +115,8 @@ inline apps::harness::RunOptions options_for(apps::harness::Mode mode,
   o.policy.pins = bench_pin_sites();
   // The upper bound keeps the shift to bytes from wrapping.
   constexpr long kMaxHeapMb = std::numeric_limits<long>::max() >> 20;
-  o.tmk.heap_bytes = static_cast<std::size_t>(env_long("HEAP_MB", 24, 1, kMaxHeapMb)) << 20;
+  o.tmk.heap_bytes = static_cast<std::size_t>(util::env_long("HEAP_MB", 24, 1, kMaxHeapMb))
+                     << 20;
   return o;
 }
 

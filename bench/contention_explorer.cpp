@@ -4,25 +4,24 @@
 // prints, for growing cluster sizes, the average and worst diff-request
 // response time and an ASCII bar of the master's service backlog effect.
 //
-// Build & run:   ./build/examples/contention_explorer
+// Build & run:   ./build/contention_explorer
 //                    [hub|tree|direct|sharded] [shards]
 //                    [--mode base|replicated|broadcast|adaptive]
 //                    [--policy greedy|hysteresis]
 //
 // --mode selects what the second column runs against the base system;
 // adaptive mode routes every section through the rse::policy engine and
-// reports its per-strategy decision counts.
+// reports its per-strategy decision counts.  Every other argument is a
+// command-line spelling of a REPSEQ_* axis (see usage()).
 #include <algorithm>
 #include <array>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 
-#include "apps/harness/run_modes.hpp"
+#include "bench_common.hpp"
 #include "ompnow/team.hpp"
 #include "rse/controller.hpp"
 #include "rse/policy/policy_engine.hpp"
@@ -91,35 +90,13 @@ Sample probe(std::size_t nodes, ompnow::SeqMode mode, const net::NetConfig& ncfg
   return s;
 }
 
-/// The whole of `s` as one base-10 integer >= `min`; nullopt for anything
-/// else ("4x", "four", out of range).
-std::optional<long> parse_count(const char* s, long min) {
-  char* end = nullptr;
-  errno = 0;
-  const long v = std::strtol(s, &end, 10);
-  if (end == s || *end != '\0' || errno == ERANGE || v < min) return std::nullopt;
-  return v;
-}
-
-/// REPSEQ_NODES caps the sweep (default full sweep to 1024 nodes) so CI can
-/// bound the run's budget, mirroring the bench harnesses.
-std::size_t nodes_cap() {
-  const char* s = std::getenv("REPSEQ_NODES");
-  if (s == nullptr || *s == '\0') return 1024;
-  const auto v = parse_count(s, 2);
-  if (!v) {
-    std::fprintf(stderr, "error: REPSEQ_NODES='%s' is not a node count >= 2\n", s);
-    std::exit(2);
-  }
-  return static_cast<std::size_t>(*v);
-}
-
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [hub|tree|direct|sharded] [shards]\n"
+               "usage: %s [hub|tree|direct|sharded] [shards]"
+               "   (= REPSEQ_TRANSPORT, REPSEQ_HUB_SHARDS)\n"
                "          [--mode base|replicated|broadcast|adaptive]\n"
-               "          [--policy greedy|hysteresis]\n"
-               "          [--batch-window <microseconds>]\n"
+               "          [--policy greedy|hysteresis]   (= REPSEQ_POLICY)\n"
+               "          [--batch-window <microseconds>]   (= REPSEQ_BATCH_WINDOW)\n"
                "          [--trace <path>]   write a Perfetto trace (= REPSEQ_TRACE)\n"
                "          [--check races,protocol|all]   correctness checking (= REPSEQ_CHECK)\n",
                argv0);
@@ -129,59 +106,41 @@ int usage(const char* argv0) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  net::NetConfig ncfg;
   ompnow::SeqMode mode = ompnow::SeqMode::Replicated;
-  rse::policy::PolicyConfig pcfg;
   int positional = 0;
 
+  // Every argument but --mode sets (overwrites) the variable it spells
+  // before anything reads it, so a flag and its variable are one setting,
+  // parsed and rejected by the same reader.
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
+    if (!arg.starts_with("--")) {
+      if (positional == 2) return usage(argv[0]);
+      ::setenv(positional++ == 0 ? "REPSEQ_TRANSPORT" : "REPSEQ_HUB_SHARDS", argv[i], 1);
+      continue;
+    }
+    if (++i >= argc) return usage(argv[0]);
     if (arg == "--mode") {
-      if (++i >= argc) return usage(argv[0]);
       const auto m = apps::harness::parse_mode(argv[i]);
       if (!m || *m == apps::harness::Mode::Sequential) return usage(argv[0]);
       mode = apps::harness::seq_mode_for(*m);
     } else if (arg == "--policy") {
-      if (++i >= argc) return usage(argv[0]);
-      const auto k = rse::policy::parse_policy(argv[i]);
-      if (!k) return usage(argv[0]);
-      pcfg.kind = *k;
-    } else if (arg == "--trace") {
-      if (++i >= argc) return usage(argv[0]);
-      // The tracer reads REPSEQ_TRACE at cluster construction, so the flag
-      // just seeds the environment before any cluster exists.
-      ::setenv("REPSEQ_TRACE", argv[i], /*overwrite=*/1);
-    } else if (arg == "--check") {
-      if (++i >= argc) return usage(argv[0]);
-      // Same pattern as --trace: the checker reads REPSEQ_CHECK at cluster
-      // construction and fails loud there on an unknown category.
-      ::setenv("REPSEQ_CHECK", argv[i], /*overwrite=*/1);
+      ::setenv("REPSEQ_POLICY", argv[i], 1);
     } else if (arg == "--batch-window") {
-      if (++i >= argc) return usage(argv[0]);
-      const auto w = net::parse_batch_window(argv[i]);
-      if (!w) {
-        std::fprintf(stderr, "batch window must be a non-negative microsecond count, got '%s'\n",
-                     argv[i]);
-        return 2;
-      }
-      ncfg.batch_window = *w;
-    } else if (positional == 0) {
-      const auto kind = net::parse_transport(arg);
-      if (!kind) return usage(argv[0]);
-      ncfg.transport = *kind;
-      ++positional;
-    } else if (positional == 1) {
-      const auto shards = parse_count(argv[i], 1);
-      if (!shards) {
-        std::fprintf(stderr, "shard count must be an integer >= 1, got '%s'\n", argv[i]);
-        return 2;
-      }
-      ncfg.hub_shards = static_cast<std::size_t>(*shards);
-      ++positional;
+      ::setenv("REPSEQ_BATCH_WINDOW", argv[i], 1);
+    } else if (arg == "--trace") {
+      ::setenv("REPSEQ_TRACE", argv[i], 1);
+    } else if (arg == "--check") {
+      ::setenv("REPSEQ_CHECK", argv[i], 1);
     } else {
       return usage(argv[0]);
     }
   }
+  // REPSEQ_TRACE and REPSEQ_CHECK are read at cluster construction.
+  const net::NetConfig ncfg = bench::bench_net_config();
+  rse::policy::PolicyConfig pcfg;
+  pcfg.kind = bench::bench_policy();
+  const std::size_t cap = bench::bench_nodes(1024);
 
   const bool adaptive = mode == ompnow::SeqMode::Adaptive;
   const char* right_label = "replicated avg/max (ms)";
@@ -212,7 +171,6 @@ int main(int argc, char** argv) {
     std::printf("   policy: %s", rse::policy::policy_name(pcfg.kind));
   }
   std::printf("\n\n");
-  const std::size_t cap = nodes_cap();
   std::printf("%6s | %-28s | %-28s | %s\n", "nodes", "base avg/max response (ms)", right_label,
               "hub busy max (ms)");
   std::printf("-------+------------------------------+------------------------------+"

@@ -1,88 +1,63 @@
-// Micro-benchmarks (google-benchmark): vector timestamps, interval logs and
-// the simulation engine's event dispatch -- the bookkeeping layer under
-// every synchronization operation.
-#include <benchmark/benchmark.h>
+// Micro-benchmarks: vector timestamps, interval logs and the simulation
+// engine's event dispatch -- the bookkeeping layer under every
+// synchronization operation.
+#include <string>
+#include <utility>
 
+#include "micro_runner.hpp"
 #include "sim/engine.hpp"
 #include "tmk/interval.hpp"
 #include "tmk/vector_clock.hpp"
 
-namespace {
+int main() {
+  using namespace repseq;
+  using microbench::bench;
+  using microbench::do_not_optimize;
+  using tmk::VectorClock;
 
-using repseq::sim::Engine;
-using repseq::sim::microseconds;
-using repseq::tmk::IntervalLog;
-using repseq::tmk::IntervalRecord;
-using repseq::tmk::VectorClock;
+  microbench::print_header();
 
-void BM_VectorClockMax(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  VectorClock a(n);
-  VectorClock b(n);
-  for (std::size_t i = 0; i < n; ++i) b.set(static_cast<std::uint32_t>(i), i * 3 % 17);
-  for (auto _ : state) {
-    a.max_with(b);
-    benchmark::DoNotOptimize(a);
+  for (std::size_t n : {8, 32, 128}) {
+    VectorClock a(n);
+    VectorClock b(n);
+    for (std::size_t i = 0; i < n; ++i) b.set(static_cast<std::uint32_t>(i), i * 3 % 17);
+    const std::string name = "vector_clock_max/n_" + std::to_string(n);
+    bench(name.c_str(), [&] {
+      a.max_with(b);
+      do_not_optimize(a);
+    });
   }
-}
-BENCHMARK(BM_VectorClockMax)->Arg(8)->Arg(32)->Arg(128);
+  VectorClock covered(32);
+  covered.set(7, 100);
+  bench("vector_clock_covers", [&] { do_not_optimize(covered.covers(7, 99)); });
 
-void BM_VectorClockCovers(benchmark::State& state) {
-  VectorClock a(32);
-  a.set(7, 100);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(a.covers(7, 99));
-  }
-}
-BENCHMARK(BM_VectorClockCovers);
-
-void BM_IntervalLogInsertAndQuery(benchmark::State& state) {
-  for (auto _ : state) {
-    state.PauseTiming();
-    IntervalLog log(32);
-    VectorClock vc(32);
-    state.ResumeTiming();
+  // ns/op from here on is per batch: 64 inserts plus one query, 1000
+  // events, 1000 sleeps (two fiber switches each).
+  bench("interval_log/insert_64_and_query", [] {
+    tmk::IntervalLog log(32);
     for (std::uint32_t i = 1; i <= 64; ++i) {
-      auto rec = repseq::util::make_pooled<IntervalRecord>();
+      auto rec = util::make_pooled<tmk::IntervalRecord>();
       rec->owner = i % 32;
       rec->index = log.known(i % 32) + 1;
       rec->vc = VectorClock(32);
       rec->pages = {i, i + 1};
       log.insert(std::move(rec));
     }
-    benchmark::DoNotOptimize(log.records_after(vc).size());
-  }
-}
-BENCHMARK(BM_IntervalLogInsertAndQuery);
-
-void BM_EngineEventDispatch(benchmark::State& state) {
-  for (auto _ : state) {
-    Engine eng;
-    int fired = 0;
-    for (int i = 0; i < 1000; ++i) {
-      eng.schedule_in(microseconds(i), [&fired] { ++fired; });
-    }
-    eng.run();
-    benchmark::DoNotOptimize(fired);
-  }
-  state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_EngineEventDispatch);
-
-void BM_FiberSwitch(benchmark::State& state) {
-  Engine eng;
-  std::int64_t switches = 0;
-  eng.spawn("spinner", [&] {
-    for (auto _ : state) {
-      eng.sleep_for(microseconds(1));
-      ++switches;
-    }
+    do_not_optimize(log.records_after(VectorClock(32)).size());
   });
-  eng.run();
-  benchmark::DoNotOptimize(switches);
+  bench("engine_dispatch/per_run_1000_events", [] {
+    sim::Engine eng;
+    int fired = 0;
+    for (int i = 0; i < 1000; ++i) eng.schedule_in(sim::microseconds(i), [&fired] { ++fired; });
+    eng.run();
+    do_not_optimize(fired);
+  });
+  bench("fiber_sleep/per_run_1000_sleeps", [] {
+    sim::Engine eng;
+    eng.spawn("spinner", [&eng] {
+      for (int i = 0; i < 1000; ++i) eng.sleep_for(sim::microseconds(1));
+    });
+    eng.run();
+  });
+  return 0;
 }
-BENCHMARK(BM_FiberSwitch);
-
-}  // namespace
-
-BENCHMARK_MAIN();

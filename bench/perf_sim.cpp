@@ -13,50 +13,13 @@
 // REPSEQ_NODES caps the sweep (e.g. REPSEQ_NODES=256 keeps {32,64,128,256})
 // so CI can bound its budget; the full default sweep reaches 1024 nodes.
 #include <cstdio>
-#include <cstdlib>
-#include <new>
 #include <string>
 #include <vector>
 
 #include "apps/harness/run_modes.hpp"
 #include "bench_common.hpp"
-
-// ---------------------------------------------------------------------------
-// Allocation counting: global operator new/delete overrides local to this
-// binary.  The simulator is single-threaded, so plain counters suffice.
-// ---------------------------------------------------------------------------
-
-namespace {
-std::uint64_t g_allocs = 0;
-std::uint64_t g_alloc_bytes = 0;
-}  // namespace
-
-void* operator new(std::size_t n) {
-  ++g_allocs;
-  g_alloc_bytes += n;
-  void* p = std::malloc(n == 0 ? 1 : n);
-  if (p == nullptr) throw std::bad_alloc{};
-  return p;
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void* operator new(std::size_t n, std::align_val_t al) {
-  ++g_allocs;
-  g_alloc_bytes += n;
-  void* p = std::aligned_alloc(static_cast<std::size_t>(al),
-                               (n + static_cast<std::size_t>(al) - 1) &
-                                   ~(static_cast<std::size_t>(al) - 1));
-  if (p == nullptr) throw std::bad_alloc{};
-  return p;
-}
-void* operator new[](std::size_t n, std::align_val_t al) { return ::operator new(n, al); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+// Its operator new/delete replacements count this binary's allocations.
+#include "micro_runner.hpp"
 
 namespace repseq::bench {
 namespace {
@@ -127,8 +90,10 @@ constexpr double kPrePrBh256WallS = 60.48;
 int main() {
   using namespace repseq;
   using namespace repseq::bench;
+  using microbench::g_alloc_bytes;
+  using microbench::g_allocs;
 
-  const std::size_t cap = static_cast<std::size_t>(env_long("NODES", 1024, 2));
+  const std::size_t cap = bench_nodes(1024);
   std::vector<std::size_t> node_counts;
   for (std::size_t n : {32, 64, 128, 256, 512, 1024}) {
     if (n <= cap) node_counts.push_back(n);

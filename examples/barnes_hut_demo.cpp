@@ -2,7 +2,7 @@
 // cluster in all three system configurations and prints a per-mode summary,
 // including the tree statistics and the phase time breakdown.
 //
-// Build & run:   ./build/examples/barnes_hut_demo
+// Build & run:   ./build/barnes_hut_demo
 #include <cstdio>
 
 #include "apps/harness/run_modes.hpp"

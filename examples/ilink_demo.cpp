@@ -2,7 +2,7 @@
 // Shows the conditional parallelization (`if` clause) taking both paths and
 // the severe genarray-pool contention of the base system.
 //
-// Build & run:   ./build/examples/ilink_demo
+// Build & run:   ./build/ilink_demo
 #include <cstdio>
 
 #include "apps/harness/run_modes.hpp"

@@ -3,7 +3,7 @@
 // between two parallel phases, run both on the base system and with
 // replicated sequential execution.
 //
-// Build & run:   ./build/examples/quickstart
+// Build & run:   ./build/quickstart
 //
 // What to look at: the two systems print identical results, but the
 // replicated run reports zero parallel-section page faults after the

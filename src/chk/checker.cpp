@@ -8,6 +8,7 @@
 #include "tmk/page.hpp"
 #include "tmk/protocol.hpp"
 #include "tmk/runtime.hpp"
+#include "util/axis.hpp"
 
 namespace repseq::chk {
 
@@ -55,47 +56,8 @@ std::string site_str(std::uint32_t site) {
 
 }  // namespace
 
-std::optional<std::uint8_t> parse_mask(const char* value, std::string* bad_token) {
-  if (value == nullptr || *value == '\0') return std::uint8_t{0};
-  std::uint8_t mask = 0;
-  std::string tok;
-  const char* p = value;
-  for (;;) {
-    if (*p == ',' || *p == '\0') {
-      if (tok == "races") {
-        mask |= static_cast<std::uint8_t>(Cat::Races);
-      } else if (tok == "protocol") {
-        mask |= static_cast<std::uint8_t>(Cat::Protocol);
-      } else if (tok == "all") {
-        mask |= kAllCats;
-      } else {
-        if (bad_token != nullptr) *bad_token = tok;
-        return std::nullopt;
-      }
-      tok.clear();
-      if (*p == '\0') break;
-    } else {
-      tok.push_back(*p);
-    }
-    ++p;
-  }
-  return mask;
-}
-
-std::uint8_t mask_from_env() {
-  const char* v = std::getenv("REPSEQ_CHECK");
-  std::string bad;
-  const auto mask = parse_mask(v, &bad);
-  if (!mask) {
-    // A silently-misspelled checker axis would run the suite unchecked and
-    // green: fail loud like every other REPSEQ_* axis.
-    std::fprintf(stderr,
-                 "error: unknown REPSEQ_CHECK category '%s'"
-                 " (accepted: races|protocol|all, comma-separated)\n",
-                 bad.c_str());
-    std::exit(2);
-  }
-  return *mask;
+std::optional<std::uint8_t> parse_mask(std::string_view value, std::string* bad_token) {
+  return util::parse_mask(value, {"races", "protocol"}, bad_token);
 }
 
 ScopedConfig::ScopedConfig(std::uint8_t mask, bool abort_on_violation) {
@@ -107,7 +69,18 @@ ScopedConfig::~ScopedConfig() { g_forced_config = nullptr; }
 
 Config effective_config() {
   if (g_forced_config != nullptr) return *g_forced_config;
-  return Config{mask_from_env(), /*abort_on_violation=*/true};
+  // A silently-misspelled category would run the suite unchecked and green.
+  constexpr std::string_view kAccepted = "races|protocol|all, comma-separated";
+  const std::uint8_t mask = util::env_or(
+      "CHECK", std::uint8_t{0},
+      [&](std::string_view v) {
+        std::string bad;
+        const auto m = parse_mask(v, &bad);
+        if (!m) util::axis_error("REPSEQ_CHECK category", bad, kAccepted);
+        return m;
+      },
+      kAccepted);
+  return Config{mask, /*abort_on_violation=*/true};
 }
 
 // ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "tmk/gaddr.hpp"
@@ -53,13 +54,9 @@ enum class Cat : std::uint8_t {
 inline constexpr std::uint8_t kAllCats = 0x03;
 
 /// Parses a REPSEQ_CHECK value ("races,protocol" / "all").  Returns nullopt
-/// on an unknown token and reports it through `bad_token`.
-[[nodiscard]] std::optional<std::uint8_t> parse_mask(const char* value, std::string* bad_token);
-
-/// Reads REPSEQ_CHECK from the environment; unset/empty means no checking.
-/// An unknown token prints the offending value plus the accepted set and
-/// exits 2 (same contract as the other REPSEQ_* env axes).
-[[nodiscard]] std::uint8_t mask_from_env();
+/// on an unknown or empty token and reports it through `bad_token`.
+[[nodiscard]] std::optional<std::uint8_t> parse_mask(std::string_view value,
+                                                     std::string* bad_token);
 
 struct Config {
   std::uint8_t mask = 0;
@@ -80,7 +77,8 @@ class ScopedConfig {
 };
 
 /// The configuration a new Cluster should use: the forced ScopedConfig when
-/// one is live, the environment otherwise.
+/// one is live, REPSEQ_CHECK otherwise (unset means no checking; an unknown
+/// or empty category exits 2, naming it).
 [[nodiscard]] Config effective_config();
 
 /// Deliberate protocol mutations for oracle tests: each breaks exactly the

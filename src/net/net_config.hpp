@@ -13,6 +13,7 @@
 #include <string_view>
 
 #include "sim/clock.hpp"
+#include "util/axis.hpp"
 
 namespace repseq::net {
 
@@ -77,14 +78,10 @@ enum class TransportKind {
 /// coalescing entirely (the frame-for-frame behaviour of the unwrapped
 /// backends).  Returns nullopt on anything else -- callers fail loud.
 [[nodiscard]] inline std::optional<sim::SimDuration> parse_batch_window(std::string_view s) {
-  if (s.empty()) return std::nullopt;
-  std::int64_t us = 0;
-  for (char c : s) {
-    if (c < '0' || c > '9') return std::nullopt;
-    us = us * 10 + (c - '0');
-    if (us > 1'000'000'000) return std::nullopt;  // > 1000 virtual seconds: nonsense
-  }
-  return sim::microseconds(us);
+  // Above 1000 virtual seconds a window is nonsense.
+  const auto us = util::parse_long(s, 0, 1'000'000'000);
+  if (!us) return std::nullopt;
+  return sim::microseconds(*us);
 }
 
 struct NetConfig {

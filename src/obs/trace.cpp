@@ -6,6 +6,8 @@
 #include <cstring>
 #include <utility>
 
+#include "util/axis.hpp"
+
 namespace repseq::obs {
 
 std::uint8_t g_cat_mask = 0;
@@ -30,43 +32,6 @@ Tracer& Tracer::instance() {
 }
 
 namespace {
-
-std::uint8_t parse_filter(const char* filter) {
-  if (filter == nullptr || *filter == '\0') return kAllCats;
-  std::uint8_t mask = 0;
-  std::string tok;
-  const char* p = filter;
-  for (;;) {
-    if (*p == ',' || *p == '\0') {
-      if (tok == "sim") {
-        mask |= static_cast<std::uint8_t>(Cat::Sim);
-      } else if (tok == "net") {
-        mask |= static_cast<std::uint8_t>(Cat::Net);
-      } else if (tok == "tmk") {
-        mask |= static_cast<std::uint8_t>(Cat::Tmk);
-      } else if (tok == "rse") {
-        mask |= static_cast<std::uint8_t>(Cat::Rse);
-      } else if (tok == "all") {
-        mask |= kAllCats;
-      } else {
-        // A silently-misspelled filter would produce a trace that looks
-        // fine and misses the layer under study: fail loud like every
-        // other REPSEQ_* axis.
-        std::fprintf(stderr,
-                     "error: unknown REPSEQ_TRACE_FILTER category '%s'"
-                     " (accepted: sim|net|tmk|rse|all, comma-separated)\n",
-                     tok.c_str());
-        std::exit(2);
-      }
-      tok.clear();
-      if (*p == '\0') break;
-    } else {
-      tok.push_back(*p);
-    }
-    ++p;
-  }
-  return mask;
-}
 
 /// Prints a numeric arg value: integers exactly, everything else compactly.
 void print_value(std::FILE* f, double v) {
@@ -100,12 +65,22 @@ void print_string(std::FILE* f, const char* s) {
 }  // namespace
 
 void Tracer::configure_from_env() {
-  const char* path = std::getenv("REPSEQ_TRACE");
-  if (path == nullptr || *path == '\0') {
-    configure("", 0);
-    return;
-  }
-  configure(path, parse_filter(std::getenv("REPSEQ_TRACE_FILTER")));
+  // A silently-misspelled filter would produce a trace that looks fine and
+  // misses the layer under study, so it is checked even with tracing off.
+  constexpr std::string_view kAccepted = "sim|net|tmk|rse|all, comma-separated";
+  const std::uint8_t mask = util::env_or(
+      "TRACE_FILTER", kAllCats,
+      [&](std::string_view v) {
+        std::string bad;
+        const auto m = util::parse_mask(v, {"sim", "net", "tmk", "rse"}, &bad);
+        if (!m) util::axis_error("REPSEQ_TRACE_FILTER category", bad, kAccepted);
+        return m;
+      },
+      kAccepted);
+  configure(util::env_or(
+                "TRACE", std::string(),
+                [](std::string_view v) { return std::optional<std::string>(v); }, "a path"),
+            mask);
 }
 
 void Tracer::configure(std::string path, std::uint8_t mask) {

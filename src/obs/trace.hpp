@@ -80,10 +80,10 @@ class Tracer {
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  /// Re-reads REPSEQ_TRACE (output path; unset disables) and
+  /// Re-reads REPSEQ_TRACE (output path; unset or empty disables) and
   /// REPSEQ_TRACE_FILTER (comma list of sim|net|tmk|rse; unset = all).
-  /// Clears any buffered events.  A malformed filter fails loud (exit 2),
-  /// matching the bench env-axis convention.
+  /// Clears any buffered events.  A malformed filter exits 2 through
+  /// util::axis_error whenever it is set, even with tracing off.
   void configure_from_env();
 
   /// Programmatic configuration (tests): empty path disables.

@@ -1,8 +1,10 @@
 #include "rse/policy/policy_engine.hpp"
 
+#include <cstdint>
 #include <set>
 
 #include "obs/trace.hpp"
+#include "util/axis.hpp"
 #include "util/check.hpp"
 
 namespace repseq::rse::policy {
@@ -68,17 +70,13 @@ std::optional<std::map<std::uint32_t, SectionStrategy>> parse_pin_sites(std::str
     const std::size_t comma = s.find(',');
     const std::string_view entry = s.substr(0, comma);
     const std::size_t eq = entry.find('=');
-    if (eq == std::string_view::npos || eq == 0) return std::nullopt;
-    std::uint64_t site = 0;
-    for (const char ch : entry.substr(0, eq)) {
-      if (ch < '0' || ch > '9') return std::nullopt;
-      site = site * 10 + static_cast<std::uint64_t>(ch - '0');
-      if (site > 0xffffffffull) return std::nullopt;  // would wrap the site id
-    }
+    if (eq == std::string_view::npos) return std::nullopt;
+    // A site id past uint32 must fail, not wrap onto another site.
+    const auto site = util::parse_long(entry.substr(0, eq), 0, UINT32_MAX);
     const auto strat = parse_strategy(entry.substr(eq + 1));
-    if (!strat) return std::nullopt;
+    if (!site || !strat) return std::nullopt;
     // A duplicate site is a contradictory pin list, not a tiebreak.
-    if (!pins.emplace(static_cast<std::uint32_t>(site), *strat).second) return std::nullopt;
+    if (!pins.emplace(static_cast<std::uint32_t>(*site), *strat).second) return std::nullopt;
     if (comma == std::string_view::npos) break;
     s = s.substr(comma + 1);
     if (s.empty()) return std::nullopt;  // trailing comma

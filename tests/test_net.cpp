@@ -966,7 +966,7 @@ TEST(NetConfig, ParseBatchWindowAcceptsMicrosecondsRejectsJunk) {
   EXPECT_EQ(parse_batch_window("0")->ns, 0);
   ASSERT_TRUE(parse_batch_window("250").has_value());
   EXPECT_EQ(*parse_batch_window("250"), sim::microseconds(250));
-  for (const char* bad : {"", "-1", "abc", "12us", "1.5", "1000000001"}) {
+  for (const char* bad : {"", "-1", "abc", "12us", "1.5", "1000000001", "+5", " 5"}) {
     EXPECT_FALSE(parse_batch_window(bad).has_value()) << '\'' << bad << '\'';
   }
 }

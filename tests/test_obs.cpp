@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -103,6 +104,19 @@ TEST(Tracer, CategoryFilterMasksRecording) {
   EXPECT_EQ(count_of(json, "\"name\":\"frame\""), 1u);
   EXPECT_EQ(count_of(json, "\"name\":\"fault\""), 0u);
   EXPECT_EQ(count_of(json, "\"cat\":\"net\""), 1u);
+}
+
+TEST(TracerDeathTest, MalformedFilterExitsTwoEvenWithTracingOff) {
+  // A typo'd filter fails when it is set, not first when tracing is turned
+  // on and the trace quietly misses the layer under study.
+  EXPECT_EXIT(
+      {
+        ::unsetenv("REPSEQ_TRACE");
+        ::setenv("REPSEQ_TRACE_FILTER", "tmk,bogus", /*overwrite=*/1);
+        obs::tracer().configure_from_env();
+        std::exit(0);
+      },
+      ::testing::ExitedWithCode(2), "unknown REPSEQ_TRACE_FILTER category 'bogus'");
 }
 
 TEST(Tracer, ArgsAndProcessMetadataAppear) {

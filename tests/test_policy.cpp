@@ -82,6 +82,7 @@ TEST(PolicyParsing, StrategyAndPinListRoundTrip) {
   EXPECT_FALSE(parse_pin_sites("1").has_value());
   EXPECT_FALSE(parse_pin_sites("=broadcast").has_value());
   EXPECT_FALSE(parse_pin_sites("x=broadcast").has_value());
+  EXPECT_FALSE(parse_pin_sites("+1=broadcast").has_value());
   EXPECT_FALSE(parse_pin_sites("1=bogus").has_value());
   EXPECT_FALSE(parse_pin_sites("1=broadcast,,2=master").has_value());
   EXPECT_FALSE(parse_pin_sites("1=broadcast,").has_value());

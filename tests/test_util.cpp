@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <cstdlib>
+#include <string>
+
+#include "util/axis.hpp"
 #include "util/stats_accum.hpp"
 #include "util/table.hpp"
 
@@ -50,6 +55,45 @@ TEST(Accumulator, MergeWithEmpty) {
   empty.merge(a);
   EXPECT_EQ(empty.count(), 1u);
   EXPECT_DOUBLE_EQ(empty.mean(), 1.0);
+}
+
+TEST(Axis, ParseLongTakesTheWholeValueInRange) {
+  EXPECT_EQ(parse_long("0", 0), 0);
+  EXPECT_EQ(parse_long("-3", -3), -3);
+  EXPECT_EQ(parse_long("-3", -10), -3);
+  EXPECT_EQ(parse_long(std::to_string(LONG_MAX), 0), LONG_MAX);
+  for (const char* bad : {"", "4x", " 8", "+8", "1.5", "99999999999999999999"}) {
+    EXPECT_EQ(parse_long(bad, 0), std::nullopt) << '\'' << bad << '\'';
+  }
+  EXPECT_EQ(parse_long("1", 2), std::nullopt);
+  EXPECT_EQ(parse_long("9", 0, 8), std::nullopt);
+}
+
+TEST(Axis, ParseMaskOrsNamesInAnyOrder) {
+  std::string bad;
+  EXPECT_EQ(parse_mask("b", {"a", "b", "c"}, &bad), 0b010);
+  EXPECT_EQ(parse_mask("c,a", {"a", "b", "c"}, &bad), 0b101);
+  EXPECT_EQ(parse_mask("a,c", {"a", "b", "c"}, &bad), 0b101);
+  EXPECT_EQ(parse_mask("all", {"a", "b", "c"}, &bad), 0b111);
+}
+
+TEST(Axis, ParseMaskReportsUnknownAndEmptyTokens) {
+  std::string bad;
+  EXPECT_EQ(parse_mask("a,bogus", {"a", "b"}, &bad), std::nullopt);
+  EXPECT_EQ(bad, "bogus");
+  EXPECT_EQ(parse_mask("a,", {"a", "b"}, &bad), std::nullopt);
+  EXPECT_EQ(bad, "");
+}
+
+TEST(AxisDeathTest, EnvLongReadsTheAxisAndExitsTwoNamingTheRange) {
+  ::unsetenv("REPSEQ_NODES");
+  EXPECT_EQ(env_long("NODES", 32, 2), 32);
+  ::setenv("REPSEQ_NODES", "8", /*overwrite=*/1);
+  EXPECT_EQ(env_long("NODES", 32, 2), 8);
+  ::setenv("REPSEQ_NODES", "+8", /*overwrite=*/1);
+  EXPECT_EXIT((void)env_long("NODES", 32, 2), ::testing::ExitedWithCode(2),
+              "unknown REPSEQ_NODES '.8' .accepted: an integer >= 2.");
+  ::unsetenv("REPSEQ_NODES");
 }
 
 TEST(Table, RendersAlignedCells) {
