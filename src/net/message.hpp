@@ -22,6 +22,10 @@ struct Message {
   NodeId dst = 0;
   /// Protocol-defined discriminator (net layer treats it as opaque).
   std::uint32_t kind = 0;
+  /// Exempt from loss injection and from receive-ring overflow drops: the
+  /// protocol layer marks traffic whose loss it has no recovery for.  Sits
+  /// in the padding after `kind`, so a Message stays 48 bytes.
+  bool reliable = false;
   /// Multicast group key: the sharded-hub medium hashes it to pick the
   /// shard carrying this frame (see net::shard_of).  Ignored by unicast and
   /// by single-medium backends.  The DSM layer keys round traffic by page.

@@ -10,7 +10,7 @@ Network::Network(sim::Engine& eng, NetConfig cfg, std::size_t nodes)
   REPSEQ_CHECK(nodes >= 1, "network needs at least one node");
   nics_.reserve(nodes);
   for (std::size_t n = 0; n < nodes; ++n) {
-    nics_.push_back(std::make_unique<Nic>(eng_, cfg_, static_cast<NodeId>(n)));
+    nics_.push_back(std::make_unique<Nic>(eng_, cfg_));
   }
   transport_ = make_transport(eng_, cfg_, nics_);
   shard_mcast_.resize(transport_->shard_count());
@@ -102,7 +102,7 @@ void Network::flush_group_schedule(const std::vector<std::pair<sim::SimTime, Nod
 }
 
 bool Network::lose_frame(const Message& msg) {
-  if (cfg_.loss_probability > 0.0 && (!lossable_ || lossable_(msg)) &&
+  if (cfg_.loss_probability > 0.0 && !msg.reliable &&
       loss_rng_.chance(cfg_.loss_probability)) {
     ++losses_injected_;
     if (obs::enabled(obs::Cat::Net)) [[unlikely]] {

@@ -86,27 +86,15 @@ class Network {
   [[nodiscard]] std::uint64_t losses_injected() const { return losses_injected_; }
   [[nodiscard]] std::uint64_t total_drops() const;
 
-  /// Restricts loss injection to messages for which the filter returns
-  /// true.  The DSM layer exempts synchronization traffic, whose transport
-  /// retries are not the behaviour under study; the diff/multicast paths
-  /// carry their own timeout recovery (paper Section 5.4.2).
-  using LossFilter = std::function<bool(const Message&)>;
-  void set_loss_filter(LossFilter f) { lossable_ = std::move(f); }
-
-  /// Same classification for receive-ring overflow (see
-  /// Nic::set_drop_filter): installed on every NIC.
-  void set_drop_filter(Nic::DropFilter f) {
-    for (auto& nic : nics_) nic->set_drop_filter(f);
-  }
-
  private:
   /// Schedules delivery unless loss injection consumes the frame; returns
   /// whether the frame survives (transports use this to prune forwarding
   /// downstream of a lost frame).
   bool deliver_at(sim::SimTime t, NodeId dst, const Message& msg);
 
-  /// The per-delivery loss decision (honoring the loss filter); consumes
-  /// one RNG draw per lossable delivery and counts injected losses.
+  /// The per-delivery loss decision (Message::reliable frames are never
+  /// lost); consumes one RNG draw per lossable delivery and counts injected
+  /// losses.
   bool lose_frame(const Message& msg);
 
   /// Schedules batched inbox deliveries: one simulation event per run of
@@ -119,7 +107,6 @@ class Network {
   std::vector<std::unique_ptr<Nic>> nics_;
   std::unique_ptr<Transport> transport_;
   sim::Rng loss_rng_;
-  LossFilter lossable_{};
 
   std::uint64_t next_id_ = 1;
   std::uint64_t messages_sent_ = 0;

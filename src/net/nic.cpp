@@ -11,7 +11,7 @@ sim::SimTime Nic::reserve_uplink(std::size_t wire_bytes, sim::SimTime ready) {
 }
 
 bool Nic::deliver(Message msg) {
-  if (inbox_.size() >= cfg_.recv_buffer_msgs && (!droppable_ || droppable_(msg))) {
+  if (inbox_.size() >= cfg_.recv_buffer_msgs && !msg.reliable) {
     ++drops_;
     return false;
   }

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "net/message.hpp"
 #include "net/net_config.hpp"
@@ -17,49 +16,33 @@ namespace repseq::net {
 
 class Nic {
  public:
-  Nic(sim::Engine& eng, const NetConfig& cfg, NodeId node)
-      : eng_(eng), cfg_(cfg), node_(node), inbox_(eng) {}
+  Nic(sim::Engine& eng, const NetConfig& cfg) : eng_(eng), cfg_(cfg), inbox_(eng) {}
 
-  /// Earliest time the uplink can begin transmitting a new frame, given
-  /// frames already queued; reserves the link for `wire_bytes`.
-  /// Returns the time the last byte leaves the NIC.
-  sim::SimTime reserve_uplink(std::size_t wire_bytes) {
-    return reserve_uplink(wire_bytes, eng_.now());
-  }
-
-  /// Same, but the transmission may not start before `ready` (forwarding
-  /// hops of software multicast reserve uplinks at future instants).
+  /// Reserves the uplink for `wire_bytes` once the frames already queued
+  /// have left, but not before `ready` (forwarding hops of software
+  /// multicast reserve uplinks at future instants).  Returns the time the
+  /// last byte leaves the NIC.
   sim::SimTime reserve_uplink(std::size_t wire_bytes, sim::SimTime ready);
 
   /// Delivery at the receive ring.  Honors capacity; returns false (and
   /// counts a drop) when the ring is full and the message is droppable.
+  /// A Message::reliable message is admitted to a full ring anyway,
+  /// modeled as retried-until-delivered by the kernel-level transport
+  /// without simulating the retry.
   bool deliver(Message msg);
-
-  /// Restricts ring-overflow drops to messages for which the filter
-  /// returns true, mirroring Network::set_loss_filter: the DSM layer
-  /// exempts synchronization traffic, whose kernel-level transport retries
-  /// are not the behaviour under study, so a full ring admits it anyway
-  /// (modeled as retried-until-delivered without simulating the retry).
-  /// The diff/multicast paths -- the paper's Section 5.4 overflow hazard --
-  /// stay droppable.  No filter (the default) drops everything on overflow.
-  using DropFilter = std::function<bool(const Message&)>;
-  void set_drop_filter(DropFilter f) { droppable_ = std::move(f); }
 
   /// Blocking receive used by the node's dispatcher fiber.
   [[nodiscard]] sim::Channel<Message>& inbox() { return inbox_; }
 
-  [[nodiscard]] NodeId node() const { return node_; }
   [[nodiscard]] std::uint64_t drops() const { return drops_; }
   [[nodiscard]] std::size_t backlog() const { return inbox_.size(); }
 
  private:
   sim::Engine& eng_;
   const NetConfig& cfg_;
-  NodeId node_;
   sim::Channel<Message> inbox_;
   sim::SimTime uplink_free_{};
   std::uint64_t drops_ = 0;
-  DropFilter droppable_{};
 };
 
 }  // namespace repseq::net

@@ -109,11 +109,11 @@ void RseController::enter(tmk::NodeRuntime& rt) {
       }
     }
 
-    // Index the table for O(log) per-fault lookups.
-    st.table_index.assign(n, {});
+    // Index the table by page for O(log) per-fault lookups.  Threads are
+    // visited in ascending order, so each page's list is sorted.
     for (std::size_t t = 0; t < n; ++t) {
       for (const auto& [page, vc] : (*st.table)[t].entries) {
-        st.table_index[t].emplace(page, &vc);
+        st.faulting[page].emplace_back(static_cast<net::NodeId>(t), &vc);
       }
       rt.charge(kPerEntryCost * static_cast<std::int64_t>((*st.table)[t].entries.size()));
     }
@@ -149,7 +149,7 @@ void RseController::exit(tmk::NodeRuntime& rt) {
   st.write_protected.clear();
   st.active = false;
   st.table = nullptr;
-  st.table_index.clear();
+  st.faulting.clear();
   // Frames of rounds that never completed (watchdog-abandoned; the page was
   // then validated by recovery's own complete batch) must not survive into
   // the next section, whose pending sets they say nothing about.
@@ -177,14 +177,6 @@ void RseController::exit(tmk::NodeRuntime& rt) {
     obs::tracer().end(obs::Cat::Rse, cluster_.engine().now(),
                       static_cast<std::int32_t>(rt.id()) + 1, "app");
   }
-}
-
-std::optional<net::NodeId> RseController::elected_requester(const NodeState& st,
-                                                            PageId page) const {
-  for (net::NodeId t = 0; t < st.table_index.size(); ++t) {
-    if (st.table_index[t].contains(page)) return t;
-  }
-  return std::nullopt;
 }
 
 tmk::WantedByOwner RseController::union_missing(const std::vector<tmk::IntervalRecordPtr>& notices,
@@ -236,15 +228,13 @@ void RseController::on_fault(tmk::NodeRuntime& rt, PageId page) {
                         "rse-fault", {{"page", static_cast<double>(page)}});
   }
 
-  const auto requester = elected_requester(st, page);
-  const bool i_request = requester.has_value() && *requester == rt.id();
+  // The lowest-id thread whose table entry shows it will fault requests the
+  // page for everyone (Section 5.4.1).
+  const auto faulting = st.faulting.find(page);
+  const bool i_request =
+      faulting != st.faulting.end() && faulting->second.front().first == rt.id();
   if (i_request) {
-    std::vector<FaultingThread> faulting;
-    for (net::NodeId t = 0; t < st.table_index.size(); ++t) {
-      const auto it = st.table_index[t].find(page);
-      if (it != st.table_index[t].end()) faulting.emplace_back(t, it->second);
-    }
-    tmk::WantedByOwner wanted = union_missing(rt.page_notices(page), faulting);
+    tmk::WantedByOwner wanted = union_missing(rt.page_notices(page), faulting->second);
     REPSEQ_CHECK(!wanted.empty(), "requester elected with nothing to request");
     ++c.fwd_requests;
     if (flow_ == FlowControl::None) {

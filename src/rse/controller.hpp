@@ -16,7 +16,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
 #include <vector>
 
@@ -112,9 +111,11 @@ class RseController final : public tmk::RseHooks {
     std::vector<tmk::PageId> write_protected;
     /// The aggregated valid-notice table multicast by the master.
     std::shared_ptr<const std::vector<tmk::ValidNoticesP>> table;
-    /// Per-thread page -> validity lookup built from `table` (points into
-    /// it; the shared_ptr keeps the storage alive).
-    std::vector<std::map<tmk::PageId, const tmk::VectorClock*>> table_index;
+    /// Page -> the threads whose `table` entry shows they will fault on it,
+    /// ascending by thread, each with its validity (points into `table`; the
+    /// shared_ptr keeps the storage alive).  The front thread is the page's
+    /// elected requester (Section 5.4.1).
+    std::map<tmk::PageId, std::vector<FaultingThread>> faulting;
     /// Waiting app fiber during the table exchange.
     sim::WaitToken* table_waiter = nullptr;
 
@@ -148,11 +149,6 @@ class RseController final : public tmk::RseHooks {
     std::vector<tmk::ValidNoticesP> gathering;
     sim::WaitToken* master_gather_waiter = nullptr;
   };
-
-  /// Requester election for `page`: the lowest-id thread whose table entry
-  /// shows it will fault (Section 5.4.1).
-  [[nodiscard]] std::optional<net::NodeId> elected_requester(const NodeState& st,
-                                                             tmk::PageId page) const;
 
   /// The shard of the multicast medium carrying round traffic for `page`
   /// (must agree with the sharded-hub backend's group placement).

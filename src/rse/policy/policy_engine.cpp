@@ -117,11 +117,6 @@ std::uint64_t PolicyEngine::total_seq_fwd_requests() const {
   return sum;
 }
 
-const SectionProfile* PolicyEngine::profile(std::uint32_t site) const {
-  auto it = sites_.find(site);
-  return it == sites_.end() ? nullptr : &it->second.profile;
-}
-
 SectionStrategy PolicyEngine::decide(const SiteState& st) const {
   if (st.profile.runs == 0) return kBootstrap;
 

@@ -50,7 +50,6 @@ class PolicyEngine {
   void close_section(tmk::NodeRuntime& master);
 
   [[nodiscard]] const PolicyConfig& config() const { return cfg_; }
-  [[nodiscard]] const CostModel& model() const { return model_; }
 
   /// The master's decision log.
   [[nodiscard]] const std::vector<Decision>& decisions() const { return log_[0]; }
@@ -63,8 +62,6 @@ class PolicyEngine {
   [[nodiscard]] const std::array<std::uint64_t, kStrategyCount>& strategy_counts() const {
     return counts_;
   }
-  /// Telemetry profile of one section site (nullptr before its first run).
-  [[nodiscard]] const SectionProfile* profile(std::uint32_t site) const;
 
  private:
   struct SiteState {

@@ -55,14 +55,6 @@ class Channel {
     return v;
   }
 
-  /// Non-blocking take.
-  std::optional<T> try_pop() {
-    if (queue_.empty()) return std::nullopt;
-    T v = std::move(queue_.front());
-    queue_.pop_front();
-    return v;
-  }
-
   [[nodiscard]] std::size_t size() const { return queue_.size(); }
   [[nodiscard]] bool empty() const { return queue_.empty(); }
 

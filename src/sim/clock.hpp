@@ -35,9 +35,6 @@ struct SimDuration {
 constexpr SimDuration nanoseconds(std::int64_t v) { return {v}; }
 constexpr SimDuration microseconds(std::int64_t v) { return {v * 1000}; }
 constexpr SimDuration milliseconds(std::int64_t v) { return {v * 1'000'000}; }
-constexpr SimDuration seconds_d(double v) {
-  return {static_cast<std::int64_t>(v * 1e9)};
-}
 
 /// An instant of virtual time since simulation start.
 struct SimTime {

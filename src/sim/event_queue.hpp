@@ -31,9 +31,8 @@ namespace repseq::sim {
 
 /// Type-erased one-shot callback with inline storage sized so that every
 /// event closure in the simulator (the largest captures a net::Message plus
-/// a receiver list) fits without a heap allocation.  Oversized callables
-/// still work -- they fall back to a heap cell -- but the hot paths are
-/// audited to stay inline.
+/// a receiver list) fits without a heap allocation.  A callable that does
+/// not fit is a compile error, so no event ever pays a heap cell.
 class EventFn {
  public:
   static constexpr std::size_t kInlineBytes = 104;
@@ -63,29 +62,19 @@ class EventFn {
   template <typename F>
   void emplace(F&& f) {
     using D = std::decay_t<F>;
+    static_assert(sizeof(D) <= kInlineBytes && alignof(D) <= alignof(std::max_align_t),
+                  "event closure does not fit EventFn's inline buffer (kInlineBytes)");
     reset();
-    if constexpr (sizeof(D) <= kInlineBytes && alignof(D) <= alignof(std::max_align_t)) {
-      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
-      invoke_ = [](void* p) { (*static_cast<D*>(p))(); };
-      manage_ = [](Action a, void* p, void* other) {
-        if (a == Action::Destroy) {
-          static_cast<D*>(p)->~D();
-        } else {
-          ::new (other) D(std::move(*static_cast<D*>(p)));
-          static_cast<D*>(p)->~D();
-        }
-      };
-    } else {
-      *reinterpret_cast<D**>(buf_) = new D(std::forward<F>(f));
-      invoke_ = [](void* p) { (**static_cast<D**>(p))(); };
-      manage_ = [](Action a, void* p, void* other) {
-        if (a == Action::Destroy) {
-          delete *static_cast<D**>(p);
-        } else {
-          *static_cast<D**>(other) = *static_cast<D**>(p);
-        }
-      };
-    }
+    ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
+    invoke_ = [](void* p) { (*static_cast<D*>(p))(); };
+    manage_ = [](Action a, void* p, void* other) {
+      if (a == Action::Destroy) {
+        static_cast<D*>(p)->~D();
+      } else {
+        ::new (other) D(std::move(*static_cast<D*>(p)));
+        static_cast<D*>(p)->~D();
+      }
+    };
   }
 
   void reset() {

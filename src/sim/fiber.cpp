@@ -7,15 +7,10 @@
 namespace repseq::sim {
 
 namespace {
-// The fiber being switched into; set immediately before the context switch
-// so the trampoline can find its Fiber object.  Single-threaded by design.
+// The fiber running now; nullptr on the engine's stack.  Single-threaded by
+// design.
 thread_local Fiber* g_current = nullptr;
-#if !REPSEQ_FIBER_FAST_SWITCH
-thread_local Fiber* g_trampoline_arg = nullptr;
-#endif
 }  // namespace
-
-#if REPSEQ_FIBER_FAST_SWITCH
 
 void fiber_trampoline(Fiber* self);
 
@@ -24,7 +19,7 @@ void fiber_trampoline(Fiber* self);
 // resulting stack pointer in *save_sp, switches to to_sp and unwinds the
 // same frame there.  Everything caller-saved is dead across the call by the
 // ABI, so this is a complete context switch -- without the two
-// rt_sigprocmask syscalls swapcontext performs.
+// rt_sigprocmask syscalls libc's context switch performs.
 //
 // repseq_ctx_entry is the ret target of a freshly initialized frame: it
 // moves the Fiber* (planted in the r12 slot) into the argument register,
@@ -77,13 +72,23 @@ void repseq_fiber_trampoline(repseq::sim::Fiber* self) { fiber_trampoline(self);
 }
 
 void fiber_trampoline(Fiber* self) {
+#if REPSEQ_FIBER_ASAN
+  // First run on this stack: completes resume()'s switch and learns the
+  // engine's stack, the one every later yield() returns to.
+  __sanitizer_finish_switch_fiber(nullptr, &self->asan_return_bottom_, &self->asan_return_size_);
+#endif
   try {
     self->fn_();
   } catch (...) {
     self->failure_ = std::current_exception();
   }
   self->finished_ = true;
-  // Final switch back to the engine; this frame is abandoned.
+  // Final switch back to the engine; this frame is abandoned.  A null
+  // fake-stack slot tells ASan the fiber is done, so it frees the fiber's
+  // fake stack.
+#if REPSEQ_FIBER_ASAN
+  __sanitizer_start_switch_fiber(nullptr, self->asan_return_bottom_, self->asan_return_size_);
+#endif
 #if REPSEQ_FIBER_TSAN
   __tsan_switch_to_fiber(self->tsan_return_fiber_, 0);
 #endif
@@ -112,8 +117,6 @@ void Fiber::init_context() {
   switch_sp_ = frame;
 }
 
-#endif  // REPSEQ_FIBER_FAST_SWITCH
-
 Fiber::Fiber(std::string name, Fn fn, std::size_t stack_bytes)
     : name_(std::move(name)),
       fn_(std::move(fn)),
@@ -132,8 +135,6 @@ Fiber::~Fiber() {
 
 Fiber* Fiber::current() { return g_current; }
 
-#if REPSEQ_FIBER_FAST_SWITCH
-
 void Fiber::resume() {
   REPSEQ_CHECK(g_current == nullptr, "resume() must be called from the engine context");
   REPSEQ_CHECK(!finished_, "cannot resume a finished fiber: " + name_);
@@ -147,7 +148,14 @@ void Fiber::resume() {
   tsan_return_fiber_ = __tsan_get_current_fiber();
   __tsan_switch_to_fiber(tsan_fiber_, 0);
 #endif
+#if REPSEQ_FIBER_ASAN
+  void* fake = nullptr;
+  __sanitizer_start_switch_fiber(&fake, stack_.get(), stack_bytes_);
+#endif
   repseq_ctx_swap(&return_sp_, switch_sp_);
+#if REPSEQ_FIBER_ASAN
+  __sanitizer_finish_switch_fiber(fake, nullptr, nullptr);
+#endif
   g_current = nullptr;
 }
 
@@ -157,62 +165,17 @@ void Fiber::yield() {
   g_current = nullptr;
 #if REPSEQ_FIBER_TSAN
   __tsan_switch_to_fiber(self->tsan_return_fiber_, 0);
+#endif
+#if REPSEQ_FIBER_ASAN
+  void* fake = nullptr;
+  __sanitizer_start_switch_fiber(&fake, self->asan_return_bottom_, self->asan_return_size_);
 #endif
   repseq_ctx_swap(&self->switch_sp_, self->return_sp_);
+#if REPSEQ_FIBER_ASAN
+  __sanitizer_finish_switch_fiber(fake, nullptr, nullptr);
+#endif
   g_current = self;
 }
-
-#else  // !REPSEQ_FIBER_FAST_SWITCH
-
-void Fiber::trampoline() {
-  Fiber* self = g_trampoline_arg;
-  try {
-    self->fn_();
-  } catch (...) {
-    self->failure_ = std::current_exception();
-  }
-  self->finished_ = true;
-  // Fall through: returning from the makecontext entry point resumes
-  // uc_link, which we point at the engine's context.
-#if REPSEQ_FIBER_TSAN
-  __tsan_switch_to_fiber(self->tsan_return_fiber_, 0);
-#endif
-}
-
-void Fiber::resume() {
-  REPSEQ_CHECK(g_current == nullptr, "resume() must be called from the engine context");
-  REPSEQ_CHECK(!finished_, "cannot resume a finished fiber: " + name_);
-  if (!started_) {
-    started_ = true;
-    REPSEQ_CHECK(getcontext(&context_) == 0, "getcontext failed");
-    context_.uc_stack.ss_sp = stack_.get();
-    context_.uc_stack.ss_size = stack_bytes_;
-    context_.uc_link = &return_context_;
-    g_trampoline_arg = this;
-    makecontext(&context_, reinterpret_cast<void (*)()>(&Fiber::trampoline), 0);
-  }
-  g_current = this;
-#if REPSEQ_FIBER_TSAN
-  if (tsan_fiber_ == nullptr) tsan_fiber_ = __tsan_create_fiber(0);
-  tsan_return_fiber_ = __tsan_get_current_fiber();
-  __tsan_switch_to_fiber(tsan_fiber_, 0);
-#endif
-  REPSEQ_CHECK(swapcontext(&return_context_, &context_) == 0, "swapcontext failed");
-  g_current = nullptr;
-}
-
-void Fiber::yield() {
-  Fiber* self = g_current;
-  REPSEQ_CHECK(self != nullptr, "yield() must be called from inside a fiber");
-  g_current = nullptr;
-#if REPSEQ_FIBER_TSAN
-  __tsan_switch_to_fiber(self->tsan_return_fiber_, 0);
-#endif
-  REPSEQ_CHECK(swapcontext(&self->context_, &self->return_context_) == 0, "swapcontext failed");
-  g_current = self;
-}
-
-#endif  // REPSEQ_FIBER_FAST_SWITCH
 
 void Fiber::rethrow_if_failed() {
   if (failure_) {

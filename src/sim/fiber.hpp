@@ -2,16 +2,21 @@
 // server).  The discrete-event engine is the only scheduler -- a fiber runs
 // until it yields, so the simulation is single-threaded and deterministic.
 //
-// Context switching: on x86-64 Linux a hand-rolled userspace switch saves
-// only the SysV callee-saved registers (~30ns); POSIX ucontext is kept as
-// the portable fallback and under AddressSanitizer, whose fake-stack
-// machinery only understands swapcontext.  swapcontext costs two
+// Context switching: one hand-rolled x86-64 SysV switch serves every build,
+// sanitized or not, so x86-64 Linux is the supported host.  It saves only
+// the callee-saved registers (~30ns); libc's context switch costs two
 // rt_sigprocmask syscalls per switch, which dominated simulator sys time at
-// 256+ nodes before the userspace path existed.
+// 256+ nodes.
+// The sanitizers learn of each switch from annotations (ASan's
+// __sanitizer_*_switch_fiber, TSan's __tsan_*_fiber).
 //
 // Exceptions thrown inside a fiber are captured and rethrown on the
 // engine's context when the fiber is reaped.
 #pragma once
+
+#if !defined(__x86_64__) || !defined(__linux__)
+#error "sim::Fiber's context switch is x86-64 SysV (Linux) only"
+#endif
 
 #if defined(__has_feature)
 #define REPSEQ_HAS_FEATURE(x) __has_feature(x)
@@ -19,20 +24,20 @@
 #define REPSEQ_HAS_FEATURE(x) 0
 #endif
 
-#if defined(__x86_64__) && defined(__linux__) && !defined(__SANITIZE_ADDRESS__) && \
-    !REPSEQ_HAS_FEATURE(address_sanitizer)
-#define REPSEQ_FIBER_FAST_SWITCH 1
+// AddressSanitizer tracks which stack is running (and, with
+// detect_stack_use_after_return, each stack's fake frames); an unannotated
+// switch loses track of it, and ASan cannot report on fiber frames.
+#if defined(__SANITIZE_ADDRESS__) || REPSEQ_HAS_FEATURE(address_sanitizer)
+#define REPSEQ_FIBER_ASAN 1
+#include <sanitizer/common_interface_defs.h>
 #else
-#define REPSEQ_FIBER_FAST_SWITCH 0
-#include <ucontext.h>
+#define REPSEQ_FIBER_ASAN 0
 #endif
 
-// ThreadSanitizer tracks a shadow stack per thread; userspace context
-// switches (either variant) would corrupt it and report every fiber-to-fiber
-// data flow as a race.  The __tsan_*_fiber annotations tell it about each
-// switch, so TSan runs see the simulator's fibers as what they are: one
-// thread, many stacks.  The fast switch stays enabled under TSan -- unlike
-// ASan's fake-stack machinery, TSan only needs the annotations.
+// ThreadSanitizer tracks a shadow stack per thread; an unannotated switch
+// would corrupt it and report every fiber-to-fiber data flow as a race.
+// The __tsan_*_fiber annotations tell it about each switch, so TSan runs
+// see the simulator's fibers as what they are: one thread, many stacks.
 #if defined(__SANITIZE_THREAD__) || REPSEQ_HAS_FEATURE(thread_sanitizer)
 #define REPSEQ_FIBER_TSAN 1
 #include <sanitizer/tsan_interface.h>
@@ -92,7 +97,6 @@ class Fiber {
   void rethrow_if_failed();
 
  private:
-#if REPSEQ_FIBER_FAST_SWITCH
   friend void fiber_trampoline(Fiber*);
   /// Lays out the initial frame so the first switch "returns" into the
   /// trampoline with this fiber as its argument.
@@ -100,11 +104,11 @@ class Fiber {
 
   void* switch_sp_ = nullptr;  // saved stack pointer while suspended
   void* return_sp_ = nullptr;  // engine-side stack pointer while running
-#else
-  static void trampoline();
-
-  ucontext_t context_{};
-  ucontext_t return_context_{};
+#if REPSEQ_FIBER_ASAN
+  // The engine's stack, which yield() and the final switch hand back to
+  // ASan; learned from the first switch into this fiber.
+  const void* asan_return_bottom_ = nullptr;
+  std::size_t asan_return_size_ = 0;
 #endif
 #if REPSEQ_FIBER_TSAN
   void* tsan_fiber_ = nullptr;         // TSan's per-fiber shadow state

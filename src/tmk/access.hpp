@@ -137,7 +137,6 @@ class ShObj {
   void set(F T::* member, const F& v) const {
     arr_.set_field(0, member, v);
   }
-  [[nodiscard]] T get_all() const { return arr_.get(0); }
 
   static ShObj alloc(Cluster& cl) { return ShObj(cl.heap().alloc(sizeof(T), alignof(T))); }
 

@@ -75,11 +75,6 @@ class IntervalLog {
     return *per_owner_[owner][index - 1];
   }
 
-  [[nodiscard]] IntervalRecordPtr get_ptr(NodeId owner, std::uint32_t index) const {
-    REPSEQ_CHECK(index >= 1 && index <= per_owner_[owner].size(), "unknown interval");
-    return per_owner_[owner][index - 1];
-  }
-
   /// All records not covered by `vc`, i.e. those the holder of `vc` has not
   /// yet seen.  Returned in (owner, index) order.
   [[nodiscard]] std::vector<IntervalRecordPtr> records_after(const VectorClock& vc) const {

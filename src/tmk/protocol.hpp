@@ -308,18 +308,6 @@ struct RseRoundTickP {
   [[nodiscard]] static std::size_t wire_bytes() { return 0; }
 };
 
-/// Builds a transport message around a typed payload.
-template <typename P>
-net::Message make_message(MsgKind kind, NodeId src, NodeId dst, P payload) {
-  net::Message m;
-  m.src = src;
-  m.dst = dst;
-  m.kind = static_cast<std::uint32_t>(kind);
-  m.payload_bytes = payload.wire_bytes();
-  m.payload = util::make_pooled<P>(std::move(payload));
-  return m;
-}
-
 inline MsgKind kind_of(const net::Message& m) { return static_cast<MsgKind>(m.kind); }
 
 /// True for message kinds that carry diff traffic (the paper's "diff
@@ -338,6 +326,28 @@ inline bool is_diff_traffic(MsgKind k) {
     default:
       return false;
   }
+}
+
+/// Builds a transport message around a typed payload.
+template <typename P>
+net::Message make_message(MsgKind kind, NodeId src, NodeId dst, P payload) {
+  net::Message m;
+  m.src = src;
+  m.dst = dst;
+  m.kind = static_cast<std::uint32_t>(kind);
+  // Loss injection exercises the diff-request recovery paths; the
+  // synchronization messages (fork/join/barrier/lock) are modeled as
+  // reliable transport (TreadMarks retries them below the protocol layer).
+  // The same split governs receive-ring overflow: diff traffic -- the
+  // Section 5.4 hazard the flow control exists for -- drops on a full
+  // ring, while sync traffic is admitted as if kernel-retried (a dropped
+  // Join/Barrier has no protocol-level recovery and would deadlock the
+  // cluster, e.g. when concurrent sharded rounds' ack tails overlap the
+  // join burst at a section boundary).
+  m.reliable = !is_diff_traffic(kind);
+  m.payload_bytes = payload.wire_bytes();
+  m.payload = util::make_pooled<P>(std::move(payload));
+  return m;
 }
 
 }  // namespace repseq::tmk

@@ -28,12 +28,6 @@ class ProtocolEngine {
   /// wiring bug (two subsystems claiming one kind) and aborts.
   void on(MsgKind kind, Handler h);
 
-  [[nodiscard]] bool handles(MsgKind kind) const {
-    return handlers_.contains(static_cast<std::uint32_t>(kind));
-  }
-
-  [[nodiscard]] std::size_t handler_count() const { return handlers_.size(); }
-
   /// Routes `msg` to its handler; returns false when no handler is
   /// registered for the message's kind.
   bool dispatch(NodeRuntime& rt, const net::Message& msg) const;

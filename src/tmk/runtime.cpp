@@ -965,17 +965,6 @@ Cluster::Cluster(TmkConfig cfg, net::NetConfig net_cfg, std::size_t nodes)
   REPSEQ_CHECK(cfg_.heap_bytes % cfg_.page_bytes == 0, "heap must be whole pages");
   NodeRuntime::register_base_protocol(protocol_);
   network_ = std::make_unique<net::Network>(engine_, net_cfg, nodes);
-  // Loss injection exercises the diff-request recovery paths; the
-  // synchronization messages (fork/join/barrier/lock) are modeled as
-  // reliable transport (TreadMarks retries them below the protocol layer).
-  // The same split governs receive-ring overflow: diff traffic -- the
-  // Section 5.4 hazard the flow control exists for -- drops on a full
-  // ring, while sync traffic is admitted as if kernel-retried (a dropped
-  // Join/Barrier has no protocol-level recovery and would deadlock the
-  // cluster, e.g. when concurrent sharded rounds' ack tails overlap the
-  // join burst at a section boundary).
-  network_->set_loss_filter([](const net::Message& m) { return is_diff_traffic(kind_of(m)); });
-  network_->set_drop_filter([](const net::Message& m) { return is_diff_traffic(kind_of(m)); });
   // Correctness checking is decided once per cluster (env axis or a test's
   // ScopedConfig), before the nodes cache the pointer; a null checker makes
   // every hook a single predicted-false branch.

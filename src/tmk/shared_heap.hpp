@@ -33,14 +33,6 @@ class SharedHeap {
     return GAddr{base};
   }
 
-  /// Page-aligned allocation; used by applications that lay out data
-  /// structures to avoid false sharing.
-  GAddr alloc_pages(std::size_t bytes, std::size_t page_bytes) {
-    return alloc(bytes, page_bytes);
-  }
-
-  [[nodiscard]] std::size_t used() const { return next_; }
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
   [[nodiscard]] std::uint64_t allocations() const { return allocations_; }
 
  private:

@@ -2,78 +2,40 @@
 // first touch.  The simulator gives every node a multi-megabyte "shared
 // heap" backing store, but typical workloads touch a small fraction of it;
 // a std::vector<std::byte> would memset the whole reservation up front
-// (gigabytes of page faults at 256+ nodes).  On POSIX systems this uses an
-// anonymous private mmap, whose pages the kernel materializes lazily from
-// the shared zero page; elsewhere it falls back to calloc (which large
-// allocators also serve lazily).
+// (gigabytes of page faults at 256+ nodes).  An anonymous private mmap
+// leaves the pages to the kernel, which materializes them lazily from the
+// shared zero page.
 #pragma once
 
+#include <sys/mman.h>
+
 #include <cstddef>
-#include <cstdlib>
 
 #include "util/check.hpp"
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/mman.h>
-#define REPSEQ_LAZY_BYTES_MMAP 1
-#else
-#define REPSEQ_LAZY_BYTES_MMAP 0
-#endif
 
 namespace repseq::util {
 
 class LazyBytes {
  public:
-  LazyBytes() = default;
-
   explicit LazyBytes(std::size_t bytes) : size_(bytes) {
     if (bytes == 0) return;
-#if REPSEQ_LAZY_BYTES_MMAP
     void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
     REPSEQ_CHECK(p != MAP_FAILED, "mmap of node memory failed");
     data_ = static_cast<std::byte*>(p);
-#else
-    data_ = static_cast<std::byte*>(std::calloc(bytes, 1));
-    REPSEQ_CHECK(data_ != nullptr, "allocation of node memory failed");
-#endif
   }
 
   LazyBytes(const LazyBytes&) = delete;
   LazyBytes& operator=(const LazyBytes&) = delete;
 
-  LazyBytes(LazyBytes&& o) noexcept : data_(o.data_), size_(o.size_) {
-    o.data_ = nullptr;
-    o.size_ = 0;
+  ~LazyBytes() {
+    if (data_ != nullptr) ::munmap(data_, size_);
   }
-  LazyBytes& operator=(LazyBytes&& o) noexcept {
-    if (this != &o) {
-      release();
-      data_ = o.data_;
-      size_ = o.size_;
-      o.data_ = nullptr;
-      o.size_ = 0;
-    }
-    return *this;
-  }
-
-  ~LazyBytes() { release(); }
 
   [[nodiscard]] std::byte* data() { return data_; }
   [[nodiscard]] const std::byte* data() const { return data_; }
-  [[nodiscard]] std::size_t size() const { return size_; }
 
  private:
-  void release() {
-    if (data_ == nullptr) return;
-#if REPSEQ_LAZY_BYTES_MMAP
-    ::munmap(data_, size_);
-#else
-    std::free(data_);
-#endif
-    data_ = nullptr;
-  }
-
   std::byte* data_ = nullptr;
   std::size_t size_ = 0;
 };

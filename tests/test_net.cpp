@@ -70,6 +70,13 @@ Message make_msg(NodeId src, NodeId dst, std::size_t bytes, std::uint32_t kind =
   return m;
 }
 
+/// A message exempt from loss injection and ring overflow (sync traffic).
+Message reliable_msg(NodeId src, NodeId dst, std::size_t bytes) {
+  Message m = make_msg(src, dst, bytes);
+  m.reliable = true;
+  return m;
+}
+
 class TransportConformance : public ::testing::TestWithParam<Backend> {};
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, TransportConformance, ::testing::ValuesIn(kBackends),
@@ -457,24 +464,38 @@ TEST(Network, ReceiveBufferOverflowDrops) {
   EXPECT_EQ(nw.total_drops(), 6u);
 }
 
-TEST(Network, OverflowDropFilterSparesReliableTraffic) {
-  // Mirrors the loss filter: messages the filter rejects are admitted even
-  // past ring capacity (kernel-retried sync traffic), droppable ones are
-  // not.  The DSM layer relies on this to keep fork/join alive while
-  // concurrent sharded rounds flood the rings with diff traffic.
+TEST(Network, OverflowSparesReliableMessages) {
+  // Message::reliable frames are admitted even past ring capacity
+  // (kernel-retried sync traffic), droppable ones are not.  The DSM layer
+  // relies on this to keep fork/join alive while concurrent sharded rounds
+  // flood the rings with diff traffic.
   sim::Engine eng;
   NetConfig cfg;
   cfg.recv_buffer_msgs = 4;
   Network nw(eng, cfg, 3);
-  constexpr std::uint32_t kReliable = 7;
-  nw.set_drop_filter([](const Message& m) { return m.kind != kReliable; });
   eng.spawn("tx", [&] {
     for (int i = 0; i < 10; ++i) nw.unicast(make_msg(0, 2, 100));       // droppable
-    for (int i = 0; i < 3; ++i) nw.unicast(make_msg(0, 2, 100, kReliable));
+    for (int i = 0; i < 3; ++i) nw.unicast(reliable_msg(0, 2, 100));
   });
   eng.run();
   EXPECT_EQ(nw.nic(2).drops(), 6u);     // droppable overflow still counts
   EXPECT_EQ(nw.nic(2).backlog(), 7u);   // 4 ring slots + 3 reliable frames
+}
+
+TEST(Network, LossNeverTakesReliableMessages) {
+  // Loss injection spares Message::reliable frames even at probability 1:
+  // every droppable frame is lost, every reliable one arrives.
+  sim::Engine eng;
+  NetConfig cfg;
+  cfg.loss_probability = 1.0;
+  Network nw(eng, cfg, 2);
+  eng.spawn("tx", [&] {
+    for (int i = 0; i < 10; ++i) nw.unicast(make_msg(0, 1, 100));
+    for (int i = 0; i < 3; ++i) nw.unicast(reliable_msg(0, 1, 100));
+  });
+  eng.run();
+  EXPECT_EQ(nw.losses_injected(), 10u);
+  EXPECT_EQ(nw.nic(1).backlog(), 3u);
 }
 
 TEST(Network, LossInjectionDropsSomeDeliveries) {

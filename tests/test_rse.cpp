@@ -227,6 +227,31 @@ TEST(Rse, EntryScansMatchAFullHeapScan) {
   EXPECT_GT(multi_owner_pages, 0u);
 }
 
+TEST(Rse, LowestFaultingThreadRequestsEachPageOnce) {
+  // Node t writes page t, so every node but t faults on page t in the
+  // section.  The lowest faulting thread requests it for all of them
+  // (Section 5.4.1): node 1 for page 0, node 0 for pages 1-3.
+  constexpr std::size_t kNodes = 4;
+  World w(kNodes, SeqMode::Replicated);
+  const std::size_t per_page = w.cfg.page_bytes / sizeof(int);
+  auto data = tmk::ShArray<int>::alloc(*w.cl, kNodes * per_page, /*page_aligned=*/true);
+  w.cl->run([&](tmk::NodeRuntime&) {
+    w.team->parallel([&](const Ctx& ctx) {
+      data.store(static_cast<std::size_t>(ctx.tid) * per_page, ctx.tid + 1);
+    });
+    w.team->sequential([&](const Ctx&) {
+      int sum = 0;
+      for (std::size_t p = 0; p < kNodes; ++p) sum += data.load(p * per_page);
+      EXPECT_EQ(sum, 1 + 2 + 3 + 4);
+    });
+  });
+  std::vector<std::uint64_t> requests;
+  for (net::NodeId n = 0; n < kNodes; ++n) {
+    requests.push_back(w.cl->node(n).stats().seq.fwd_requests);
+  }
+  EXPECT_EQ(requests, (std::vector<std::uint64_t>{3, 1, 0, 0}));
+}
+
 TEST(Rse, NullAcksFlowOnlyInChainedMode) {
   auto run = [](FlowControl flow) {
     World w(4, SeqMode::Replicated, flow);
