@@ -39,8 +39,8 @@ struct Sample {
   std::array<std::uint64_t, rse::policy::kStrategyCount> by_strategy{};
 };
 
-Sample probe(std::size_t nodes, ompnow::SeqMode mode, const net::NetConfig& ncfg,
-             const rse::policy::PolicyConfig& pcfg) {
+Sample probe(std::size_t nodes, ompnow::SeqMode mode, rse::FlowControl flow,
+             const net::NetConfig& ncfg, const rse::policy::PolicyConfig& pcfg) {
   tmk::TmkConfig cfg;
   cfg.heap_bytes = 8u << 20;
   // One diff server fields O(N) queued requests for a hot page; the
@@ -50,7 +50,7 @@ Sample probe(std::size_t nodes, ompnow::SeqMode mode, const net::NetConfig& ncfg
     cfg.request_timeout = sim::milliseconds(static_cast<std::int64_t>(nodes));
   }
   tmk::Cluster cl(cfg, ncfg, nodes);
-  rse::RseController rse(cl, rse::FlowControl::Chained);
+  rse::RseController rse(cl, flow);
   std::unique_ptr<rse::policy::PolicyEngine> policy;
   if (mode == ompnow::SeqMode::Adaptive) {
     policy = std::make_unique<rse::policy::PolicyEngine>(cl, pcfg);
@@ -138,8 +138,10 @@ int main(int argc, char** argv) {
   }
   // REPSEQ_TRACE and REPSEQ_CHECK are read at cluster construction.
   const net::NetConfig ncfg = bench::bench_net_config();
+  const rse::FlowControl flow = bench::bench_flow();
   rse::policy::PolicyConfig pcfg;
   pcfg.kind = bench::bench_policy();
+  pcfg.pins = bench::bench_pin_sites();
   const std::size_t cap = bench::bench_nodes(1024);
 
   const bool adaptive = mode == ompnow::SeqMode::Adaptive;
@@ -171,16 +173,18 @@ int main(int argc, char** argv) {
     std::printf("   policy: %s", rse::policy::policy_name(pcfg.kind));
   }
   std::printf("\n\n");
-  std::printf("%6s | %-28s | %-28s | %s\n", "nodes", "base avg/max response (ms)", right_label,
+  // Each header field is as wide as its row cell: the base cell's bar is
+  // padded to its 24-mark cap.
+  std::printf("%6s | %-41s | %-28s | %s\n", "nodes", "base avg/max response (ms)", right_label,
               "hub busy max (ms)");
-  std::printf("-------+------------------------------+------------------------------+"
+  std::printf("-------+-------------------------------------------+------------------------------+"
               "----------------\n");
   for (std::size_t nodes : {2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}) {
     if (nodes > cap) break;
-    const Sample base = probe(nodes, ompnow::SeqMode::MasterOnly, ncfg, pcfg);
-    const Sample opt = probe(nodes, mode, ncfg, pcfg);
+    const Sample base = probe(nodes, ompnow::SeqMode::MasterOnly, flow, ncfg, pcfg);
+    const Sample opt = probe(nodes, mode, flow, ncfg, pcfg);
     const int bar = std::min(24, static_cast<int>(base.avg_ms * 4.0));
-    std::printf("%6zu | %6.2f / %-7.2f %-12s | %6.2f / %-12.2f | %12.4f", nodes, base.avg_ms,
+    std::printf("%6zu | %6.2f / %-7.2f %-24s | %6.2f / %-19.2f | %12.4f", nodes, base.avg_ms,
                 base.max_ms, std::string(static_cast<std::size_t>(bar), '#').c_str(),
                 opt.avg_ms, opt.max_ms, opt.busy_max_s * 1e3);
     if (adaptive) {

@@ -60,9 +60,9 @@ enum class TransportKind {
   return std::nullopt;
 }
 
-/// Deterministic multicast-group -> shard mapping shared by the sharded-hub
-/// medium and the per-shard round serialization above it (both sides MUST
-/// agree on the placement or rounds would serialize on the wrong medium).
+/// Deterministic multicast-group -> shard mapping of the multicast backends.
+/// Layers above the network ask Network::shard_of_group, so placement has
+/// one owner and per-shard round serialization always matches the medium.
 /// splitmix64 finalizer: cheap, well-dispersed, stable across runs.
 [[nodiscard]] constexpr std::size_t shard_of(std::uint64_t group, std::size_t shards) {
   if (shards <= 1) return 0;

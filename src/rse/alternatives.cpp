@@ -29,7 +29,7 @@ void broadcast_section_updates(tmk::NodeRuntime& master, const tmk::VectorClock&
   for (std::uint32_t i = since.at(0) + 1; i <= master.vc().at(0); ++i) {
     const tmk::IntervalRecord& rec = master.log().get(0, i);
     for (tmk::PageId p : rec.pages) {
-      for (tmk::DiffPacket& pkt : master.collect_diffs(p, {i}, /*on_server=*/false)) {
+      for (tmk::DiffPacket& pkt : master.collect_diffs(p, {i})) {
         const bool dup = std::any_of(packets.begin(), packets.end(),
                                      [&](const auto& q) { return q.reg == pkt.reg; });
         if (!dup) packets.push_back(std::move(pkt));
@@ -41,8 +41,7 @@ void broadcast_section_updates(tmk::NodeRuntime& master, const tmk::VectorClock&
   const std::uint64_t req_id = master.next_req_id();
   auto& slot = master.expect_replies(req_id);
   master.send_multicast(tmk::MsgKind::BcastUpdate,
-                        tmk::BcastUpdateP{req_id, std::move(records), std::move(packets)},
-                        /*on_server=*/false);
+                        tmk::BcastUpdateP{req_id, std::move(records), std::move(packets)});
   for (std::size_t i = 1; i < n; ++i) {
     (void)slot.pop();  // one BcastAck per slave
   }

@@ -29,13 +29,15 @@ const char* shard_track(std::size_t shard) {
 }  // namespace
 
 RseController::RseController(tmk::Cluster& cluster, FlowControl flow)
-    : cluster_(cluster),
-      flow_(flow),
-      shards_(cluster.network().hub_shards()),
-      state_(cluster.node_count()) {
-  for (NodeState& st : state_) st.rounds.resize(shards_);
-  state_[0].shards.resize(shards_);
-  cluster_.set_rse_hooks(this);  // registers this variant's handler set
+    : cluster_(cluster), flow_(flow), state_(cluster.node_count()) {
+  const std::size_t shards = cluster.network().hub_shards();
+  for (NodeState& st : state_) {
+    st.rounds.resize(shards);
+    st.exchange = std::make_unique<sim::Channel<net::Message>>(cluster.engine());
+  }
+  state_[0].shards.resize(shards);
+  cluster_.set_rse_hooks(this);
+  register_handlers(cluster_.protocol());
 }
 
 RseController::RoundState& RseController::round_state(tmk::NodeRuntime& rt, std::size_t shard) {
@@ -46,12 +48,11 @@ RseController::MasterShard& RseController::master_shard(std::size_t shard) {
   return state_[0].shards[shard];
 }
 
-void RseController::begin_round(tmk::NodeRuntime& rt, const tmk::McastDiffRequestP& req,
-                                bool on_server) {
+void RseController::begin_round(tmk::NodeRuntime& rt, const tmk::McastDiffRequestP& req) {
   if (flow_ == FlowControl::Chained) {
-    chain_begin_chained(rt, req, on_server);
+    chain_begin_chained(rt, req);
   } else {
-    begin_concurrent(rt, req, on_server);
+    begin_concurrent(rt, req);
   }
 }
 
@@ -85,28 +86,17 @@ void RseController::enter(tmk::NodeRuntime& rt) {
     rt.charge(kPerEntryCost * static_cast<std::int64_t>(mine.entries.size() + 1));
 
     if (rt.is_master()) {
-      if (st.gathering.size() != n) st.gathering.resize(n);
-      st.gathering[0] = mine;
-      while (st.notices_collected != n - 1) {
-        sim::WaitToken tok(cluster_.engine());
-        st.master_gather_waiter = &tok;
-        tok.wait();
-        st.master_gather_waiter = nullptr;
+      std::vector<tmk::ValidNoticesP> gathered(n);
+      gathered[0] = std::move(mine);
+      for (std::size_t i = 1; i < n; ++i) {
+        const net::Message msg = st.exchange->pop();
+        gathered[msg.src] = msg.as<tmk::ValidNoticesP>();
       }
-      auto table = std::make_shared<const std::vector<tmk::ValidNoticesP>>(
-          std::move(st.gathering));
-      st.gathering.clear();
-      st.notices_collected = 0;
-      rt.send_multicast(MsgKind::ValidTable, tmk::ValidTableP{table}, /*on_server=*/false);
-      st.table = table;
+      st.table = std::make_shared<const std::vector<tmk::ValidNoticesP>>(std::move(gathered));
+      rt.send_multicast(MsgKind::ValidTable, tmk::ValidTableP{st.table});
     } else {
-      rt.send_unicast(MsgKind::ValidNotices, 0, std::move(mine), /*on_server=*/false);
-      while (!st.table) {
-        sim::WaitToken tok(cluster_.engine());
-        st.table_waiter = &tok;
-        tok.wait();
-        st.table_waiter = nullptr;
-      }
+      rt.send_unicast(MsgKind::ValidNotices, 0, std::move(mine));
+      st.table = st.exchange->pop().as<tmk::ValidTableP>().per_node;
     }
 
     // Index the table by page for O(log) per-fault lookups.  Threads are
@@ -127,7 +117,6 @@ void RseController::enter(tmk::NodeRuntime& rt) {
   st.write_protected.assign(rt.twinned_pages().begin(), rt.twinned_pages().end());
   for (PageId p : st.write_protected) rt.page(p).rse_write_protected = true;
 
-  st.active = true;
   rt.set_in_replicated_section(true);
   if (chk::Checker* c = cluster_.checker()) [[unlikely]] {
     c->on_section_enter(rt, rt.current_site());
@@ -136,7 +125,7 @@ void RseController::enter(tmk::NodeRuntime& rt) {
 
 void RseController::exit(tmk::NodeRuntime& rt) {
   NodeState& st = state_[rt.id()];
-  REPSEQ_CHECK(st.active, "RSE exit without enter");
+  REPSEQ_CHECK(rt.in_replicated_section(), "RSE exit without enter");
   // Digest the section's write set before any post-section state is
   // touched: every replica must have produced identical bytes.
   if (chk::Checker* c = cluster_.checker()) [[unlikely]] {
@@ -147,7 +136,6 @@ void RseController::exit(tmk::NodeRuntime& rt) {
   // (Section 5.3); their twins still hold the pre-section modifications.
   for (PageId p : st.write_protected) rt.page(p).rse_write_protected = false;
   st.write_protected.clear();
-  st.active = false;
   st.table = nullptr;
   st.faulting.clear();
   // Frames of rounds that never completed (watchdog-abandoned; the page was
@@ -167,10 +155,10 @@ void RseController::exit(tmk::NodeRuntime& rt) {
   // ack chain; left alone it holds its shard until the watchdog fires and
   // the next section's rounds queue behind it.
   if (rt.is_master()) {
-    for (std::size_t shard = 0; shard < shards_; ++shard) {
+    for (std::size_t shard = 0; shard < st.shards.size(); ++shard) {
       MasterShard& ms = master_shard(shard);
       ms.queue.clear();
-      if (ms.round_in_flight) master_round_finished(rt, shard, /*on_server=*/false);
+      if (ms.round_in_flight) master_round_finished(rt, shard);
     }
   }
   if (obs::enabled(obs::Cat::Rse)) [[unlikely]] {
@@ -217,7 +205,7 @@ tmk::WantedByOwner RseController::union_missing(const std::vector<tmk::IntervalR
 
 void RseController::on_fault(tmk::NodeRuntime& rt, PageId page) {
   NodeState& st = state_[rt.id()];
-  REPSEQ_CHECK(st.active, "RSE fault outside a replicated section");
+  REPSEQ_CHECK(rt.in_replicated_section(), "RSE fault outside a replicated section");
   tmk::PhaseCounters& c = rt.stats().for_phase(cluster_.phase());
   ++c.page_faults;
   rt.charge(rt.config().fault_overhead);
@@ -241,14 +229,14 @@ void RseController::on_fault(tmk::NodeRuntime& rt, PageId page) {
       // Strawman: the faulting node multicasts its request directly; no
       // serialization at the master, holders reply immediately.
       tmk::McastDiffRequestP req{0, page, rt.id(), std::move(wanted)};
-      rt.send_multicast(MsgKind::McastDiffRequest, req, /*on_server=*/false, /*group=*/page);
-      begin_round(rt, req, /*on_server=*/false);
+      rt.send_multicast(MsgKind::McastDiffRequest, req, /*group=*/page);
+      begin_round(rt, req);
     } else {
       tmk::McastRequestFwdP fwd{page, rt.id(), std::move(wanted)};
       if (rt.is_master()) {
-        master_enqueue(rt, std::move(fwd), /*on_server=*/false);
+        master_enqueue(rt, std::move(fwd));
       } else {
-        rt.send_unicast(MsgKind::McastRequestFwd, 0, std::move(fwd), /*on_server=*/false);
+        rt.send_unicast(MsgKind::McastRequestFwd, 0, std::move(fwd));
       }
     }
   }
@@ -295,21 +283,18 @@ void RseController::recover(tmk::NodeRuntime& rt, PageId page) {
   // directly, ignoring the election; the replies are still multicast.
   const tmk::WantedByOwner wanted = rt.wanted_for_page(page);
   for (const auto& [owner, ivs] : wanted) {
-    rt.send_unicast(MsgKind::RecoverRequest, owner, tmk::RecoverRequestP{rt.next_req_id(), page, ivs},
-                    /*on_server=*/false);
+    rt.send_unicast(MsgKind::RecoverRequest, owner, tmk::RecoverRequestP{rt.next_req_id(), page, ivs});
   }
 }
 
-void RseController::master_enqueue(tmk::NodeRuntime& master, tmk::McastRequestFwdP fwd,
-                                   bool on_server) {
+void RseController::master_enqueue(tmk::NodeRuntime& master, tmk::McastRequestFwdP fwd) {
   const std::size_t shard = shard_for(fwd.page);
   MasterShard& ms = master_shard(shard);
   ms.queue.push_back(tmk::McastDiffRequestP{0, fwd.page, fwd.requester, std::move(fwd.wanted)});
-  if (!ms.round_in_flight) master_start_next(master, shard, on_server);
+  if (!ms.round_in_flight) master_start_next(master, shard);
 }
 
-void RseController::master_start_next(tmk::NodeRuntime& master, std::size_t shard,
-                                      bool on_server) {
+void RseController::master_start_next(tmk::NodeRuntime& master, std::size_t shard) {
   MasterShard& ms = master_shard(shard);
   if (ms.queue.empty()) {
     ms.round_in_flight = false;
@@ -335,8 +320,8 @@ void RseController::master_start_next(tmk::NodeRuntime& master, std::size_t shar
                          {"requester", static_cast<double>(req.requester)},
                          {"queued", static_cast<double>(ms.queue.size())}});
   }
-  master.send_multicast(MsgKind::McastDiffRequest, req, on_server, /*group=*/req.page);
-  begin_round(master, req, on_server);  // the master never receives its own frame
+  master.send_multicast(MsgKind::McastDiffRequest, req, /*group=*/req.page);
+  begin_round(master, req);  // the master never receives its own frame
 
   // Watchdog: a lost frame stalls the ack chain (and with it this shard's
   // round queue) indefinitely.  If this round is still in flight when the
@@ -363,8 +348,7 @@ void RseController::master_start_next(tmk::NodeRuntime& master, std::size_t shar
       });
 }
 
-void RseController::master_round_finished(tmk::NodeRuntime& master, std::size_t shard,
-                                          bool on_server) {
+void RseController::master_round_finished(tmk::NodeRuntime& master, std::size_t shard) {
   MasterShard& ms = master_shard(shard);
   REPSEQ_CHECK(ms.round_in_flight, "round finish without a round");
   // Every round ending -- normal chain/window completion AND watchdog
@@ -381,11 +365,10 @@ void RseController::master_round_finished(tmk::NodeRuntime& master, std::size_t 
     cluster_.engine().cancel(ms.round_watchdog);
     ms.round_watchdog = nullptr;
   }
-  master_start_next(master, shard, on_server);
+  master_start_next(master, shard);
 }
 
-void RseController::chain_begin_chained(tmk::NodeRuntime& rt, const tmk::McastDiffRequestP& req,
-                                        bool on_server) {
+void RseController::chain_begin_chained(tmk::NodeRuntime& rt, const tmk::McastDiffRequestP& req) {
   const std::size_t shard = shard_for(req.page);
   RoundState& st = round_state(rt, shard);
   st.round = req.round;
@@ -401,16 +384,15 @@ void RseController::chain_begin_chained(tmk::NodeRuntime& rt, const tmk::McastDi
   }
   st.early_frames.erase(st.early_frames.begin(), st.early_frames.upper_bound(req.round));
   while (st.next_sender == rt.id()) {
-    chain_send_own(rt, shard, on_server);
+    chain_send_own(rt, shard);
   }
   for (net::NodeId s : replay) {
-    chain_observe(rt, shard, s, on_server);
+    chain_observe(rt, shard, s);
   }
-  chain_maybe_finish(rt, shard, on_server);
+  chain_maybe_finish(rt, shard);
 }
 
-void RseController::begin_concurrent(tmk::NodeRuntime& rt, const tmk::McastDiffRequestP& req,
-                                     bool on_server) {
+void RseController::begin_concurrent(tmk::NodeRuntime& rt, const tmk::McastDiffRequestP& req) {
   // Concurrent replies: every holder answers immediately.
   const std::size_t shard = shard_for(req.page);
   RoundState& st = round_state(rt, shard);
@@ -420,37 +402,35 @@ void RseController::begin_concurrent(tmk::NodeRuntime& rt, const tmk::McastDiffR
   const bool i_hold = std::any_of(req.wanted.begin(), req.wanted.end(),
                                   [&](const auto& w) { return w.first == rt.id(); });
   if (i_hold) {
-    send_own_frame(rt, shard, on_server);
+    send_own_frame(rt, shard);
     if (flow_ == FlowControl::Windowed && rt.is_master()) {
-      window_retire(rt, shard, rt.id(), req.round, on_server);
+      window_retire(rt, shard, rt.id(), req.round);
     }
   }
 }
 
-void RseController::send_own_frame(tmk::NodeRuntime& rt, std::size_t shard, bool on_server) {
+void RseController::send_own_frame(tmk::NodeRuntime& rt, std::size_t shard) {
   RoundState& st = round_state(rt, shard);
   auto it = std::find_if(st.round_wanted.begin(), st.round_wanted.end(),
                          [&](const auto& w) { return w.first == rt.id(); });
   if (it != st.round_wanted.end()) {
-    std::vector<tmk::DiffPacket> packets = rt.collect_diffs(st.round_page, it->second, on_server);
+    std::vector<tmk::DiffPacket> packets = rt.collect_diffs(st.round_page, it->second);
     rt.send_multicast(MsgKind::McastDiffReply,
                       tmk::McastDiffReplyP{st.round, st.round_page, rt.id(), std::move(packets)},
-                      on_server, /*group=*/st.round_page);
+                      /*group=*/st.round_page);
   } else {
     // "otherwise a null acknowledgment message is sent" (Section 5.4.2).
-    rt.send_multicast(MsgKind::McastNullAck,
-                      tmk::McastNullAckP{st.round, st.round_page, rt.id()}, on_server,
+    rt.send_multicast(MsgKind::McastNullAck, tmk::McastNullAckP{st.round, st.round_page, rt.id()},
                       /*group=*/st.round_page);
   }
 }
 
-void RseController::chain_send_own(tmk::NodeRuntime& rt, std::size_t shard, bool on_server) {
-  send_own_frame(rt, shard, on_server);
+void RseController::chain_send_own(tmk::NodeRuntime& rt, std::size_t shard) {
+  send_own_frame(rt, shard);
   ++round_state(rt, shard).next_sender;
 }
 
-void RseController::chain_observe(tmk::NodeRuntime& rt, std::size_t shard, net::NodeId sender,
-                                  bool on_server) {
+void RseController::chain_observe(tmk::NodeRuntime& rt, std::size_t shard, net::NodeId sender) {
   RoundState& st = round_state(rt, shard);
   // On the FIFO hub, frames arrive strictly in thread-id order without
   // loss.  A gap means a lost frame (skip over it; the requester's timeout
@@ -462,15 +442,15 @@ void RseController::chain_observe(tmk::NodeRuntime& rt, std::size_t shard, net::
   const bool own_turn_skipped = st.next_sender <= rt.id() && rt.id() < sender;
   st.next_sender = sender + 1;
   if (own_turn_skipped) {
-    send_own_frame(rt, shard, on_server);
+    send_own_frame(rt, shard);
   }
   while (st.next_sender == rt.id()) {
-    chain_send_own(rt, shard, on_server);
+    chain_send_own(rt, shard);
   }
-  chain_maybe_finish(rt, shard, on_server);
+  chain_maybe_finish(rt, shard);
 }
 
-void RseController::chain_maybe_finish(tmk::NodeRuntime& rt, std::size_t shard, bool on_server) {
+void RseController::chain_maybe_finish(tmk::NodeRuntime& rt, std::size_t shard) {
   if (!rt.is_master()) return;
   const RoundState& st = round_state(rt, shard);
   if (st.next_sender < cluster_.node_count()) return;
@@ -481,23 +461,22 @@ void RseController::chain_maybe_finish(tmk::NodeRuntime& rt, std::size_t shard, 
   // else's round.
   const MasterShard& ms = master_shard(shard);
   if (ms.round_in_flight && ms.active_round == st.round) {
-    master_round_finished(rt, shard, on_server);
+    master_round_finished(rt, shard);
   }
 }
 
 void RseController::window_retire(tmk::NodeRuntime& rt, std::size_t shard, net::NodeId sender,
-                                  std::uint64_t round, bool on_server) {
+                                  std::uint64_t round) {
   MasterShard& ms = master_shard(shard);
   // A reply from a watchdog-abandoned round must not shrink the successor
   // round's window.
   if (!ms.round_in_flight || round != ms.active_round) return;
   std::erase(ms.awaiting_replies, sender);
-  if (ms.awaiting_replies.empty()) master_round_finished(rt, shard, on_server);
+  if (ms.awaiting_replies.empty()) master_round_finished(rt, shard);
 }
 
 void RseController::apply_mcast_packets(tmk::NodeRuntime& rt,
-                                        const std::vector<tmk::DiffPacket>& pkts,
-                                        bool on_server) {
+                                        const std::vector<tmk::DiffPacket>& pkts) {
   // Frames of one round arrive in chain (node-id) order, not causal order.
   // With causally ordered same-page writers -- a lock chain before the
   // section -- applying each frame on arrival would let an older diff land
@@ -545,7 +524,7 @@ void RseController::apply_mcast_packets(tmk::NodeRuntime& rt,
     if (sp.remaining == 0) {
       std::vector<tmk::DiffPacket> batch = std::move(sp.frames);
       st.staged.erase(it);
-      rt.apply_packets_causally(std::move(batch), on_server);
+      rt.apply_packets_causally(std::move(batch));
     }
   }
 }
@@ -555,31 +534,20 @@ void RseController::register_handlers(tmk::ProtocolEngine& engine) {
 
   engine.on(MsgKind::ValidNotices, [this](tmk::NodeRuntime& rt, const net::Message& msg) {
     REPSEQ_CHECK(rt.is_master(), "valid notices routed to non-master");
-    NodeState& ms = state_[0];
-    if (ms.gathering.size() != cluster_.node_count()) {
-      ms.gathering.resize(cluster_.node_count());
-    }
-    ms.gathering[msg.src] = msg.as<tmk::ValidNoticesP>();
-    ++ms.notices_collected;
-    if (ms.notices_collected == cluster_.node_count() - 1 && ms.master_gather_waiter != nullptr) {
-      ms.master_gather_waiter->signal();
-    }
+    state_[0].exchange->push(msg);
   });
   engine.on(MsgKind::ValidTable, [this](tmk::NodeRuntime& rt, const net::Message& msg) {
-    NodeState& st = state_[rt.id()];
-    st.table = msg.as<tmk::ValidTableP>().per_node;
-    if (st.table_waiter != nullptr) st.table_waiter->signal();
+    state_[rt.id()].exchange->push(msg);
   });
   engine.on(MsgKind::McastDiffRequest, [this](tmk::NodeRuntime& rt, const net::Message& msg) {
-    begin_round(rt, msg.as<tmk::McastDiffRequestP>(), /*on_server=*/true);
+    begin_round(rt, msg.as<tmk::McastDiffRequestP>());
   });
   engine.on(MsgKind::RecoverRequest, [this](tmk::NodeRuntime& rt, const net::Message& msg) {
     const auto& r = msg.as<tmk::RecoverRequestP>();
-    std::vector<tmk::DiffPacket> packets = rt.collect_diffs(r.page, r.intervals,
-                                                            /*on_server=*/true);
+    std::vector<tmk::DiffPacket> packets = rt.collect_diffs(r.page, r.intervals);
     rt.send_multicast(MsgKind::McastDiffReply,
                       tmk::McastDiffReplyP{0, r.page, rt.id(), std::move(packets)},
-                      /*on_server=*/true, /*group=*/r.page);
+                      /*group=*/r.page);
   });
 
   // ---- per-variant handler sets ----
@@ -588,12 +556,12 @@ void RseController::register_handlers(tmk::ProtocolEngine& engine) {
     case FlowControl::Chained:
       engine.on(MsgKind::McastDiffReply, [this](tmk::NodeRuntime& rt, const net::Message& msg) {
         const auto& r = msg.as<tmk::McastDiffReplyP>();
-        apply_mcast_packets(rt, r.packets, /*on_server=*/true);
+        apply_mcast_packets(rt, r.packets);
         if (r.round != 0) {
           const std::size_t shard = shard_for(r.page);
           RoundState& st = round_state(rt, shard);
           if (r.round == st.round) {
-            chain_observe(rt, shard, r.sender, /*on_server=*/true);
+            chain_observe(rt, shard, r.sender);
           } else if (r.round > st.round) {
             // Overtook its own round's request (non-FIFO transport); park
             // for replay when that request arrives.
@@ -606,7 +574,7 @@ void RseController::register_handlers(tmk::ProtocolEngine& engine) {
         const std::size_t shard = shard_for(a.page);
         RoundState& st = round_state(rt, shard);
         if (a.round == st.round) {
-          chain_observe(rt, shard, a.sender, /*on_server=*/true);
+          chain_observe(rt, shard, a.sender);
         } else if (a.round > st.round) {
           st.early_frames[a.round].insert(a.sender);
         }
@@ -615,16 +583,16 @@ void RseController::register_handlers(tmk::ProtocolEngine& engine) {
     case FlowControl::Windowed:
       engine.on(MsgKind::McastDiffReply, [this](tmk::NodeRuntime& rt, const net::Message& msg) {
         const auto& r = msg.as<tmk::McastDiffReplyP>();
-        apply_mcast_packets(rt, r.packets, /*on_server=*/true);
+        apply_mcast_packets(rt, r.packets);
         if (r.round != 0 && rt.is_master()) {
-          window_retire(rt, shard_for(r.page), r.sender, r.round, /*on_server=*/true);
+          window_retire(rt, shard_for(r.page), r.sender, r.round);
         }
       });
       break;
     case FlowControl::None:
       // No rounds, no acks: replies carry diffs and nothing else.
       engine.on(MsgKind::McastDiffReply, [this](tmk::NodeRuntime& rt, const net::Message& msg) {
-        apply_mcast_packets(rt, msg.as<tmk::McastDiffReplyP>().packets, /*on_server=*/true);
+        apply_mcast_packets(rt, msg.as<tmk::McastDiffReplyP>().packets);
       });
       break;
   }
@@ -635,7 +603,7 @@ void RseController::register_handlers(tmk::ProtocolEngine& engine) {
   if (flow_ != FlowControl::None) {
     engine.on(MsgKind::McastRequestFwd, [this](tmk::NodeRuntime& rt, const net::Message& msg) {
       REPSEQ_CHECK(rt.is_master(), "forwarded request routed to non-master");
-      master_enqueue(rt, msg.as<tmk::McastRequestFwdP>(), /*on_server=*/true);
+      master_enqueue(rt, msg.as<tmk::McastRequestFwdP>());
     });
     engine.on(MsgKind::RseRoundTick, [this](tmk::NodeRuntime& rt, const net::Message& msg) {
       REPSEQ_CHECK(rt.is_master(), "round tick on non-master");
@@ -648,7 +616,7 @@ void RseController::register_handlers(tmk::ProtocolEngine& engine) {
                                 {{"round", static_cast<double>(tick.round)},
                                  {"shard", static_cast<double>(tick.shard)}});
         }
-        master_round_finished(rt, tick.shard, /*on_server=*/true);
+        master_round_finished(rt, tick.shard);
       }
     });
   }

@@ -19,6 +19,7 @@
 #include <set>
 #include <vector>
 
+#include "sim/channel.hpp"
 #include "tmk/runtime.hpp"
 
 namespace repseq::rse {
@@ -35,6 +36,8 @@ enum class FlowControl {
 
 class RseController final : public tmk::RseHooks {
  public:
+  /// Attaches to `cluster` (a second controller on one cluster aborts) and
+  /// registers the handler set of `flow` with its dispatch registry.
   explicit RseController(tmk::Cluster& cluster, FlowControl flow = FlowControl::Chained);
 
   RseController(const RseController&) = delete;
@@ -62,13 +65,8 @@ class RseController final : public tmk::RseHooks {
       const std::vector<tmk::IntervalRecordPtr>& notices,
       const std::vector<FaultingThread>& faulting);
 
-  // --- RseHooks (dispatcher + fault integration) ---
+  // --- RseHooks (fault integration) ---
   void on_fault(tmk::NodeRuntime& rt, tmk::PageId page) override;
-  /// Registers the handler set for the configured FlowControl variant.
-  /// Chained registers the full round/ack-chain machinery; Windowed drops
-  /// the null-ack chain in favor of a master-side reply window; None
-  /// registers only the request/reply pair (no rounds, no acks).
-  void register_handlers(tmk::ProtocolEngine& engine) override;
 
   /// Total virtual time nodes spent inside the valid-notice exchange
   /// (reported in Section 6 as part of the overhead decomposition).
@@ -105,7 +103,6 @@ class RseController final : public tmk::RseHooks {
   };
 
   struct NodeState {
-    bool active = false;
     /// Pages write-protected at entry (those holding a twin; Section 5.3),
     /// so exit resets exactly these.
     std::vector<tmk::PageId> write_protected;
@@ -116,8 +113,9 @@ class RseController final : public tmk::RseHooks {
     /// shared_ptr keeps the storage alive).  The front thread is the page's
     /// elected requester (Section 5.4.1).
     std::map<tmk::PageId, std::vector<FaultingThread>> faulting;
-    /// Waiting app fiber during the table exchange.
-    sim::WaitToken* table_waiter = nullptr;
+    /// The valid-notice exchange's inbox: the slaves' ValidNotices on the
+    /// master, the master's ValidTable on a slave.
+    std::unique_ptr<sim::Channel<net::Message>> exchange;
 
     /// Per-shard round state (index = shard id, sized to the backend's
     /// shard count; single-medium backends have exactly one entry).
@@ -145,63 +143,60 @@ class RseController final : public tmk::RseHooks {
 
     // ---- master-only state ----
     std::vector<MasterShard> shards;  // per-shard round tables (node 0 only)
-    std::uint32_t notices_collected = 0;
-    std::vector<tmk::ValidNoticesP> gathering;
-    sim::WaitToken* master_gather_waiter = nullptr;
   };
 
   /// The shard of the multicast medium carrying round traffic for `page`
-  /// (must agree with the sharded-hub backend's group placement).
+  /// (round traffic is multicast with the page as its group).
   [[nodiscard]] std::size_t shard_for(tmk::PageId page) const {
-    return net::shard_of(page, shards_);
+    return cluster_.network().shard_of_group(page);
   }
-  /// This node's per-shard round state, growing the table on first use.
+  /// This node's per-shard round state (tables sized at construction).
   [[nodiscard]] RoundState& round_state(tmk::NodeRuntime& rt, std::size_t shard);
   [[nodiscard]] MasterShard& master_shard(std::size_t shard);
 
   /// Master: enqueue a forwarded request on its page's shard, start it if
   /// that shard has no round in flight.
-  void master_enqueue(tmk::NodeRuntime& master, tmk::McastRequestFwdP fwd, bool on_server);
-  void master_start_next(tmk::NodeRuntime& master, std::size_t shard, bool on_server);
-  void master_round_finished(tmk::NodeRuntime& master, std::size_t shard, bool on_server);
+  void master_enqueue(tmk::NodeRuntime& master, tmk::McastRequestFwdP fwd);
+  void master_start_next(tmk::NodeRuntime& master, std::size_t shard);
+  void master_round_finished(tmk::NodeRuntime& master, std::size_t shard);
 
   /// Round entry at node `rt` (on multicast-request receipt, or locally at
   /// the sender): Chained walks the ack chain, Windowed/None reply
   /// immediately when holding requested diffs.
-  void begin_round(tmk::NodeRuntime& rt, const tmk::McastDiffRequestP& req, bool on_server);
-  void chain_begin_chained(tmk::NodeRuntime& rt, const tmk::McastDiffRequestP& req,
-                           bool on_server);
-  void begin_concurrent(tmk::NodeRuntime& rt, const tmk::McastDiffRequestP& req, bool on_server);
+  void begin_round(tmk::NodeRuntime& rt, const tmk::McastDiffRequestP& req);
+  void chain_begin_chained(tmk::NodeRuntime& rt, const tmk::McastDiffRequestP& req);
+  void begin_concurrent(tmk::NodeRuntime& rt, const tmk::McastDiffRequestP& req);
   /// Advances the shard's ack chain after `sender`'s frame was observed.
-  void chain_observe(tmk::NodeRuntime& rt, std::size_t shard, net::NodeId sender,
-                     bool on_server);
+  void chain_observe(tmk::NodeRuntime& rt, std::size_t shard, net::NodeId sender);
   /// Finishes the master's round when the chain has walked every node AND
   /// the round is still the one in flight (a watchdog-abandoned round's
   /// late-completing chain must not finish its successor).
-  void chain_maybe_finish(tmk::NodeRuntime& rt, std::size_t shard, bool on_server);
+  void chain_maybe_finish(tmk::NodeRuntime& rt, std::size_t shard);
   /// Sends this node's frame (diffs or null ack) for the shard's round.
-  void send_own_frame(tmk::NodeRuntime& rt, std::size_t shard, bool on_server);
+  void send_own_frame(tmk::NodeRuntime& rt, std::size_t shard);
   /// send_own_frame at this node's chain turn; advances the turn counter.
-  void chain_send_own(tmk::NodeRuntime& rt, std::size_t shard, bool on_server);
+  void chain_send_own(tmk::NodeRuntime& rt, std::size_t shard);
   /// Windowed: retire `sender`'s reply for `round` from the shard's master
   /// window (ignores replies of abandoned rounds).
   void window_retire(tmk::NodeRuntime& rt, std::size_t shard, net::NodeId sender,
-                     std::uint64_t round, bool on_server);
+                     std::uint64_t round);
 
   /// Applies multicast diff packets if (and only if) this node still misses
   /// them; valid pages are never overwritten (their replicated writes may
   /// already have diverged from the pre-section image).
-  void apply_mcast_packets(tmk::NodeRuntime& rt, const std::vector<tmk::DiffPacket>& pkts,
-                           bool on_server);
+  void apply_mcast_packets(tmk::NodeRuntime& rt, const std::vector<tmk::DiffPacket>& pkts);
 
   /// Timeout recovery (Section 5.4.2): request own missing diffs directly.
   void recover(tmk::NodeRuntime& rt, tmk::PageId page);
 
+  /// Registers the handler set for the configured FlowControl variant.
+  /// Chained registers the full round/ack-chain machinery; Windowed drops
+  /// the null-ack chain in favor of a master-side reply window; None
+  /// registers only the request/reply pair (no rounds, no acks).
+  void register_handlers(tmk::ProtocolEngine& engine);
+
   tmk::Cluster& cluster_;
   FlowControl flow_;
-  /// Multicast serialization domains of the active transport backend; the
-  /// round tables are sized to it (1 everywhere except the sharded hub).
-  std::size_t shards_;
   std::vector<NodeState> state_;
   sim::SimDuration valid_notice_time_{};
 };

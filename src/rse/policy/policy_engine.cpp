@@ -205,8 +205,7 @@ SectionStrategy PolicyEngine::open_section(tmk::NodeRuntime& master, std::uint32
     master.send_multicast(tmk::MsgKind::PolicySectionOpen,
                           tmk::PolicySectionOpenP{d.seq, site,
                                                   static_cast<std::uint8_t>(chosen),
-                                                  static_cast<std::uint8_t>(switched)},
-                          /*on_server=*/false);
+                                                  static_cast<std::uint8_t>(switched)});
   }
 
   section_open_ = true;

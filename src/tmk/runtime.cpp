@@ -45,7 +45,6 @@ NodeRuntime::NodeRuntime(Cluster& cluster, NodeId id)
 
 const TmkConfig& NodeRuntime::config() const { return cluster_.config(); }
 std::size_t NodeRuntime::node_count() const { return cluster_.node_count(); }
-RseHooks* NodeRuntime::rse_hooks() const { return cluster_.rse_hooks(); }
 
 std::span<std::byte> NodeRuntime::page_span(PageId p) {
   const std::size_t pb = config().page_bytes;
@@ -92,8 +91,8 @@ void NodeRuntime::read_barrier(GAddr addr, std::size_t bytes) {
   const PageId last = page_of(addr + (bytes == 0 ? 0 : bytes - 1), pb);
   for (PageId p = first; p <= last; ++p) {
     if (pages_[p].prot == PageProt::Invalid) {
-      if (in_replicated_section_ && rse_hooks() != nullptr) {
-        rse_hooks()->on_fault(*this, p);
+      if (in_replicated_section_) {
+        cluster_.rse_hooks()->on_fault(*this, p);
       } else {
         fault_in_page(p);
       }
@@ -116,16 +115,10 @@ void NodeRuntime::write_barrier(GAddr addr, std::size_t bytes) {
       // case is the Section 5.3 hazard: a page dirty from *before* the
       // section must flush its pre-section modifications into a diff at
       // the first replicated write.
-      if (ps.prot == PageProt::Invalid) {
-        if (rse_hooks() != nullptr) {
-          rse_hooks()->on_fault(*this, p);
-        } else {
-          fault_in_page(p);
-        }
-      }
+      if (ps.prot == PageProt::Invalid) cluster_.rse_hooks()->on_fault(*this, p);
       if (ps.rse_write_protected) {
         charge(config().fault_overhead);  // the write-protection trap
-        flush_diff(p, /*on_server=*/false);
+        flush_diff(p);
         ps.rse_write_protected = false;
       }
       continue;
@@ -222,7 +215,7 @@ void NodeRuntime::end_interval() {
   current_dirty_.clear();
 }
 
-void NodeRuntime::apply_notice(const IntervalRecordPtr& rec, bool on_server) {
+void NodeRuntime::apply_notice(const IntervalRecordPtr& rec) {
   if (rec->index <= log_.known(rec->owner)) return;  // duplicate
   log_.insert(rec);
   for (PageId p : rec->pages) page_notice_index_[p].push_back(rec);
@@ -237,21 +230,21 @@ void NodeRuntime::apply_notice(const IntervalRecordPtr& rec, bool on_server) {
     if (ps.has_twin()) {
       // Multiple-writer protocol: capture local modifications in a diff
       // before the page is invalidated by a remote notice.
-      flush_diff(p, on_server);
+      flush_diff(p);
     }
     ps.prot = PageProt::Invalid;
     ps.pending.push_back(rec);
   }
 }
 
-void NodeRuntime::flush_diff(PageId p, bool on_server) {
+void NodeRuntime::flush_diff(PageId p) {
   PageState& ps = pages_[p];
   if (!ps.has_twin()) return;
   const std::size_t pb = config().page_bytes;
 
   const sim::SimDuration cost =
       config().diff_create_fixed + per_byte(config().diff_create_ns_per_byte, pb);
-  if (on_server) {
+  if (on_server()) {
     cpu_.service(cost);
   } else {
     charge(cost);
@@ -264,7 +257,7 @@ void NodeRuntime::flush_diff(PageId p, bool on_server) {
                           static_cast<std::int32_t>(id_) + 1, "tmk", "diff-create",
                           {{"page", static_cast<double>(p)},
                            {"wire_bytes", static_cast<double>(diff->wire_bytes())},
-                           {"on_server", on_server ? 1.0 : 0.0}});
+                           {"on_server", on_server() ? 1.0 : 0.0}});
   }
   // Coverage rule.  The diff carries every modification since the twin was
   // taken, which may span several *closed* intervals plus a prefix of the
@@ -295,8 +288,7 @@ void NodeRuntime::flush_diff(PageId p, bool on_server) {
 }
 
 std::vector<DiffPacket> NodeRuntime::collect_diffs(PageId page,
-                                                   const std::vector<std::uint32_t>& intervals,
-                                                   bool on_server) {
+                                                   const std::vector<std::uint32_t>& intervals) {
   PageState& ps = pages_[page];
   // A requested interval whose modifications are (partly) still under the
   // twin must be flushed first, or the frozen batch would miss its suffix.
@@ -306,7 +298,7 @@ std::vector<DiffPacket> NodeRuntime::collect_diffs(PageId page,
           return std::find(ps.open_intervals.begin(), ps.open_intervals.end(), i) !=
                  ps.open_intervals.end();
         });
-    if (twin_covers_request) flush_diff(page, on_server);
+    if (twin_covers_request) flush_diff(page);
   }
   // Answer each registered batch once, carrying its FULL covers so the
   // receiver can recognize batches it has already applied.  A registration
@@ -350,7 +342,7 @@ void NodeRuntime::causal_order(const IntervalLog& log, const std::vector<DiffPac
   });
 }
 
-void NodeRuntime::apply_packets_causally(std::vector<DiffPacket> pkts, bool on_server) {
+void NodeRuntime::apply_packets_causally(std::vector<DiffPacket> pkts) {
   // Causal order: by the Lamport projection of the newest covered interval.
   // Data-race-free programs order same-word writers totally, so the writer
   // whose interval is causally latest must land last.
@@ -409,11 +401,11 @@ void NodeRuntime::apply_packets_causally(std::vector<DiffPacket> pkts, bool on_s
                           static_cast<std::int32_t>(id_) + 1, "tmk", "diff-apply",
                           {{"packets", static_cast<double>(applied)},
                            {"bytes", static_cast<double>(bytes)},
-                           {"on_server", on_server ? 1.0 : 0.0}});
+                           {"on_server", on_server() ? 1.0 : 0.0}});
   }
   const sim::SimDuration cost = config().diff_apply_fixed * static_cast<std::int64_t>(applied) +
                                 per_byte(config().diff_apply_ns_per_byte, bytes);
-  if (on_server) {
+  if (on_server()) {
     cpu_.service(cost);
   } else {
     charge(cost);
@@ -507,8 +499,7 @@ void NodeRuntime::fault_in_page(PageId p) {
       for (const auto& [owner, ivs] : wanted) {
         if (!to.contains(owner)) continue;
         REPSEQ_CHECK(owner != id_, "pending notice from self");
-        send_unicast(MsgKind::DiffRequest, owner, DiffRequestP{req_id, p, ivs},
-                     /*on_server=*/false);
+        send_unicast(MsgKind::DiffRequest, owner, DiffRequestP{req_id, p, ivs});
       }
     };
     for (const auto& [owner, _] : wanted) outstanding.insert(owner);
@@ -539,7 +530,7 @@ void NodeRuntime::fault_in_page(PageId p) {
       for (const DiffPacket& pkt : reply.packets) collected.push_back(pkt);
     }
     drop_reply_slot(req_id);
-    apply_packets_causally(std::move(collected), /*on_server=*/false);
+    apply_packets_causally(std::move(collected));
   }
   if (obs::enabled(obs::Cat::Tmk)) [[unlikely]] {
     obs::tracer().end(obs::Cat::Tmk, cluster_.engine().now(),
@@ -552,7 +543,7 @@ void NodeRuntime::fault_in_page(PageId p) {
 // Send helpers
 // ---------------------------------------------------------------------------
 
-void NodeRuntime::send_raw_unicast(net::Message msg, bool on_server) {
+void NodeRuntime::send_raw_unicast(net::Message msg) {
   const auto& ncfg = cluster_.network().config();
   const std::size_t wire = ncfg.wire_bytes(msg.payload_bytes);
   PhaseCounters& c = stats_.for_phase(cluster_.phase());
@@ -567,7 +558,7 @@ void NodeRuntime::send_raw_unicast(net::Message msg, bool on_server) {
     ++c.diff_msgs_sent;
     c.diff_bytes_sent += wire;
   }
-  if (on_server) {
+  if (on_server()) {
     cpu_.service(ncfg.send_overhead);
   } else {
     cpu_.flush();
@@ -579,7 +570,7 @@ void NodeRuntime::send_raw_unicast(net::Message msg, bool on_server) {
   });
 }
 
-void NodeRuntime::send_raw_multicast(net::Message msg, bool on_server) {
+void NodeRuntime::send_raw_multicast(net::Message msg) {
   net::Network& nw = cluster_.network();
   const auto& ncfg = nw.config();
   const MsgKind kind = kind_of(msg);
@@ -587,7 +578,7 @@ void NodeRuntime::send_raw_multicast(net::Message msg, bool on_server) {
   // itself (one on the hub; its own children on the tree; every frame in
   // the fan-out strawman).  Receiver-side loss never refunds CPU time.
   const auto sender_frames = static_cast<std::int64_t>(nw.multicast_sender_frames());
-  if (on_server) {
+  if (on_server()) {
     cpu_.service(ncfg.send_overhead * sender_frames);
   } else {
     cpu_.flush();
@@ -652,10 +643,9 @@ bool NodeRuntime::wait_page_valid(PageId p, sim::SimDuration timeout) {
 // ---------------------------------------------------------------------------
 
 void NodeRuntime::merge_sync_payload(const VectorClock& vc,
-                                     const std::vector<IntervalRecordPtr>& records,
-                                     bool on_server) {
+                                     const std::vector<IntervalRecordPtr>& records) {
   for (const IntervalRecordPtr& rec : records) {
-    apply_notice(rec, on_server);
+    apply_notice(rec);
   }
   vc_.max_with(vc);
   if (chk_ != nullptr) [[unlikely]] chk_->on_sync_merge(id_);
@@ -673,7 +663,7 @@ void NodeRuntime::barrier(std::uint32_t barrier_id) {
   if (is_master()) {
     BarrierGroup& g = barriers_[seq];
     g.master_arrived = true;
-    barrier_complete_if_ready(seq, /*on_server=*/false);
+    barrier_complete_if_ready(seq);
     auto it = barriers_.find(seq);
     if (it != barriers_.end()) {
       sim::WaitToken tok(cluster_.engine());
@@ -683,11 +673,11 @@ void NodeRuntime::barrier(std::uint32_t barrier_id) {
   } else {
     BarrierArriveP arr{seq, vc_, records_unknown_to(last_master_vc_)};
     if (chk_ != nullptr) [[unlikely]] arr.chk = chk_->shadow(id_);
-    send_unicast(MsgKind::BarrierArrive, 0, std::move(arr), /*on_server=*/false);
+    send_unicast(MsgKind::BarrierArrive, 0, std::move(arr));
     net::Message msg = depart_ch_.pop();
     const auto& d = msg.as<BarrierDepartP>();
     REPSEQ_CHECK(d.barrier_seq == seq, "barrier sequence mismatch");
-    merge_sync_payload(d.vc, d.records, /*on_server=*/false);
+    merge_sync_payload(d.vc, d.records);
     last_master_vc_ = d.vc;
     if (chk_ != nullptr) [[unlikely]] chk_->on_acquire(id_, d.chk);
   }
@@ -696,7 +686,7 @@ void NodeRuntime::barrier(std::uint32_t barrier_id) {
 void NodeRuntime::handle_barrier_arrive(const net::Message& msg) {
   const auto& a = msg.as<BarrierArriveP>();
   BarrierGroup& g = barriers_[a.barrier_seq];
-  merge_sync_payload(a.vc, a.records, /*on_server=*/true);
+  merge_sync_payload(a.vc, a.records);
   // Shadow clocks must NOT merge here: the dispatcher handles arrivals in
   // the middle of the master's epoch, and an eager merge would falsely
   // order slave writes before the master's in-progress accesses.  Buffer,
@@ -704,10 +694,10 @@ void NodeRuntime::handle_barrier_arrive(const net::Message& msg) {
   if (chk_ != nullptr) [[unlikely]] chk_->buffer_barrier_arrival(a.barrier_seq, a.chk);
   g.waiter_vcs.emplace_back(msg.src, a.vc);
   ++g.arrived;
-  barrier_complete_if_ready(a.barrier_seq, /*on_server=*/true);
+  barrier_complete_if_ready(a.barrier_seq);
 }
 
-void NodeRuntime::barrier_complete_if_ready(std::uint64_t barrier_seq, bool on_server) {
+void NodeRuntime::barrier_complete_if_ready(std::uint64_t barrier_seq) {
   auto it = barriers_.find(barrier_seq);
   REPSEQ_CHECK(it != barriers_.end(), "unknown barrier");
   BarrierGroup& g = it->second;
@@ -719,7 +709,7 @@ void NodeRuntime::barrier_complete_if_ready(std::uint64_t barrier_seq, bool on_s
   for (const auto& [slave, arrive_vc] : g.waiter_vcs) {
     BarrierDepartP dep{barrier_seq, vc_, records_unknown_to(arrive_vc)};
     if (chk_ != nullptr) [[unlikely]] dep.chk = chk_->shadow(id_);
-    send_unicast(MsgKind::BarrierDepart, slave, std::move(dep), on_server);
+    send_unicast(MsgKind::BarrierDepart, slave, std::move(dep));
     slave_known_vc_[slave] = vc_;
   }
   sim::WaitToken* waiter = g.master_waiter;
@@ -737,14 +727,14 @@ void NodeRuntime::lock_acquire(std::uint32_t lock_id) {
   const std::uint64_t req_id = next_req_id();
   LockAcquireP payload{req_id, lock_id, vc_};
   if (manager == id_) {
-    manager_acquire(id_, std::move(payload), /*on_server=*/false);
+    manager_acquire(id_, std::move(payload));
   } else {
-    send_unicast(MsgKind::LockAcquire, manager, std::move(payload), /*on_server=*/false);
+    send_unicast(MsgKind::LockAcquire, manager, std::move(payload));
   }
   net::Message msg = grant_ch_.pop();
   const auto& g = msg.as<LockGrantP>();
   REPSEQ_CHECK(g.lock == lock_id, "lock grant mismatch");
-  merge_sync_payload(g.vc, g.records, /*on_server=*/false);
+  merge_sync_payload(g.vc, g.records);
   if (chk_ != nullptr) [[unlikely]] chk_->on_acquire(id_, g.chk);
 }
 
@@ -752,13 +742,13 @@ void NodeRuntime::lock_release(std::uint32_t lock_id) {
   end_interval();
   const NodeId manager = static_cast<NodeId>(lock_id % node_count());
   if (manager == id_) {
-    manager_release(id_, lock_id, /*on_server=*/false);
+    manager_release(id_, lock_id);
   } else {
-    send_unicast(MsgKind::LockRelease, manager, LockReleaseP{lock_id}, /*on_server=*/false);
+    send_unicast(MsgKind::LockRelease, manager, LockReleaseP{lock_id});
   }
 }
 
-void NodeRuntime::manager_acquire(NodeId acquirer, LockAcquireP p, bool on_server) {
+void NodeRuntime::manager_acquire(NodeId acquirer, LockAcquireP p) {
   LockManagerState& st = managed_locks_[p.lock];
   if (st.held || !st.waiting.empty()) {
     st.waiting.emplace_back(acquirer, std::move(p));
@@ -769,16 +759,15 @@ void NodeRuntime::manager_acquire(NodeId acquirer, LockAcquireP p, bool on_serve
   if (releaser == acquirer || !st.last_releaser.has_value()) {
     // No release chain to pull notices from: the manager itself answers
     // with everything the acquirer lacks (conservative but consistent).
-    releaser_grant(acquirer, p.req_id, p.lock, p.vc, on_server);
+    releaser_grant(acquirer, p.req_id, p.lock, p.vc);
   } else if (releaser == id_) {
-    releaser_grant(acquirer, p.req_id, p.lock, p.vc, on_server);
+    releaser_grant(acquirer, p.req_id, p.lock, p.vc);
   } else {
-    send_unicast(MsgKind::LockForward, releaser, LockForwardP{p.req_id, p.lock, acquirer, p.vc},
-                 on_server);
+    send_unicast(MsgKind::LockForward, releaser, LockForwardP{p.req_id, p.lock, acquirer, p.vc});
   }
 }
 
-void NodeRuntime::manager_release(NodeId releaser, std::uint32_t lock, bool on_server) {
+void NodeRuntime::manager_release(NodeId releaser, std::uint32_t lock) {
   LockManagerState& st = managed_locks_[lock];
   st.held = false;
   st.last_releaser = releaser;
@@ -787,16 +776,16 @@ void NodeRuntime::manager_release(NodeId releaser, std::uint32_t lock, bool on_s
     st.waiting.pop_front();
     st.held = true;
     if (releaser == id_) {
-      releaser_grant(next, payload.req_id, payload.lock, payload.vc, on_server);
+      releaser_grant(next, payload.req_id, payload.lock, payload.vc);
     } else {
       send_unicast(MsgKind::LockForward, releaser,
-                   LockForwardP{payload.req_id, payload.lock, next, payload.vc}, on_server);
+                   LockForwardP{payload.req_id, payload.lock, next, payload.vc});
     }
   }
 }
 
 void NodeRuntime::releaser_grant(NodeId acquirer, std::uint64_t req_id, std::uint32_t lock,
-                                 const VectorClock& acq_vc, bool on_server) {
+                                 const VectorClock& acq_vc) {
   LockGrantP grant{req_id, lock, vc_, records_unknown_to(acq_vc)};
   // The releaser's shadow snapshot is taken at grant time (possibly on the
   // dispatcher fiber); sound because a node's shadow only advances at its
@@ -805,7 +794,7 @@ void NodeRuntime::releaser_grant(NodeId acquirer, std::uint64_t req_id, std::uin
   if (acquirer == id_) {
     grant_ch_.push(make_message(MsgKind::LockGrant, id_, id_, std::move(grant)));
   } else {
-    send_unicast(MsgKind::LockGrant, acquirer, std::move(grant), on_server);
+    send_unicast(MsgKind::LockGrant, acquirer, std::move(grant));
   }
 }
 
@@ -822,7 +811,7 @@ void NodeRuntime::fork(std::uint64_t work_id, Phase phase) {
   for (NodeId s = 1; s < node_count(); ++s) {
     ForkP f{work_id, vc_, records_unknown_to(slave_known_vc_[s])};
     if (chk_ != nullptr) [[unlikely]] f.chk = chk_->shadow(id_);
-    send_unicast(MsgKind::Fork, s, std::move(f), /*on_server=*/false);
+    send_unicast(MsgKind::Fork, s, std::move(f));
     slave_known_vc_[s] = vc_;
   }
 }
@@ -833,7 +822,7 @@ void NodeRuntime::join_master() {
   for (std::size_t i = 1; i < node_count(); ++i) {
     net::Message msg = join_ch_.pop();
     const auto& j = msg.as<JoinP>();
-    merge_sync_payload(j.vc, j.records, /*on_server=*/false);
+    merge_sync_payload(j.vc, j.records);
     slave_known_vc_[msg.src].max_with(j.vc);
     if (chk_ != nullptr) [[unlikely]] chk_->on_acquire(id_, j.chk);
   }
@@ -844,14 +833,14 @@ void NodeRuntime::slave_loop() {
   for (;;) {
     net::Message msg = fork_ch_.pop();  // parks forever once the program ends
     const auto& f = msg.as<ForkP>();
-    merge_sync_payload(f.vc, f.records, /*on_server=*/false);
+    merge_sync_payload(f.vc, f.records);
     last_master_vc_ = f.vc;
     if (chk_ != nullptr) [[unlikely]] chk_->on_acquire(id_, f.chk);
     cluster_.work(f.work_id)(*this);
     end_interval();
     JoinP join{vc_, records_unknown_to(last_master_vc_)};
     if (chk_ != nullptr) [[unlikely]] join.chk = chk_->shadow(id_);
-    send_unicast(MsgKind::Join, 0, std::move(join), /*on_server=*/false);
+    send_unicast(MsgKind::Join, 0, std::move(join));
     last_master_vc_.max_with(vc_);
   }
 }
@@ -885,14 +874,14 @@ void NodeRuntime::register_base_protocol(ProtocolEngine& engine) {
     if (it != rt.reply_slots_.end()) it->second->push(msg);
   });
   engine.on(MsgKind::LockAcquire, [](NodeRuntime& rt, const net::Message& msg) {
-    rt.manager_acquire(msg.src, msg.as<LockAcquireP>(), /*on_server=*/true);
+    rt.manager_acquire(msg.src, msg.as<LockAcquireP>());
   });
   engine.on(MsgKind::LockForward, [](NodeRuntime& rt, const net::Message& msg) {
     const auto& f = msg.as<LockForwardP>();
-    rt.releaser_grant(f.acquirer, f.req_id, f.lock, f.vc, /*on_server=*/true);
+    rt.releaser_grant(f.acquirer, f.req_id, f.lock, f.vc);
   });
   engine.on(MsgKind::LockRelease, [](NodeRuntime& rt, const net::Message& msg) {
-    rt.manager_release(msg.src, msg.as<LockReleaseP>().lock, /*on_server=*/true);
+    rt.manager_release(msg.src, msg.as<LockReleaseP>().lock);
   });
   engine.on(MsgKind::LockGrant, [](NodeRuntime& rt, const net::Message& msg) {
     rt.receive_grant(msg);
@@ -921,7 +910,7 @@ void NodeRuntime::register_base_protocol(ProtocolEngine& engine) {
     // invalid, and the pull path fetches every pending diff together,
     // causally ordered.
     const auto& u = msg.as<BcastUpdateP>();
-    for (const IntervalRecordPtr& rec : u.records) rt.apply_notice(rec, /*on_server=*/true);
+    for (const IntervalRecordPtr& rec : u.records) rt.apply_notice(rec);
     std::map<PageId, std::set<std::pair<NodeId, std::uint32_t>>> covered;
     for (const DiffPacket& pkt : u.packets) {
       auto& c = covered[pkt.page];
@@ -939,8 +928,8 @@ void NodeRuntime::register_base_protocol(ProtocolEngine& engine) {
     for (const DiffPacket& pkt : u.packets) {
       if (page_complete[pkt.page]) complete.push_back(pkt);
     }
-    if (!complete.empty()) rt.apply_packets_causally(std::move(complete), /*on_server=*/true);
-    rt.send_unicast(MsgKind::BcastAck, msg.src, BcastAckP{u.req_id}, /*on_server=*/true);
+    if (!complete.empty()) rt.apply_packets_causally(std::move(complete));
+    rt.send_unicast(MsgKind::BcastAck, msg.src, BcastAckP{u.req_id});
   });
   engine.on(MsgKind::BcastAck, [](NodeRuntime& rt, const net::Message& msg) {
     auto it = rt.reply_slots_.find(msg.as<BcastAckP>().req_id);
@@ -950,9 +939,8 @@ void NodeRuntime::register_base_protocol(ProtocolEngine& engine) {
 
 void NodeRuntime::handle_diff_request(const net::Message& msg) {
   const auto& r = msg.as<DiffRequestP>();
-  std::vector<DiffPacket> packets = collect_diffs(r.page, r.intervals, /*on_server=*/true);
-  send_unicast(MsgKind::DiffReply, msg.src, DiffReplyP{r.req_id, r.page, std::move(packets)},
-               /*on_server=*/true);
+  std::vector<DiffPacket> packets = collect_diffs(r.page, r.intervals);
+  send_unicast(MsgKind::DiffReply, msg.src, DiffReplyP{r.req_id, r.page, std::move(packets)});
 }
 
 // ---------------------------------------------------------------------------
@@ -993,7 +981,6 @@ Cluster::~Cluster() {
 void Cluster::set_rse_hooks(RseHooks* hooks) {
   REPSEQ_CHECK(rse_hooks_ == nullptr, "RSE hooks already attached to this cluster");
   rse_hooks_ = hooks;
-  if (hooks != nullptr) hooks->register_handlers(protocol_);
 }
 
 std::uint64_t Cluster::register_work(std::function<void(NodeRuntime&)> fn) {
@@ -1021,6 +1008,7 @@ sim::SimDuration Cluster::run(std::function<void(NodeRuntime&)> master_program) 
     NodeRuntime* rt = node.get();
     sim::FiberRef f = engine_.spawn("dispatch-" + std::to_string(rt->id()),
                                     [rt] { rt->dispatcher_loop(); });
+    rt->dispatcher_ = f;
     f->set_user_data(rt);
     f->set_trace_pid(static_cast<std::int32_t>(rt->id()) + 1);
   }

@@ -53,16 +53,13 @@ class NodeRuntime;
 /// Hook interface for the replicated-sequential-execution engine
 /// (implemented in src/rse).  While a node is inside a replicated
 /// sequential section, page faults are delegated here instead of to the
-/// base protocol, and the engine's message kinds are serviced by the
-/// handlers it registers with the cluster's ProtocolEngine on attach.
+/// base protocol.  The engine registers its message handlers with the
+/// cluster's ProtocolEngine itself, like any protocol extension.
 class RseHooks {
  public:
   virtual ~RseHooks() = default;
   /// Handles a fault on `page` during replicated execution (app fiber).
   virtual void on_fault(NodeRuntime& node, PageId page) = 0;
-  /// Registers this engine's message handlers (one per kind it owns;
-  /// called once, when the hooks attach to the cluster).
-  virtual void register_handlers(ProtocolEngine& engine) = 0;
 };
 
 /// The diagnostic of a retry-exhaustion abort: the node whose request for
@@ -150,22 +147,20 @@ class NodeRuntime {
   void end_interval();
 
   /// Logs a remote interval record and invalidates its pages.
-  void apply_notice(const IntervalRecordPtr& rec, bool on_server);
+  void apply_notice(const IntervalRecordPtr& rec);
 
   /// Creates and registers the diff for a page's twin (lazy diff creation).
-  /// `on_server` selects whether the cost lands on service or compute time.
-  void flush_diff(PageId p, bool on_server);
+  void flush_diff(PageId p);
 
   /// Serves a diff request: collects (creating when needed) diffs covering
   /// `intervals` of this node for `page`.
-  std::vector<DiffPacket> collect_diffs(PageId page, const std::vector<std::uint32_t>& intervals,
-                                        bool on_server);
+  std::vector<DiffPacket> collect_diffs(PageId page, const std::vector<std::uint32_t>& intervals);
 
   /// Applies a batch of packets in causal order (see causal_order), each
   /// registration once however often it is listed, updates page validity,
   /// clears the pending notices the batch satisfies and charges the apply
   /// costs.
-  void apply_packets_causally(std::vector<DiffPacket> pkts, bool on_server);
+  void apply_packets_causally(std::vector<DiffPacket> pkts);
 
   /// One packet's place in a batch's causal order.
   struct CausalKey {
@@ -190,25 +185,24 @@ class NodeRuntime {
   [[nodiscard]] WantedByOwner wanted_for_page(PageId p) const;
 
   /// Send helpers: charge CPU overhead and tag per-phase statistics.
-  void send_raw_unicast(net::Message msg, bool on_server);
-  void send_raw_multicast(net::Message msg, bool on_server);
+  void send_raw_unicast(net::Message msg);
+  void send_raw_multicast(net::Message msg);
 
   template <typename P>
-  void send_unicast(MsgKind kind, NodeId dst, P payload, bool on_server) {
-    send_raw_unicast(make_message(kind, id_, dst, std::move(payload)), on_server);
+  void send_unicast(MsgKind kind, NodeId dst, P payload) {
+    send_raw_unicast(make_message(kind, id_, dst, std::move(payload)));
   }
   /// `group` keys the multicast group: the sharded-hub medium hashes it to
   /// a shard, so traffic for disjoint groups rides independent media.  The
   /// RSE engine keys round traffic by page; control traffic uses group 0.
   template <typename P>
-  void send_multicast(MsgKind kind, P payload, bool on_server, std::uint64_t group = 0) {
+  void send_multicast(MsgKind kind, P payload, std::uint64_t group = 0) {
     net::Message m = make_message(kind, id_, net::kMulticastDst, std::move(payload));
     m.mcast_group = group;
-    send_raw_multicast(std::move(m), on_server);
+    send_raw_multicast(std::move(m));
   }
 
   /// RSE integration.
-  [[nodiscard]] RseHooks* rse_hooks() const;
   [[nodiscard]] bool in_replicated_section() const { return in_replicated_section_; }
   void set_in_replicated_section(bool v) { in_replicated_section_ = v; }
 
@@ -261,13 +255,20 @@ class NodeRuntime {
   /// Returns page `p`'s twin buffer to the pool and unlists the page.
   void release_twin(PageId p);
 
+  /// Whether the running fiber is this node's request server.  Protocol
+  /// work done there is service time, preempting the application (the
+  /// paper's contention mechanism); anywhere else it is application
+  /// compute.  False before Cluster::run and off any fiber.
+  [[nodiscard]] bool on_server() const {
+    return dispatcher_ != nullptr && sim::Fiber::current() == dispatcher_;
+  }
+
   // message handlers (dispatcher fiber)
   void handle_message(const net::Message& msg);
   void handle_diff_request(const net::Message& msg);
   void handle_barrier_arrive(const net::Message& msg);
 
-  void merge_sync_payload(const VectorClock& vc, const std::vector<IntervalRecordPtr>& records,
-                          bool on_server);
+  void merge_sync_payload(const VectorClock& vc, const std::vector<IntervalRecordPtr>& records);
   [[nodiscard]] std::vector<IntervalRecordPtr> records_unknown_to(const VectorClock& vc) const;
 
   // barrier bookkeeping (master side)
@@ -277,7 +278,7 @@ class NodeRuntime {
     bool master_arrived = false;
     sim::WaitToken* master_waiter = nullptr;
   };
-  void barrier_complete_if_ready(std::uint64_t barrier_seq, bool on_server);
+  void barrier_complete_if_ready(std::uint64_t barrier_seq);
 
   // lock management (runs on the managing node)
   struct LockManagerState {
@@ -285,14 +286,15 @@ class NodeRuntime {
     std::optional<NodeId> last_releaser;
     std::deque<std::pair<NodeId, LockAcquireP>> waiting;
   };
-  void manager_acquire(NodeId acquirer, LockAcquireP p, bool on_server);
-  void manager_release(NodeId releaser, std::uint32_t lock, bool on_server);
+  void manager_acquire(NodeId acquirer, LockAcquireP p);
+  void manager_release(NodeId releaser, std::uint32_t lock);
   void releaser_grant(NodeId acquirer, std::uint64_t req_id, std::uint32_t lock,
-                      const VectorClock& acq_vc, bool on_server);
+                      const VectorClock& acq_vc);
   void receive_grant(net::Message msg);
 
   Cluster& cluster_;
   NodeId id_;
+  sim::Fiber* dispatcher_ = nullptr;  // recorded by Cluster::run
   sim::Cpu cpu_;
   util::LazyBytes mem_;
   std::vector<PageState> pages_;
@@ -368,9 +370,8 @@ class Cluster {
   /// transport.  Size equals the backend's shard count.
   [[nodiscard]] std::vector<HubOccupancy> hub_occupancy() const;
 
-  /// The RSE engine attachment point (one controller per cluster).  The
-  /// hooks' message handlers are registered with the dispatch registry on
-  /// attach; a second attachment would double-register and aborts.
+  /// The RSE engine attachment point (one controller per cluster); a
+  /// second attachment is a wiring bug and aborts.
   void set_rse_hooks(RseHooks* hooks);
   [[nodiscard]] RseHooks* rse_hooks() const { return rse_hooks_; }
 

@@ -167,13 +167,13 @@ std::pair<sim::SimDuration, int> apply_listed(int copies) {
   const auto work = cl.register_work([&](tmk::NodeRuntime& rt) {
     if (rt.id() == 1) data.store(0, 42);
     rt.barrier(1);
-    if (rt.id() == 1) pkts = rt.collect_diffs(page, {1}, /*on_server=*/false);
+    if (rt.id() == 1) pkts = rt.collect_diffs(page, {1});
     rt.barrier(2);
     if (rt.id() == 0) {
       std::vector<DiffPacket> batch;
       for (int c = 0; c < copies; ++c) batch.insert(batch.end(), pkts.begin(), pkts.end());
       const sim::SimDuration before = rt.cpu().busy_time();
-      rt.apply_packets_causally(std::move(batch), /*on_server=*/false);
+      rt.apply_packets_causally(std::move(batch));
       cost = rt.cpu().busy_time() - before;
       EXPECT_NE(rt.page(page).prot, tmk::PageProt::Invalid);
       read_back = data.load(0);

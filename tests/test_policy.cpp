@@ -229,6 +229,15 @@ TEST(Policy, AllNodesAgreeOnTheDecisionSequence) {
   }
 }
 
+TEST(Policy, SecondEngineOnOneClusterAborts) {
+  // Both engines would claim the PolicySectionOpen kind.
+  tmk::TmkConfig tc;
+  tc.heap_bytes = 1u << 20;
+  tmk::Cluster cl(tc, net::NetConfig{}, 2);
+  PolicyEngine first(cl);
+  EXPECT_DEATH(PolicyEngine second(cl), "duplicate handler registration");
+}
+
 TEST(Policy, PinnedReplicatedMatchesOptimizedPlusOneOpenFramePerSection) {
   // Pinning Barnes-Hut's only section site to Replicated
   // (REPSEQ_PIN_SITE=1=replicated) must execute exactly like

@@ -539,6 +539,12 @@ TEST(Rse, ReplicatedModeIsDeterministic) {
   EXPECT_EQ(run_once(), run_once());
 }
 
+TEST(Rse, SecondControllerOnOneClusterAborts) {
+  // One controller owns a cluster's RSE hooks and message kinds.
+  World w(2, SeqMode::Replicated);
+  EXPECT_DEATH(RseController second(*w.cl), "RSE hooks already attached");
+}
+
 TEST(Rse, MasterGuardedSideEffectsRunOnce) {
   World w(4, SeqMode::Replicated);
   auto data = tmk::ShArray<int>::alloc(*w.cl, 64);

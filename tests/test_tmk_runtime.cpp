@@ -267,6 +267,39 @@ TEST(TmkRuntime, StatsCountFaultsAndDiffTraffic) {
   EXPECT_GT(cl->node(0).stats().par.diff_bytes_sent, 0u);
 }
 
+TEST(TmkRuntime, ProtocolWorkOnTheRequestServerIsServiceTime) {
+  // Protocol work done on a node's request server preempts the application
+  // (service time); the same work on an application fiber is compute.
+  // Node 1 writes one word; the master's fault then reaches node 1's
+  // request server, which creates the diff lazily and replies.
+  Fixture fx;
+  auto cl = fx.make(2);
+  auto data = ShArray<int>::alloc(*cl, 16, /*page_aligned=*/true);
+  const auto work = cl->register_work([&](NodeRuntime& rt) {
+    if (rt.id() == 1) data.store(0, 42);
+  });
+  int read_back = 0;
+  cl->run([&](NodeRuntime& rt) {
+    rt.fork(work);
+    cl->work(work)(rt);
+    rt.join_master();
+    read_back = data.load(0);
+  });
+  EXPECT_EQ(read_back, 42);
+
+  // Node 1 serves: receive fork and request (2 x 35 us), create the diff
+  // (15 us + 1.5 ns/B x 4096 B), send the reply (70 us).
+  EXPECT_EQ(cl->node(1).cpu().service_time().ns, 161'144);
+  // Node 1 computes: the write fault (25 us) and twin (0.4 ns/B x 4096 B),
+  // then sends the join (70 us).
+  EXPECT_EQ(cl->node(1).cpu().busy_time().ns, 96'638);
+  // The master serves only the receives of the join and the reply.
+  EXPECT_EQ(cl->node(0).cpu().service_time().ns, 70'000);
+  // The master computes: fork send (70 us), read fault (25 us), request
+  // send (70 us), diff apply (10 us + 1 ns/B x 28 B).
+  EXPECT_EQ(cl->node(0).cpu().busy_time().ns, 175'028);
+}
+
 TEST(TmkRuntime, ContentionRaisesResponseTime) {
   // Many nodes fault on distinct master-written pages simultaneously: the
   // master's dispatcher queue and uplink serialize the responses, so the
