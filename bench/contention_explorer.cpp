@@ -39,8 +39,11 @@ struct Sample {
   std::array<std::uint64_t, rse::policy::kStrategyCount> by_strategy{};
 };
 
-Sample probe(std::size_t nodes, ompnow::SeqMode mode, rse::FlowControl flow,
-             const net::NetConfig& ncfg, const rse::policy::PolicyConfig& pcfg) {
+// The one sequential-section site the workload opens.
+constexpr std::uint32_t kSite = 1;
+
+Sample probe(std::size_t nodes, ompnow::SeqMode mode, const net::NetConfig& ncfg,
+             const rse::policy::PolicyConfig& pcfg) {
   tmk::TmkConfig cfg;
   cfg.heap_bytes = 8u << 20;
   // One diff server fields O(N) queued requests for a hot page; the
@@ -50,7 +53,7 @@ Sample probe(std::size_t nodes, ompnow::SeqMode mode, rse::FlowControl flow,
     cfg.request_timeout = sim::milliseconds(static_cast<std::int64_t>(nodes));
   }
   tmk::Cluster cl(cfg, ncfg, nodes);
-  rse::RseController rse(cl, flow);
+  rse::RseController rse(cl, bench::bench_flow());
   std::unique_ptr<rse::policy::PolicyEngine> policy;
   if (mode == ompnow::SeqMode::Adaptive) {
     policy = std::make_unique<rse::policy::PolicyEngine>(cl, pcfg);
@@ -65,7 +68,7 @@ Sample probe(std::size_t nodes, ompnow::SeqMode mode, rse::FlowControl flow,
     // Two rounds, so an adaptive policy gets past its bootstrap probe and
     // the steady-state decision shows in the second section.
     for (int round = 0; round < 2; ++round) {
-      team.sequential(1, [&](const ompnow::Ctx&) {
+      team.sequential(kSite, [&](const ompnow::Ctx&) {
         for (std::size_t i = 0; i < elems; ++i) data.store(i, static_cast<int>(i));
       });
       team.parallel([&](const ompnow::Ctx& ctx) {
@@ -98,8 +101,11 @@ int usage(const char* argv0) {
                "          [--policy greedy|hysteresis]   (= REPSEQ_POLICY)\n"
                "          [--batch-window <microseconds>]   (= REPSEQ_BATCH_WINDOW)\n"
                "          [--trace <path>]   write a Perfetto trace (= REPSEQ_TRACE)\n"
-               "          [--check races,protocol|all]   correctness checking (= REPSEQ_CHECK)\n",
-               argv0);
+               "          [--check races,protocol|all]   correctness checking (= REPSEQ_CHECK)\n"
+               "REPSEQ_FLOW is checked, but the workload never faults inside a replicated\n"
+               "section, so no flow-control variant changes its numbers.  REPSEQ_PIN_SITE\n"
+               "takes site %u only, the one site the workload opens.\n",
+               argv0, kSite);
   return 2;
 }
 
@@ -138,10 +144,14 @@ int main(int argc, char** argv) {
   }
   // REPSEQ_TRACE and REPSEQ_CHECK are read at cluster construction.
   const net::NetConfig ncfg = bench::bench_net_config();
-  const rse::FlowControl flow = bench::bench_flow();
   rse::policy::PolicyConfig pcfg;
   pcfg.kind = bench::bench_policy();
   pcfg.pins = bench::bench_pin_sites();
+  // A pin on a site the workload never opens would be ignored without a word.
+  if (std::ranges::any_of(pcfg.pins, [](const auto& pin) { return pin.first != kSite; })) {
+    util::axis_error("REPSEQ_PIN_SITE", std::getenv("REPSEQ_PIN_SITE"),
+                     std::to_string(kSite) + "=<master-only|replicated|broadcast>");
+  }
   const std::size_t cap = bench::bench_nodes(1024);
 
   const bool adaptive = mode == ompnow::SeqMode::Adaptive;
@@ -181,8 +191,8 @@ int main(int argc, char** argv) {
               "----------------\n");
   for (std::size_t nodes : {2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}) {
     if (nodes > cap) break;
-    const Sample base = probe(nodes, ompnow::SeqMode::MasterOnly, flow, ncfg, pcfg);
-    const Sample opt = probe(nodes, mode, flow, ncfg, pcfg);
+    const Sample base = probe(nodes, ompnow::SeqMode::MasterOnly, ncfg, pcfg);
+    const Sample opt = probe(nodes, mode, ncfg, pcfg);
     const int bar = std::min(24, static_cast<int>(base.avg_ms * 4.0));
     std::printf("%6zu | %6.2f / %-7.2f %-24s | %6.2f / %-19.2f | %12.4f", nodes, base.avg_ms,
                 base.max_ms, std::string(static_cast<std::size_t>(bar), '#').c_str(),

@@ -61,7 +61,7 @@ class Network {
   /// (Transport::shard_count: hub_shards on the sharded hub and on the tree
   /// with a coalescing window, 1 otherwise); upper layers size per-shard
   /// round tables off this.
-  [[nodiscard]] std::size_t hub_shards() const { return transport_->shard_count(); }
+  [[nodiscard]] std::size_t hub_shards() const { return shard_mcast_.size(); }
 
   /// Time shard `s` of the multicast medium spent transmitting.
   [[nodiscard]] sim::SimDuration hub_busy(std::size_t s) const {
@@ -70,7 +70,7 @@ class Network {
 
   /// The shard a multicast group maps to on the active backend.
   [[nodiscard]] std::size_t shard_of_group(std::uint64_t group) const {
-    return shard_of(group, transport_->shard_count());
+    return shard_of(group, shard_mcast_.size());
   }
 
   /// Multicast frames/bytes committed on shard `s`.  Every frame of a send
@@ -118,7 +118,9 @@ class Network {
     std::uint64_t frames = 0;
     std::uint64_t bytes = 0;
   };
-  std::vector<ShardMcast> shard_mcast_;  // [shard], sized hub_shards()
+  // [shard]; sized once from Transport::shard_count, which is fixed for
+  // the backend's life, so hub_shards() needs no virtual call.
+  std::vector<ShardMcast> shard_mcast_;
 };
 
 }  // namespace repseq::net

@@ -6,12 +6,6 @@
 
 namespace repseq::sim {
 
-namespace {
-// The fiber running now; nullptr on the engine's stack.  Single-threaded by
-// design.
-thread_local Fiber* g_current = nullptr;
-}  // namespace
-
 void fiber_trampoline(Fiber* self);
 
 // repseq_ctx_swap(void** save_sp, void* to_sp): pushes the SysV callee-saved
@@ -133,16 +127,14 @@ Fiber::~Fiber() {
 #endif
 }
 
-Fiber* Fiber::current() { return g_current; }
-
 void Fiber::resume() {
-  REPSEQ_CHECK(g_current == nullptr, "resume() must be called from the engine context");
+  REPSEQ_CHECK(current_ == nullptr, "resume() must be called from the engine context");
   REPSEQ_CHECK(!finished_, "cannot resume a finished fiber: " + name_);
   if (!started_) {
     started_ = true;
     init_context();
   }
-  g_current = this;
+  current_ = this;
 #if REPSEQ_FIBER_TSAN
   if (tsan_fiber_ == nullptr) tsan_fiber_ = __tsan_create_fiber(0);
   tsan_return_fiber_ = __tsan_get_current_fiber();
@@ -156,13 +148,13 @@ void Fiber::resume() {
 #if REPSEQ_FIBER_ASAN
   __sanitizer_finish_switch_fiber(fake, nullptr, nullptr);
 #endif
-  g_current = nullptr;
+  current_ = nullptr;
 }
 
 void Fiber::yield() {
-  Fiber* self = g_current;
+  Fiber* self = current_;
   REPSEQ_CHECK(self != nullptr, "yield() must be called from inside a fiber");
-  g_current = nullptr;
+  current_ = nullptr;
 #if REPSEQ_FIBER_TSAN
   __tsan_switch_to_fiber(self->tsan_return_fiber_, 0);
 #endif
@@ -174,7 +166,7 @@ void Fiber::yield() {
 #if REPSEQ_FIBER_ASAN
   __sanitizer_finish_switch_fiber(fake, nullptr, nullptr);
 #endif
-  g_current = self;
+  current_ = self;
 }
 
 void Fiber::rethrow_if_failed() {

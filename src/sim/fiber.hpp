@@ -76,7 +76,7 @@ class Fiber {
   static void yield();
 
   /// The fiber currently executing, or nullptr when on the engine context.
-  static Fiber* current();
+  static Fiber* current() { return current_; }
 
   [[nodiscard]] bool finished() const { return finished_; }
   [[nodiscard]] const std::string& name() const { return name_; }
@@ -98,6 +98,10 @@ class Fiber {
 
  private:
   friend void fiber_trampoline(Fiber*);
+  // The fiber running now; nullptr on the engine's stack.  Single-threaded
+  // by design.  Inline, so asking is a thread-local load, not a call.
+  static inline thread_local Fiber* current_ = nullptr;
+
   /// Lays out the initial frame so the first switch "returns" into the
   /// trampoline with this fiber as its argument.
   void init_context();
