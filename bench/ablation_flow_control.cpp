@@ -13,6 +13,7 @@ int main() {
   using rse::FlowControl;
 
   apps::bh::BhConfig cfg = bh_config();
+  check_pin_sites({apps::bh::kSectionTreeBuild});
   print_header("Ablation: multicast flow-control policies (Barnes-Hut, Optimized)",
                "PPoPP'01 Sections 5.4.3 / 8 (chained acks are the paper's protocol)",
                (std::string("this run: ") + std::to_string(cfg.bodies) + " bodies, " +

@@ -8,7 +8,10 @@
 // checked row by row.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
+#include <initializer_list>
 #include <limits>
 #include <string>
 #include <vector>
@@ -58,6 +61,21 @@ inline rse::FlowControl bench_flow(rse::FlowControl fallback = rse::FlowControl:
 inline std::map<std::uint32_t, rse::policy::SectionStrategy> bench_pin_sites() {
   return util::env_or("PIN_SITE", {}, rse::policy::parse_pin_sites,
                       "<site>=<master-only|replicated|broadcast>[,...]");
+}
+
+/// Exits 2 on a REPSEQ_PIN_SITE pin for a site outside `sites`, the section
+/// sites the driver's workload opens: the policy engine looks pins up by the
+/// sites it meets, so such a pin would be ignored without a word.
+inline void check_pin_sites(std::initializer_list<std::uint32_t> sites) {
+  for (const auto& pin : bench_pin_sites()) {
+    if (std::find(sites.begin(), sites.end(), pin.first) != sites.end()) continue;
+    std::string accepted;
+    for (const std::uint32_t s : sites) {
+      accepted += (accepted.empty() ? "" : "|") + std::to_string(s);
+    }
+    util::axis_error("REPSEQ_PIN_SITE", std::getenv("REPSEQ_PIN_SITE"),
+                     accepted + "=<master-only|replicated|broadcast>[,...]");
+  }
 }
 
 /// Node counts for the cluster-size sweeps, capped by REPSEQ_NODES so CI

@@ -146,12 +146,8 @@ int main(int argc, char** argv) {
   const net::NetConfig ncfg = bench::bench_net_config();
   rse::policy::PolicyConfig pcfg;
   pcfg.kind = bench::bench_policy();
+  bench::check_pin_sites({kSite});
   pcfg.pins = bench::bench_pin_sites();
-  // A pin on a site the workload never opens would be ignored without a word.
-  if (std::ranges::any_of(pcfg.pins, [](const auto& pin) { return pin.first != kSite; })) {
-    util::axis_error("REPSEQ_PIN_SITE", std::getenv("REPSEQ_PIN_SITE"),
-                     std::to_string(kSite) + "=<master-only|replicated|broadcast>");
-  }
   const std::size_t cap = bench::bench_nodes(1024);
 
   const bool adaptive = mode == ompnow::SeqMode::Adaptive;

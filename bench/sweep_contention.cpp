@@ -13,6 +13,11 @@
 
 namespace {
 
+// The adaptive probe's section sites: the master's producer section and
+// the consumer section that reads the block back.
+constexpr std::uint32_t kProducerSite = 1;
+constexpr std::uint32_t kConsumerSite = 2;
+
 struct Point {
   double avg_ms;
   double max_ms;
@@ -119,7 +124,7 @@ struct AdaptivePoint {
 /// block, everyone reads it, and the rse::policy engine picks the section
 /// strategy per round.  Run with REPSEQ_POLICY=greedy|hysteresis,
 /// and REPSEQ_PIN_SITE=<site>=<strategy>[,...] to pin sites for A/B runs
-/// (the producer section is site 1, the consumer section site 2).
+/// (kProducerSite and kConsumerSite; any other site exits 2).
 AdaptivePoint adaptive_probe(std::size_t nodes) {
   using namespace repseq;
   tmk::TmkConfig cfg;
@@ -140,7 +145,7 @@ AdaptivePoint adaptive_probe(std::size_t nodes) {
   long checksum = 0;
   const sim::SimDuration total = cl.run([&](tmk::NodeRuntime&) {
     for (int round = 0; round < 4; ++round) {
-      team.sequential(1, [&](const ompnow::Ctx&) {
+      team.sequential(kProducerSite, [&](const ompnow::Ctx&) {
         for (std::size_t i = 0; i < elems; ++i) data.store(i, static_cast<int>(i % 97) + round);
       });
       team.parallel([&](const ompnow::Ctx& ctx) {
@@ -149,7 +154,7 @@ AdaptivePoint adaptive_probe(std::size_t nodes) {
         for (long i = r.lo; i < r.hi; ++i) sum += data.load(static_cast<std::size_t>(i));
         if (sum < 0) std::abort();
       });
-      team.sequential(2, [&](const ompnow::Ctx&) {
+      team.sequential(kConsumerSite, [&](const ompnow::Ctx&) {
         long sum = 0;
         for (std::size_t i = 0; i < elems; ++i) sum += data.load(i);
         checksum = sum;
@@ -172,6 +177,7 @@ AdaptivePoint adaptive_probe(std::size_t nodes) {
 int main() {
   using namespace repseq;
   using namespace repseq::bench;
+  check_pin_sites({kProducerSite, kConsumerSite});
   print_header("Sweep: hot-spot response time vs simultaneous requesters",
                "PPoPP'01 Section 3 (and reference [11])",
                "synthetic: 96 master-written pages read by all nodes at once");

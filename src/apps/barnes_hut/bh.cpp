@@ -140,11 +140,11 @@ void build_tree(const Ctx& ctx, const BhWorld& w, const BhConfig& cfg) {
     for (;;) {
       REPSEQ_CHECK(++depth < 80, "oct-tree degenerated (coincident bodies?)");
       rt.charge(cfg.cost_tree_insert);
-      Cell cell = w.cells.get(cur);
+      Cell cell = w.cells.load(cur);
       const int oct = octant(p, cell.center);
       const std::uint32_t c = cell.child[oct];
       if (c == kNullChild) {
-        Cell upd = w.cells.get(cur);
+        Cell upd = w.cells.load(cur);
         upd.child[oct] = kBodyTag | i;
         w.cells.store(cur, upd);
         break;
@@ -155,10 +155,10 @@ void build_tree(const Ctx& ctx, const BhWorld& w, const BhConfig& cfg) {
         const Vec3 po = w.pos.load(static_cast<std::size_t>(other));
         const std::uint32_t sub = alloc_cell(child_center(cell.center, cell.half, oct),
                                              cell.half / 2.0);
-        Cell subc = w.cells.get(sub);
+        Cell subc = w.cells.load(sub);
         subc.child[octant(po, subc.center)] = kBodyTag | other;
         w.cells.store(sub, subc);
-        Cell upd = w.cells.get(cur);
+        Cell upd = w.cells.load(cur);
         upd.child[oct] = sub;
         w.cells.store(cur, upd);
         continue;  // descend into `sub` on the next loop turn via `cur`
@@ -176,7 +176,7 @@ void build_tree(const Ctx& ctx, const BhWorld& w, const BhConfig& cfg) {
   std::vector<Frame> stack{{root, 0}};
   while (!stack.empty()) {
     Frame& f = stack.back();
-    Cell cell = w.cells.get(f.cell);
+    Cell cell = w.cells.load(f.cell);
     if (f.next_child < 8) {
       const std::uint32_t c = cell.child[f.next_child];
       ++f.next_child;
@@ -202,7 +202,7 @@ void build_tree(const Ctx& ctx, const BhWorld& w, const BhConfig& cfg) {
         work += w.work.load(b);
         ++count;
       } else {
-        const Cell sub = w.cells.get(c);
+        const Cell sub = w.cells.load(c);
         com += sub.com * sub.mass;
         mass += sub.mass;
         work += sub.work;
@@ -222,7 +222,7 @@ void build_tree(const Ctx& ctx, const BhWorld& w, const BhConfig& cfg) {
 /// taking the bodies whose cumulative work falls in the thread's window.
 std::vector<std::uint32_t> find_segment(const Ctx& ctx, const BhWorld& w, const BhConfig& cfg) {
   const std::uint32_t root = w.root.load();
-  const Cell rootc = w.cells.get(root);
+  const Cell rootc = w.cells.load(root);
   const double total = rootc.work;
   const double wlo = total * ctx.tid / ctx.nthreads;
   const double whi = total * (ctx.tid + 1) / ctx.nthreads;
@@ -241,7 +241,7 @@ std::vector<std::uint32_t> find_segment(const Ctx& ctx, const BhWorld& w, const 
       continue;
     }
     ctx.rt.charge(cfg.cost_partition_step);
-    const Cell cell = w.cells.get(f.cell);
+    const Cell cell = w.cells.load(f.cell);
     const std::uint32_t c = cell.child[f.next_child];
     ++f.next_child;
     if (c == kNullChild) continue;
@@ -253,7 +253,7 @@ std::vector<std::uint32_t> find_segment(const Ctx& ctx, const BhWorld& w, const 
       if (mid >= wlo && mid < whi) mine.push_back(b);
       cum += bw;
     } else {
-      const Cell sub = w.cells.get(c);
+      const Cell sub = w.cells.load(c);
       if (cum + sub.work <= wlo || cum >= whi) {
         cum += sub.work;  // disjoint subtree: skip wholesale
       } else {
@@ -273,7 +273,7 @@ std::uint64_t force_on(const Ctx& ctx, const BhWorld& w, const BhConfig& cfg,
   while (!stack.empty()) {
     const std::uint32_t ci = stack.back();
     stack.pop_back();
-    const Cell cell = w.cells.get(ci);
+    const Cell cell = w.cells.load(ci);
     const Vec3 dr = cell.com - pos;
     const double d2 = dr.norm2();
     const double open = 2.0 * cell.half * inv_theta;

@@ -137,7 +137,6 @@ struct Bench {
     r.par_msgs = par.msgs_sent;
     r.par_kb = par.bytes_sent / 1024;
     r.seq_null_acks = seq.null_acks_sent;
-    r.seq_fwd_requests = seq.fwd_requests;
     r.recoveries = seq.recoveries + par.recoveries;
     r.drops = cluster->network().total_drops();
 
@@ -145,7 +144,6 @@ struct Bench {
     r.hub_shards = occ.size();
     for (const tmk::HubOccupancy& o : occ) {
       r.hub_busy_max_s = std::max(r.hub_busy_max_s, o.busy.seconds());
-      r.hub_busy_total_s += o.busy.seconds();
     }
 
     if (policy) {

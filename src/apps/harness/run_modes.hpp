@@ -73,7 +73,6 @@ struct RunReport {
   std::uint64_t seq_requests = 0;  // "diff requests" (max-faulting thread)
   double seq_response_ms = 0;      // "avg response time (ms)"
   std::uint64_t seq_null_acks = 0;
-  std::uint64_t seq_fwd_requests = 0;
   std::uint64_t par_msgs = 0;
   std::uint64_t par_kb = 0;
   double par_requests_avg = 0;  // "avg diff requests" per thread
@@ -87,8 +86,7 @@ struct RunReport {
   // max-per-shard busy dropping below the single hub's busy is exactly the
   // contention-removal the backend exists for.
   std::size_t hub_shards = 1;
-  double hub_busy_max_s = 0;    // busiest shard's transmit time
-  double hub_busy_total_s = 0;  // summed over shards
+  double hub_busy_max_s = 0;  // busiest shard's transmit time
 
   // Per-section policy accounting (Mode::Adaptive; zero otherwise).
   std::uint64_t sections = 0;

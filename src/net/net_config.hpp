@@ -84,6 +84,7 @@ enum class TransportKind {
   return sim::microseconds(*us);
 }
 
+/// Fields are the settings callers vary; static constexpr members are fixed calibration.
 struct NetConfig {
   /// Transport backend carrying unicast and multicast traffic.
   TransportKind transport = TransportKind::HubSwitch;
@@ -98,7 +99,7 @@ struct NetConfig {
   sim::SimDuration batch_window{};
 
   /// Fan-out of the TreeMulticast forwarding tree (k-ary, k >= 1).
-  std::size_t mcast_tree_fanout = 2;
+  static constexpr std::size_t mcast_tree_fanout = 2;
 
   /// Number of multicast serialization domains (S >= 1): the hub media of
   /// the ShardedHub transport, and the concurrency domains the
@@ -108,21 +109,21 @@ struct NetConfig {
 
   /// Link rate of each node's switched full-duplex port, bytes per second.
   /// 100 Mbps = 12.5 MB/s.
-  double link_bytes_per_sec = 12.5e6;
+  static constexpr double link_bytes_per_sec = 12.5e6;
 
   /// Rate of the shared half-duplex multicast hub, bytes per second.
-  double hub_bytes_per_sec = 12.5e6;
+  static constexpr double hub_bytes_per_sec = 12.5e6;
 
   /// Propagation + store-and-forward fixed latency per unicast hop
   /// (node->switch or switch->node).
-  sim::SimDuration hop_latency = sim::microseconds(5);
+  static constexpr sim::SimDuration hop_latency = sim::microseconds(5);
 
   /// Fixed latency for a frame across the hub.
-  sim::SimDuration hub_latency = sim::microseconds(5);
+  static constexpr sim::SimDuration hub_latency = sim::microseconds(5);
 
   /// Software send cost charged to the sending CPU per message
   /// (UDP stack traversal, ~70 us on an 800 MHz machine).
-  sim::SimDuration send_overhead = sim::microseconds(70);
+  static constexpr sim::SimDuration send_overhead = sim::microseconds(70);
 
   /// Software receive/dispatch cost per message on the destination.
   sim::SimDuration recv_overhead = sim::microseconds(35);
@@ -135,10 +136,10 @@ struct NetConfig {
   /// Per-frame maximum transfer unit.  Larger payloads are charged as
   /// multiple frames' worth of wire time (fragmentation), all-or-nothing
   /// delivery as in TreadMarks' UDP usage.
-  std::size_t mtu_bytes = 1500;
+  static constexpr std::size_t mtu_bytes = 1500;
 
   /// Fixed header bytes added per message (UDP/IP/Ethernet).
-  std::size_t header_bytes = 42;
+  static constexpr std::size_t header_bytes = 42;
 
   /// Probability that any given delivery is lost (loss injection for
   /// testing the recovery path).  Zero by default.

@@ -1,6 +1,5 @@
 #include "net/tree_multicast_transport.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "obs/trace.hpp"
@@ -14,7 +13,6 @@ void TreeMulticastTransport::multicast(const Message& msg, std::size_t wire_byte
   (void)wire_bytes;  // every hop frames its own (possibly combined) payload
   const std::size_t n = nics_.size();
   if (n <= 1) return;
-  const std::size_t k = std::max<std::size_t>(1, cfg_.mcast_tree_fanout);
   // Group-affine root with a coalescing window (all sends of a group share
   // one tree; see the header comment), sender-rooted without one.  The
   // group's root sticks to its first sender: in the round protocols that
@@ -27,7 +25,7 @@ void TreeMulticastTransport::multicast(const Message& msg, std::size_t wire_byte
   // The callbacks outlive this call: interior hops run as scheduled events
   // at their parents' arrival instants, so the flight state is shared by
   // (and kept alive through) every pending forwarding event.
-  auto fl = util::make_pooled<Flight>(Flight{msg.src, root, n, k, msg.payload_bytes,
+  auto fl = util::make_pooled<Flight>(Flight{msg.src, root, n, msg.payload_bytes,
                                              shard_of(msg.mcast_group, shard_count()), deliver,
                                              account});
   if (root == msg.src) {
@@ -56,7 +54,8 @@ void TreeMulticastTransport::forward_children(const util::PoolPtr<const Flight>&
   // child whose frame was consumed by loss injection (deliver returned
   // false) has nothing to forward, so its whole subtree is cut off without
   // transmitting -- or charging -- a single downstream hop.
-  for (std::size_t c = fl->fanout * pos + 1; c <= fl->fanout * pos + fl->fanout; ++c) {
+  constexpr std::size_t k = NetConfig::mcast_tree_fanout;
+  for (std::size_t c = k * pos + 1; c <= k * pos + k; ++c) {
     if (c >= fl->nodes) break;
     // The sender's position needs neither the frame (it holds the payload
     // natively) nor a forwarding trigger (its subtree went out at send

@@ -88,7 +88,7 @@ class TreeMulticastTransport final : public SwitchedTransport {
 
   /// The root transmits only to its own children.
   [[nodiscard]] std::size_t sender_frames(std::size_t receivers) const override {
-    return std::min(receivers, cfg_.mcast_tree_fanout > 0 ? cfg_.mcast_tree_fanout : 1);
+    return std::min(receivers, NetConfig::mcast_tree_fanout);
   }
 
   /// With a coalescing window the tree exposes hub_shards concurrency
@@ -114,7 +114,6 @@ class TreeMulticastTransport final : public SwitchedTransport {
     NodeId src;
     NodeId root;  // == src without a window; the group's tree root with one
     std::size_t nodes;
-    std::size_t fanout;
     std::size_t payload_bytes;
     std::size_t shard;  // busy-attribution domain of this flight's group
     DeliverFn deliver;

@@ -52,8 +52,6 @@ struct Ctx {
     if (is_master()) fn();
   }
   void barrier(std::uint32_t id) const { rt.barrier(id); }
-  void lock(std::uint32_t id) const { rt.lock_acquire(id); }
-  void unlock(std::uint32_t id) const { rt.lock_release(id); }
 };
 
 /// Static loop partitioning helpers (the translator supports block and

@@ -45,7 +45,7 @@ void broadcast_section_updates(tmk::NodeRuntime& master, const tmk::VectorClock&
   for (std::size_t i = 1; i < n; ++i) {
     (void)slot.pop();  // one BcastAck per slave
   }
-  master.drop_reply_slot(req_id);
+  master.drop_reply_slot();
   for (net::NodeId s = 1; s < n; ++s) {
     master.note_slave_knowledge(s, master.vc());
   }

@@ -1,5 +1,7 @@
 // An unbounded FIFO channel between fibers (message inboxes, reply slots).
-// Mesa semantics: push wakes one waiter, waiters re-check the queue.
+// One fiber reads a channel: a node's request server reads its NIC inbox,
+// its application fiber every other channel.  Mesa semantics: push wakes
+// the reader, which re-checks the queue.
 #pragma once
 
 #include <deque>
@@ -22,20 +24,13 @@ class Channel {
   /// Enqueues a value; callable from fibers or event callbacks.
   void push(T v) {
     queue_.push_back(std::move(v));
-    wake_one();
+    if (waiter_ != nullptr) waiter_->signal();
   }
 
   /// Blocks the calling fiber until a value is available.
   T pop() {
-    while (queue_.empty()) {
-      WaitToken tok(eng_);
-      waiters_.push_back(&tok);
-      tok.wait();
-      remove_waiter(&tok);
-    }
-    T v = std::move(queue_.front());
-    queue_.pop_front();
-    return v;
+    while (queue_.empty()) park();
+    return take();
   }
 
   /// Blocks up to `timeout`; empty optional on expiry.
@@ -44,41 +39,35 @@ class Channel {
     while (queue_.empty()) {
       const SimDuration remaining = deadline - eng_.now();
       if (remaining.ns <= 0) return std::nullopt;
-      WaitToken tok(eng_);
-      waiters_.push_back(&tok);
-      const bool signalled = tok.wait(remaining);
-      remove_waiter(&tok);
-      if (!signalled && queue_.empty()) return std::nullopt;
+      if (!park(remaining) && queue_.empty()) return std::nullopt;
     }
-    T v = std::move(queue_.front());
-    queue_.pop_front();
-    return v;
+    return take();
   }
 
   [[nodiscard]] std::size_t size() const { return queue_.size(); }
   [[nodiscard]] bool empty() const { return queue_.empty(); }
 
  private:
-  void wake_one() {
-    // Signal the first waiter that accepts the wake (signal() is a no-op on
-    // tokens that already timed out).
-    for (WaitToken* w : waiters_) {
-      if (w->signal()) return;
-    }
+  /// Parks the reader until a push or the timeout (none when negative);
+  /// false on timeout.
+  bool park(SimDuration timeout = SimDuration{-1}) {
+    REPSEQ_CHECK(waiter_ == nullptr, "two fibers read one channel");
+    WaitToken tok(eng_);
+    waiter_ = &tok;
+    const bool signalled = tok.wait(timeout);
+    waiter_ = nullptr;
+    return signalled;
   }
 
-  void remove_waiter(WaitToken* tok) {
-    for (auto it = waiters_.begin(); it != waiters_.end(); ++it) {
-      if (*it == tok) {
-        waiters_.erase(it);
-        return;
-      }
-    }
+  T take() {
+    T v = std::move(queue_.front());
+    queue_.pop_front();
+    return v;
   }
 
   Engine& eng_;
   std::deque<T> queue_;
-  std::deque<WaitToken*> waiters_;
+  WaitToken* waiter_ = nullptr;
 };
 
 }  // namespace repseq::sim

@@ -14,15 +14,11 @@ void Cpu::compute(SimDuration d) {
   while (remaining.ns > 0) {
     // Wait until no service is monopolizing the CPU.
     while (service_depth_ > 0) {
+      REPSEQ_CHECK(cpu_free_waiter_ == nullptr, "two fibers compute on one CPU");
       WaitToken tok(eng_);
-      cpu_free_waiters_.push_back(&tok);
+      cpu_free_waiter_ = &tok;
       tok.wait();
-      for (auto it = cpu_free_waiters_.begin(); it != cpu_free_waiters_.end(); ++it) {
-        if (*it == &tok) {
-          cpu_free_waiters_.erase(it);
-          break;
-        }
-      }
+      cpu_free_waiter_ = nullptr;
     }
     app_fiber_ = self;
     app_started_ = eng_.now();
@@ -59,11 +55,8 @@ void Cpu::service(SimDuration d) {
   eng_.sleep_for(d);
   serviced_ += d;
   --service_depth_;
-  if (service_depth_ == 0) {
-    // Wake computing fibers waiting for the CPU.
-    for (WaitToken* w : cpu_free_waiters_) {
-      w->signal();
-    }
+  if (service_depth_ == 0 && cpu_free_waiter_ != nullptr) {
+    cpu_free_waiter_->signal();  // the computing fiber waiting for the CPU
   }
 }
 

@@ -31,8 +31,9 @@ class Cpu {
   Cpu(const Cpu&) = delete;
   Cpu& operator=(const Cpu&) = delete;
 
-  /// Charges `d` of computation on the application fiber.  Interruptible:
-  /// concurrent service() calls extend the wall (virtual) time this takes.
+  /// Charges `d` of computation on the application fiber (a second
+  /// computing fiber aborts).  Interruptible: concurrent service() calls
+  /// extend the wall (virtual) time this takes.
   void compute(SimDuration d);
 
   /// Adds fine-grained work to the pending pile; flushes when it exceeds
@@ -72,7 +73,7 @@ class Cpu {
   SimTime app_started_{};               // when the current compute leg began
   bool app_interrupted_ = false;
   int service_depth_ = 0;
-  std::deque<WaitToken*> cpu_free_waiters_;
+  WaitToken* cpu_free_waiter_ = nullptr;  // compute() waiting out a service
 
   SimDuration busy_{};
   SimDuration serviced_{};

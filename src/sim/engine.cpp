@@ -5,8 +5,8 @@
 
 namespace repseq::sim {
 
-FiberRef Engine::spawn(std::string name, std::function<void()> fn, std::size_t stack_bytes) {
-  fibers_.push_back(std::make_unique<Fiber>(std::move(name), std::move(fn), stack_bytes));
+FiberRef Engine::spawn(std::string name, std::function<void()> fn) {
+  fibers_.push_back(std::make_unique<Fiber>(std::move(name), std::move(fn)));
   FiberRef f = fibers_.back().get();
   make_runnable(f);
   return f;

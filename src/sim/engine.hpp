@@ -37,8 +37,7 @@ class Engine {
   [[nodiscard]] SimTime now() const { return now_; }
 
   /// Creates a fiber and marks it runnable at the current time.
-  FiberRef spawn(std::string name, std::function<void()> fn,
-                 std::size_t stack_bytes = Fiber::kDefaultStackBytes);
+  FiberRef spawn(std::string name, std::function<void()> fn);
 
   /// Runs the simulation until no live events remain and no fiber is
   /// runnable.  Rethrows the first exception that escaped any fiber.

@@ -171,8 +171,6 @@ class EventQueue {
   [[nodiscard]] std::size_t live_count() const { return live_; }
   /// High-water mark of simultaneously scheduled live events.
   [[nodiscard]] std::size_t peak_live() const { return peak_live_; }
-  /// Total events ever scheduled (cancellations included).
-  [[nodiscard]] std::uint64_t scheduled_total() const { return next_seq_; }
 
  private:
   static constexpr std::uint32_t kNil = 0xffffffffu;

@@ -95,7 +95,7 @@ void Fiber::init_context() {
   // Frame layout consumed by repseq_ctx_swap's restore path, from the
   // switch stack pointer upward: [fcw|mxcsr] r15 r14 r13 r12 rbx rbp ret.
   auto top =
-      reinterpret_cast<std::uintptr_t>(stack_.get() + stack_bytes_) & ~std::uintptr_t{15};
+      reinterpret_cast<std::uintptr_t>(stack_.get() + kStackBytes) & ~std::uintptr_t{15};
   auto* frame = reinterpret_cast<std::uintptr_t*>(top) - 8;
   std::uint32_t mxcsr;
   std::uint16_t fcw;
@@ -111,11 +111,8 @@ void Fiber::init_context() {
   switch_sp_ = frame;
 }
 
-Fiber::Fiber(std::string name, Fn fn, std::size_t stack_bytes)
-    : name_(std::move(name)),
-      fn_(std::move(fn)),
-      stack_(new char[stack_bytes]),
-      stack_bytes_(stack_bytes) {
+Fiber::Fiber(std::string name, Fn fn)
+    : name_(std::move(name)), fn_(std::move(fn)), stack_(new char[kStackBytes]) {
   REPSEQ_CHECK(fn_ != nullptr, "fiber requires a body");
 }
 
@@ -142,7 +139,7 @@ void Fiber::resume() {
 #endif
 #if REPSEQ_FIBER_ASAN
   void* fake = nullptr;
-  __sanitizer_start_switch_fiber(&fake, stack_.get(), stack_bytes_);
+  __sanitizer_start_switch_fiber(&fake, stack_.get(), kStackBytes);
 #endif
   repseq_ctx_swap(&return_sp_, switch_sp_);
 #if REPSEQ_FIBER_ASAN

@@ -59,9 +59,9 @@ class Fiber {
  public:
   using Fn = std::function<void()>;
 
-  static constexpr std::size_t kDefaultStackBytes = 512 * 1024;
+  static constexpr std::size_t kStackBytes = 512 * 1024;
 
-  Fiber(std::string name, Fn fn, std::size_t stack_bytes = kDefaultStackBytes);
+  Fiber(std::string name, Fn fn);
   ~Fiber();
 
   Fiber(const Fiber&) = delete;
@@ -125,7 +125,6 @@ class Fiber {
   // memset) every stack page up front, which at 1024 nodes x 512KB is real
   // startup cost; malloc leaves large blocks as lazily-mapped zero pages.
   std::unique_ptr<char[]> stack_;
-  std::size_t stack_bytes_;
   bool started_ = false;
   bool finished_ = false;
   std::exception_ptr failure_{};

@@ -72,20 +72,7 @@ class ShArray {
     *rt.local<T>(addr_of(i)) = v;
   }
 
-  /// Reads a whole-struct element once (one barrier for the element span).
-  [[nodiscard]] T get(std::size_t i) const { return load(i); }
-
-  /// Field-granular access for struct elements: read one member.
-  template <typename F, typename C = T>
-    requires std::is_class_v<C> && std::is_same_v<C, T>
-  [[nodiscard]] F get_field(std::size_t i, F C::* member) const {
-    NodeRuntime& rt = Cluster::current();
-    const GAddr fa = field_addr(i, member);
-    rt.read_barrier(fa, sizeof(F));
-    return *rt.local<const F>(fa);
-  }
-
-  /// Field-granular access: write one member.
+  /// Field-granular access for struct elements: write one member.
   template <typename F, typename C = T>
     requires std::is_class_v<C> && std::is_same_v<C, T>
   void set_field(std::size_t i, F C::* member, const F& v) const {
@@ -116,32 +103,6 @@ class ShArray {
 
   GAddr base_{};
   std::size_t count_ = 0;
-};
-
-/// A shared struct instance: field-granular barriers via member pointers.
-template <typename T>
-class ShObj {
-  static_assert(std::is_trivially_copyable_v<T>, "shared data must be trivially copyable");
-
- public:
-  ShObj() = default;
-  explicit ShObj(GAddr addr) : arr_(addr, 1) {}
-
-  [[nodiscard]] GAddr addr() const { return arr_.base(); }
-
-  template <typename F>
-  [[nodiscard]] F get(F T::* member) const {
-    return arr_.get_field(0, member);
-  }
-  template <typename F>
-  void set(F T::* member, const F& v) const {
-    arr_.set_field(0, member, v);
-  }
-
-  static ShObj alloc(Cluster& cl) { return ShObj(cl.heap().alloc(sizeof(T), alignof(T))); }
-
- private:
-  ShArray<T> arr_;
 };
 
 }  // namespace repseq::tmk

@@ -11,6 +11,7 @@
 
 namespace repseq::tmk {
 
+/// Fields are the settings callers vary; static constexpr members are fixed calibration.
 struct TmkConfig {
   /// Shared page size.  TreadMarks used the VM page size (4 KB).
   std::size_t page_bytes = 4096;
@@ -20,20 +21,20 @@ struct TmkConfig {
 
   /// CPU cost of a page-protection trap + handler entry (the cost of a
   /// page fault that TreadMarks takes via SIGSEGV).
-  sim::SimDuration fault_overhead = sim::microseconds(25);
+  static constexpr sim::SimDuration fault_overhead = sim::microseconds(25);
 
   /// CPU cost per byte of diff creation (twin comparison + encode).
-  double diff_create_ns_per_byte = 1.5;
+  static constexpr double diff_create_ns_per_byte = 1.5;
   /// Fixed CPU cost per diff creation.
-  sim::SimDuration diff_create_fixed = sim::microseconds(15);
+  static constexpr sim::SimDuration diff_create_fixed = sim::microseconds(15);
 
   /// CPU cost per byte of diff application.
-  double diff_apply_ns_per_byte = 1.0;
+  static constexpr double diff_apply_ns_per_byte = 1.0;
   /// Fixed CPU cost per diff applied.
-  sim::SimDuration diff_apply_fixed = sim::microseconds(10);
+  static constexpr sim::SimDuration diff_apply_fixed = sim::microseconds(10);
 
   /// CPU cost of twin creation (page copy), per byte.
-  double twin_ns_per_byte = 0.4;
+  static constexpr double twin_ns_per_byte = 0.4;
 
   /// Request retransmission timeout (TreadMarks retries lost UDP requests).
   sim::SimDuration request_timeout = sim::milliseconds(40);
@@ -47,7 +48,7 @@ struct TmkConfig {
   sim::SimDuration rse_wait_timeout = sim::milliseconds(2000);
 
   /// Quantum for accrued application compute (see sim::Cpu).
-  sim::SimDuration compute_quantum = sim::microseconds(50);
+  static constexpr sim::SimDuration compute_quantum = sim::microseconds(50);
 };
 
 }  // namespace repseq::tmk

@@ -31,30 +31,12 @@ class Diff {
     std::span<const std::uint32_t> values;  // new values
   };
 
-  /// Indexable, iterable view over the runs.
+  /// Indexable view over the runs.
   class RunRange {
    public:
-    class iterator {
-     public:
-      iterator(const Diff* d, std::size_t i) : d_(d), i_(i) {}
-      RunView operator*() const { return d_->run(i_); }
-      iterator& operator++() {
-        ++i_;
-        return *this;
-      }
-      [[nodiscard]] bool operator!=(const iterator& o) const { return i_ != o.i_; }
-
-     private:
-      const Diff* d_;
-      std::size_t i_;
-    };
-
     explicit RunRange(const Diff* d) : d_(d) {}
     [[nodiscard]] std::size_t size() const { return d_->headers_.size(); }
-    [[nodiscard]] bool empty() const { return d_->headers_.empty(); }
     [[nodiscard]] RunView operator[](std::size_t i) const { return d_->run(i); }
-    [[nodiscard]] iterator begin() const { return {d_, 0}; }
-    [[nodiscard]] iterator end() const { return {d_, size()}; }
 
    private:
     const Diff* d_;

@@ -31,6 +31,7 @@ NodeRuntime::NodeRuntime(Cluster& cluster, NodeId id)
       pages_(cluster.config().heap_bytes / cluster.config().page_bytes),
       vc_(cluster.node_count()),
       log_(cluster.node_count()),
+      replies_(cluster.engine()),
       fork_ch_(cluster.engine()),
       depart_ch_(cluster.engine()),
       join_ch_(cluster.engine()),
@@ -529,7 +530,7 @@ void NodeRuntime::fault_in_page(PageId p) {
       if (!outstanding.erase(msg->src)) continue;  // duplicate after retransmit
       for (const DiffPacket& pkt : reply.packets) collected.push_back(pkt);
     }
-    drop_reply_slot(req_id);
+    drop_reply_slot();
     apply_packets_causally(std::move(collected));
   }
   if (obs::enabled(obs::Cat::Tmk)) [[unlikely]] {
@@ -608,33 +609,34 @@ void NodeRuntime::send_raw_multicast(net::Message msg) {
 // ---------------------------------------------------------------------------
 
 sim::Channel<net::Message>& NodeRuntime::expect_replies(std::uint64_t req_id) {
-  auto [it, inserted] =
-      reply_slots_.emplace(req_id, std::make_unique<sim::Channel<net::Message>>(cluster_.engine()));
-  REPSEQ_CHECK(inserted, "duplicate reply slot");
-  return *it->second;
+  REPSEQ_CHECK(reply_req_ == 0, "a second request outstanding on one node");
+  reply_req_ = req_id;
+  return replies_;
 }
 
-void NodeRuntime::drop_reply_slot(std::uint64_t req_id) { reply_slots_.erase(req_id); }
+void NodeRuntime::drop_reply_slot() {
+  reply_req_ = 0;
+  while (!replies_.empty()) (void)replies_.pop();
+}
+
+void NodeRuntime::route_reply(std::uint64_t req_id, const net::Message& msg) {
+  if (req_id == reply_req_) replies_.push(msg);  // ids start at 1, so 0 matches none
+}
 
 void NodeRuntime::notify_page_valid(PageId p) {
-  auto it = page_waiters_.find(p);
-  if (it == page_waiters_.end()) return;
-  for (sim::WaitToken* w : it->second) w->signal();
-  page_waiters_.erase(it);
+  if (page_waiter_ == nullptr || waited_page_ != p) return;
+  page_waiter_->signal();
+  page_waiter_ = nullptr;
 }
 
 bool NodeRuntime::wait_page_valid(PageId p, sim::SimDuration timeout) {
   if (pages_[p].prot != PageProt::Invalid) return true;
+  REPSEQ_CHECK(page_waiter_ == nullptr, "two fibers wait for a page on one node");
   sim::WaitToken tok(cluster_.engine());
-  page_waiters_[p].push_back(&tok);
-  const bool ok = tok.wait(timeout);
-  if (!ok) {
-    auto it = page_waiters_.find(p);
-    if (it != page_waiters_.end()) {
-      std::erase(it->second, &tok);
-      if (it->second.empty()) page_waiters_.erase(it);
-    }
-  }
+  waited_page_ = p;
+  page_waiter_ = &tok;
+  (void)tok.wait(timeout);
+  page_waiter_ = nullptr;  // already cleared unless the timeout fired first
   return pages_[p].prot != PageProt::Invalid;
 }
 
@@ -869,9 +871,7 @@ void NodeRuntime::register_base_protocol(ProtocolEngine& engine) {
     rt.handle_diff_request(msg);
   });
   engine.on(MsgKind::DiffReply, [](NodeRuntime& rt, const net::Message& msg) {
-    // Stale replies after retransmission are dropped.
-    auto it = rt.reply_slots_.find(msg.as<DiffReplyP>().req_id);
-    if (it != rt.reply_slots_.end()) it->second->push(msg);
+    rt.route_reply(msg.as<DiffReplyP>().req_id, msg);
   });
   engine.on(MsgKind::LockAcquire, [](NodeRuntime& rt, const net::Message& msg) {
     rt.manager_acquire(msg.src, msg.as<LockAcquireP>());
@@ -932,8 +932,7 @@ void NodeRuntime::register_base_protocol(ProtocolEngine& engine) {
     rt.send_unicast(MsgKind::BcastAck, msg.src, BcastAckP{u.req_id});
   });
   engine.on(MsgKind::BcastAck, [](NodeRuntime& rt, const net::Message& msg) {
-    auto it = rt.reply_slots_.find(msg.as<BcastAckP>().req_id);
-    if (it != rt.reply_slots_.end()) it->second->push(msg);
+    rt.route_reply(msg.as<BcastAckP>().req_id, msg);
   });
 }
 

@@ -216,13 +216,16 @@ class NodeRuntime {
   /// A fresh correlation id for request/reply matching.
   std::uint64_t next_req_id() { return next_req_id_++; }
 
-  /// Registers interest in replies carrying `req_id`.
+  /// Opens the node's one reply slot to replies carrying `req_id`; a second
+  /// request outstanding aborts (only the application fiber issues them).
   sim::Channel<net::Message>& expect_replies(std::uint64_t req_id);
-  void drop_reply_slot(std::uint64_t req_id);
+  /// Closes the reply slot, dropping the replies it still holds
+  /// (duplicates after a retransmit), as every later one for the request.
+  void drop_reply_slot();
 
-  /// Wakes fibers blocked on `page` becoming valid (RSE wait path).
+  /// Wakes the fiber blocked on `page` becoming valid (RSE wait path).
   void notify_page_valid(PageId p);
-  /// Blocks until `page` is valid; returns false on timeout.
+  /// Blocks the application fiber until `page` is valid; false on timeout.
   bool wait_page_valid(PageId p, sim::SimDuration timeout);
 
   /// Record a completed fault round in this node's phase stats.
@@ -265,6 +268,8 @@ class NodeRuntime {
 
   // message handlers (dispatcher fiber)
   void handle_message(const net::Message& msg);
+  /// Queues a reply to the outstanding request; a stale `req_id` is dropped.
+  void route_reply(std::uint64_t req_id, const net::Message& msg);
   void handle_diff_request(const net::Message& msg);
   void handle_barrier_arrive(const net::Message& msg);
 
@@ -315,8 +320,10 @@ class NodeRuntime {
 
   NodeStats stats_;
   std::uint64_t next_req_id_ = 1;
-  std::map<std::uint64_t, std::unique_ptr<sim::Channel<net::Message>>> reply_slots_;
-  std::map<PageId, std::vector<sim::WaitToken*>> page_waiters_;
+  std::uint64_t reply_req_ = 0;  // the outstanding request (0 = none)
+  sim::Channel<net::Message> replies_;
+  PageId waited_page_ = 0;
+  sim::WaitToken* page_waiter_ = nullptr;
 
   // synchronization state
   std::map<std::uint64_t, BarrierGroup> barriers_;   // master only, keyed by seq

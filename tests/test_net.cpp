@@ -313,8 +313,6 @@ TEST_P(TransportConformance, DeterministicAcrossRuns) {
 
 TEST(NetConfig, WireBytesAddsPerFragmentHeaders) {
   NetConfig cfg;
-  cfg.mtu_bytes = 1500;
-  cfg.header_bytes = 42;
   EXPECT_EQ(cfg.wire_bytes(0), 42u);          // control message: one header
   EXPECT_EQ(cfg.wire_bytes(100), 142u);       // one fragment
   EXPECT_EQ(cfg.wire_bytes(1458), 1500u);     // exactly one full fragment
@@ -531,7 +529,6 @@ TEST(Transport, TreeMulticastForwardsThroughInteriorNodes) {
   sim::Engine eng;
   NetConfig cfg;
   cfg.transport = TransportKind::TreeMulticast;
-  cfg.mcast_tree_fanout = 2;
   Network nw(eng, cfg, 8);
   std::map<NodeId, sim::SimTime> at;
   for (NodeId n = 1; n < 8; ++n) {
@@ -568,7 +565,6 @@ TEST(Transport, TreeMulticastInteriorOrderingExactEventDriven) {
   sim::Engine eng;
   NetConfig cfg;
   cfg.transport = TransportKind::TreeMulticast;
-  cfg.mcast_tree_fanout = 2;
   Network nw(eng, cfg, 8);
   constexpr std::uint32_t kUniKind = 42;
   std::map<NodeId, sim::SimTime> mcast_at;
@@ -624,7 +620,6 @@ TEST(Transport, TreeMulticastUplinkUtilizationConserved) {
   sim::Engine eng;
   NetConfig cfg;
   cfg.transport = TransportKind::TreeMulticast;
-  cfg.mcast_tree_fanout = 2;
   Network nw(eng, cfg, kNodes);
   for (NodeId n = 1; n < kNodes; ++n) {
     eng.spawn("rx" + std::to_string(n),
@@ -673,7 +668,6 @@ TEST(Transport, TreeMulticastLossCutsOffSubtrees) {
   sim::Engine eng;
   NetConfig cfg;
   cfg.transport = TransportKind::TreeMulticast;
-  cfg.mcast_tree_fanout = 2;
   cfg.loss_probability = 1.0;
   Network nw(eng, cfg, 8);
   eng.spawn("tx", [&] { nw.multicast(make_msg(0, kMulticastDst, 1000)); });
@@ -921,7 +915,6 @@ TEST(Batching, TreePiggybackMergesBackToBackGroupSends) {
   sim::Engine eng;
   NetConfig cfg;
   cfg.transport = TransportKind::TreeMulticast;
-  cfg.mcast_tree_fanout = 2;
   cfg.batch_window = sim::microseconds(1000);
   Network nw(eng, cfg, kNodes);
 

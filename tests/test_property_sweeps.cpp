@@ -1,6 +1,6 @@
 // Cross-configuration property sweeps: the consistency protocol must
 // deliver identical application results for every page size, node count and
-// schedule combination; structured (ShObj) accesses and elements spanning
+// schedule combination; field-granular accesses and elements spanning
 // page boundaries must behave like plain ones.
 #include <gtest/gtest.h>
 
@@ -122,35 +122,12 @@ TEST(StructuredAccess, FieldGranularUpdatesMergeAcrossWriters) {
     cl.work(work)(rt);
     rt.join_master();
     for (std::size_t i = 0; i < parts.size(); ++i) {
-      const Particle p = parts.get(i);
+      const Particle p = parts.load(i);
       EXPECT_DOUBLE_EQ(p.x, static_cast<double>(i));
       EXPECT_DOUBLE_EQ(p.y, static_cast<double>(2 * i));
       EXPECT_EQ(p.charge, static_cast<int>(i % 3));
     }
   });
-}
-
-TEST(StructuredAccess, ShObjRoundTrip) {
-  TmkConfig cfg;
-  cfg.heap_bytes = 1u << 20;
-  Cluster cl(cfg, net::NetConfig{}, 2);
-  auto obj = ShObj<Particle>::alloc(cl);
-  double seen = -1;
-
-  const auto work = cl.register_work([&](NodeRuntime& rt) {
-    if (rt.id() == 1) {
-      obj.set(&Particle::x, 42.5);
-    }
-    rt.barrier(3);
-    if (rt.id() == 0) seen = obj.get(&Particle::x);
-  });
-
-  cl.run([&](NodeRuntime& rt) {
-    rt.fork(work);
-    cl.work(work)(rt);
-    rt.join_master();
-  });
-  EXPECT_DOUBLE_EQ(seen, 42.5);
 }
 
 TEST(StructuredAccess, ElementsSpanningPageBoundaries) {
@@ -180,7 +157,7 @@ TEST(StructuredAccess, ElementsSpanningPageBoundaries) {
     rt.join_master();
     double s = 0;
     for (std::size_t i = 0; i < arr.size(); ++i) {
-      const Wide w = arr.get(i);
+      const Wide w = arr.load(i);
       s += w.a + w.b + w.c;
     }
     total = s;

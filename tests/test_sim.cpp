@@ -257,6 +257,19 @@ TEST(Channel, PopWithTimeoutReceivesValueInTime) {
   EXPECT_EQ(*got, 7);
 }
 
+TEST(ChannelDeathTest, TwoReadersAbort) {
+  // A channel has one reader: its wait slot holds one fiber.
+  EXPECT_DEATH(
+      {
+        Engine eng;
+        Channel<int> ch(eng);
+        eng.spawn("reader-a", [&] { (void)ch.pop(); });
+        eng.spawn("reader-b", [&] { (void)ch.pop(); });
+        eng.run();
+      },
+      "two fibers read one channel");
+}
+
 TEST(Cpu, UncontestedComputeTakesExactTime) {
   Engine eng;
   Cpu cpu(eng, microseconds(50));
@@ -301,6 +314,21 @@ TEST(Cpu, BackToBackServicesQueueDelay) {
   });
   eng.run();
   EXPECT_EQ(done, (std::vector<std::int64_t>{10'000, 20'000, 30'000}));
+}
+
+TEST(CpuDeathTest, TwoComputingFibersAbort) {
+  // One application fiber computes on a CPU.  The second caller arrives
+  // while the first waits out a service, when no compute leg is running.
+  EXPECT_DEATH(
+      {
+        Engine eng;
+        Cpu cpu(eng, microseconds(50));
+        eng.spawn("server", [&] { cpu.service(microseconds(100)); });
+        eng.spawn("app-a", [&] { cpu.compute(microseconds(10)); });
+        eng.spawn("app-b", [&] { cpu.compute(microseconds(10)); });
+        eng.run();
+      },
+      "two fibers compute on one CPU");
 }
 
 TEST(Cpu, AccrueFlushesAtQuantum) {

@@ -402,6 +402,57 @@ TEST(TmkRuntime, LossyNetworkRecoversThroughRetransmission) {
   for (int n = 0; n < 3; ++n) EXPECT_EQ(sums[n], 9000) << "node " << n;
 }
 
+TEST(TmkRuntime, LateDuplicateRepliesNeverReachTheNextRequest) {
+  // A request timeout shorter than one reply round trip makes node 0
+  // retransmit, so node 1 answers the same request more than once.  Node 0
+  // faults on three pages of node 1 in turn; the first page's 1 KB diff
+  // keeps node 1 busy answering duplicates, so duplicates of the second
+  // page's reply are still queued on node 0 when that fault ends.  Taken as
+  // replies to the third page's request, they would cost it a second pass:
+  // one request more than the faults plus their retransmissions.
+  Fixture fx;
+  fx.cfg.request_timeout = sim::microseconds(100);
+  auto cl = fx.make(2);
+  const std::size_t per_page = fx.cfg.page_bytes / sizeof(int);
+  auto data = ShArray<int>::alloc(*cl, 3 * per_page, /*page_aligned=*/true);
+  const auto work = cl->register_work([&](NodeRuntime& rt) {
+    if (rt.id() == 1) {
+      for (std::size_t i = 0; i < 256; ++i) data.store(i, 1);
+      data.store(per_page, 2);
+      data.store(2 * per_page, 3);
+    }
+  });
+  std::vector<int> seen;
+  cl->run([&](NodeRuntime& rt) {
+    rt.fork(work);
+    cl->work(work)(rt);
+    rt.join_master();
+    for (std::size_t p = 0; p < 3; ++p) seen.push_back(data.load(p * per_page));
+  });
+  EXPECT_EQ(seen, (std::vector<int>{1, 2, 3}));
+  const NodeStats& s0 = cl->node(0).stats();
+  const std::uint64_t retransmits = s0.seq.recoveries + s0.par.recoveries;
+  EXPECT_GE(retransmits, 1u);
+  // Node 1 replies to every request node 0 sends: one per fault, plus one
+  // per retransmission.
+  const NodeStats& s1 = cl->node(1).stats();
+  EXPECT_EQ(s1.seq.diff_msgs_sent + s1.par.diff_msgs_sent,
+            s0.seq.page_faults + s0.par.page_faults + retransmits);
+}
+
+TEST(TmkRuntimeDeathTest, SecondOutstandingRequestAborts) {
+  // One application fiber issues requests, one at a time: the node has one
+  // reply slot.
+  EXPECT_DEATH(
+      {
+        Cluster cl(TmkConfig{}, net::NetConfig{}, 2);
+        NodeRuntime& rt = cl.node(0);
+        (void)rt.expect_replies(rt.next_req_id());
+        (void)rt.expect_replies(rt.next_req_id());
+      },
+      "a second request outstanding on one node");
+}
+
 // Parameterized consistency sweep: random access schedules over varying node
 // counts still satisfy the golden final image computed on one node.
 class RandomScheduleProperty : public ::testing::TestWithParam<int> {};
