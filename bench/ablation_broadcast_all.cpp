@@ -26,8 +26,7 @@ int main() {
               net::transport_name(bcast_opt.net.transport));
 
   {
-    apps::ilink::IlinkConfig cfg = ilink_config();
-    cfg.iterations = env_int("ILINK_ITERATIONS", 4, 1);
+    const apps::ilink::IlinkConfig cfg = ilink_config({.iterations = 4});
     const auto orig = apps::harness::run_ilink(options_for(Mode::Original), cfg);
     const auto bcast = apps::harness::run_ilink(bcast_opt, cfg);
     const auto opt = apps::harness::run_ilink(options_for(Mode::Optimized), cfg);
@@ -48,8 +47,7 @@ int main() {
   }
 
   {
-    apps::bh::BhConfig cfg = bh_config();
-    cfg.bodies = env_int("A2_BH_BODIES", 2048, 1);
+    const apps::bh::BhConfig cfg = bh_config({.bodies = 2048});
     const auto bcast = apps::harness::run_barnes_hut(bcast_opt, cfg);
     const auto opt = apps::harness::run_barnes_hut(options_for(Mode::Optimized), cfg);
     if (bcast.checksum != opt.checksum) {

@@ -42,12 +42,6 @@ inline net::TransportKind bench_transport(
   return util::env_or("TRANSPORT", fallback, net::parse_transport, "hub|tree|direct|sharded");
 }
 
-/// Adaptive-mode decision procedure: REPSEQ_POLICY=greedy|hysteresis.
-inline rse::policy::PolicyKind bench_policy(
-    rse::policy::PolicyKind fallback = rse::policy::PolicyKind::Hysteresis) {
-  return util::env_or("POLICY", fallback, rse::policy::parse_policy, "greedy|hysteresis");
-}
-
 /// RSE flow-control variant: REPSEQ_FLOW=chained|windowed|none overrides a
 /// bench's default so any sweep can be repeated under another scheme.
 inline rse::FlowControl bench_flow(rse::FlowControl fallback = rse::FlowControl::Chained) {
@@ -101,17 +95,17 @@ inline net::NetConfig bench_net_config() {
   return ncfg;
 }
 
-/// The scaled Barnes-Hut workload (paper: 131072 bodies, 2 steps).
-inline apps::bh::BhConfig bh_config() {
-  apps::bh::BhConfig cfg;
-  cfg.bodies = env_int("BH_BODIES", 4096, 1);
-  cfg.steps = env_int("BH_STEPS", 2, 1);
+/// The scaled Barnes-Hut workload (paper: 131072 bodies, 2 steps): each
+/// REPSEQ_BH_* axis overrides the driver's default `cfg` field it names.
+inline apps::bh::BhConfig bh_config(apps::bh::BhConfig cfg = {}) {
+  cfg.bodies = env_int("BH_BODIES", cfg.bodies, 1);
+  cfg.steps = env_int("BH_STEPS", cfg.steps, 1);
   return cfg;
 }
 
-/// The scaled Ilink workload (paper: CLP input, 180 iterations).
-inline apps::ilink::IlinkConfig ilink_config() {
-  apps::ilink::IlinkConfig cfg;
+/// The scaled Ilink workload (paper: CLP input, 180 iterations): each
+/// REPSEQ_ILINK_* axis overrides the driver's default `cfg` field it names.
+inline apps::ilink::IlinkConfig ilink_config(apps::ilink::IlinkConfig cfg = {}) {
   cfg.families = env_int("ILINK_FAMILIES", cfg.families, 1);
   cfg.children = env_int("ILINK_CHILDREN", cfg.children, 1);
   cfg.genotypes = env_int("ILINK_GENOTYPES", cfg.genotypes, 1);
@@ -129,7 +123,6 @@ inline apps::harness::RunOptions options_for(apps::harness::Mode mode,
   o.nodes = nodes;
   o.flow = bench_flow();
   o.net = bench_net_config();
-  o.policy.kind = bench_policy();
   o.policy.pins = bench_pin_sites();
   // The upper bound keeps the shift to bytes from wrapping.
   constexpr long kMaxHeapMb = std::numeric_limits<long>::max() >> 20;

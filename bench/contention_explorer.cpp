@@ -7,7 +7,6 @@
 // Build & run:   ./build/contention_explorer
 //                    [hub|tree|direct|sharded] [shards]
 //                    [--mode base|replicated|broadcast|adaptive]
-//                    [--policy greedy|hysteresis]
 //
 // --mode selects what the second column runs against the base system;
 // adaptive mode routes every section through the rse::policy engine and
@@ -98,7 +97,6 @@ int usage(const char* argv0) {
                "usage: %s [hub|tree|direct|sharded] [shards]"
                "   (= REPSEQ_TRANSPORT, REPSEQ_HUB_SHARDS)\n"
                "          [--mode base|replicated|broadcast|adaptive]\n"
-               "          [--policy greedy|hysteresis]   (= REPSEQ_POLICY)\n"
                "          [--batch-window <microseconds>]   (= REPSEQ_BATCH_WINDOW)\n"
                "          [--trace <path>]   write a Perfetto trace (= REPSEQ_TRACE)\n"
                "          [--check races,protocol|all]   correctness checking (= REPSEQ_CHECK)\n"
@@ -130,8 +128,6 @@ int main(int argc, char** argv) {
       const auto m = apps::harness::parse_mode(argv[i]);
       if (!m || *m == apps::harness::Mode::Sequential) return usage(argv[0]);
       mode = apps::harness::seq_mode_for(*m);
-    } else if (arg == "--policy") {
-      ::setenv("REPSEQ_POLICY", argv[i], 1);
     } else if (arg == "--batch-window") {
       ::setenv("REPSEQ_BATCH_WINDOW", argv[i], 1);
     } else if (arg == "--trace") {
@@ -144,10 +140,8 @@ int main(int argc, char** argv) {
   }
   // REPSEQ_TRACE and REPSEQ_CHECK are read at cluster construction.
   const net::NetConfig ncfg = bench::bench_net_config();
-  rse::policy::PolicyConfig pcfg;
-  pcfg.kind = bench::bench_policy();
   bench::check_pin_sites({kSite});
-  pcfg.pins = bench::bench_pin_sites();
+  const rse::policy::PolicyConfig pcfg{bench::bench_pin_sites()};
   const std::size_t cap = bench::bench_nodes(1024);
 
   const bool adaptive = mode == ompnow::SeqMode::Adaptive;
@@ -174,9 +168,6 @@ int main(int argc, char** argv) {
   }
   if (ncfg.batch_window.ns > 0) {
     std::printf("   batch window: %.0f us", ncfg.batch_window.micros());
-  }
-  if (adaptive) {
-    std::printf("   policy: %s", rse::policy::policy_name(pcfg.kind));
   }
   std::printf("\n\n");
   // Each header field is as wide as its row cell: the base cell's bar is

@@ -122,9 +122,9 @@ struct AdaptivePoint {
 /// Adaptive-policy probe over the same hot-spot workload, repeated for a few
 /// rounds so the policy converges past its bootstrap: the master writes the
 /// block, everyone reads it, and the rse::policy engine picks the section
-/// strategy per round.  Run with REPSEQ_POLICY=greedy|hysteresis,
-/// and REPSEQ_PIN_SITE=<site>=<strategy>[,...] to pin sites for A/B runs
-/// (kProducerSite and kConsumerSite; any other site exits 2).
+/// strategy per round.  Run with REPSEQ_PIN_SITE=<site>=<strategy>[,...] to
+/// pin sites for A/B runs (kProducerSite and kConsumerSite; any other site
+/// exits 2).
 AdaptivePoint adaptive_probe(std::size_t nodes) {
   using namespace repseq;
   tmk::TmkConfig cfg;
@@ -132,10 +132,7 @@ AdaptivePoint adaptive_probe(std::size_t nodes) {
   net::NetConfig ncfg = bench::bench_net_config();
   tmk::Cluster cl(cfg, ncfg, nodes);
   rse::RseController rse(cl, bench::bench_flow());
-  rse::policy::PolicyConfig pcfg;
-  pcfg.kind = bench::bench_policy();
-  pcfg.pins = bench::bench_pin_sites();
-  rse::policy::PolicyEngine policy(cl, pcfg);
+  rse::policy::PolicyEngine policy(cl, {bench::bench_pin_sites()});
   ompnow::Team team(cl, ompnow::SeqMode::Adaptive, &rse, &policy);
 
   constexpr std::size_t kIntsPerPage = 4096 / sizeof(int);
@@ -217,8 +214,7 @@ int main() {
               " checksum.\n",
               node_counts.back(), last.shards, last.busy_max_ms, last.checksum);
 
-  std::printf("\nAdaptive policy on the hot-spot workload (4 rounds, policy %s)\n",
-              rse::policy::policy_name(bench_policy()));
+  std::printf("\nAdaptive policy on the hot-spot workload (4 rounds)\n");
   util::Table ad_t({"nodes", "total (s)", "sections", "master-only", "replicated",
                     "broadcast", "switches", "site:dec/sw/final", "checksum"});
   AdaptivePoint ad_last{};

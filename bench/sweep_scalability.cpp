@@ -10,11 +10,8 @@ int main() {
   using apps::harness::Mode;
 
   const std::size_t max_nodes = bench_nodes();
-  apps::bh::BhConfig bh = bh_config();
-  bh.bodies = env_int("SWEEP_BH_BODIES", 2048, 1);
-  apps::ilink::IlinkConfig il = ilink_config();
-  il.iterations = env_int("SWEEP_ILINK_ITERS", 2, 1);
-  il.families = env_int("SWEEP_ILINK_FAMILIES", 2, 1);
+  const apps::bh::BhConfig bh = bh_config({.bodies = 2048});
+  const apps::ilink::IlinkConfig il = ilink_config({.families = 2, .iterations = 2});
 
   print_header("Sweep: speedup vs cluster size (base vs replicated)",
                "PPoPP'01 Tables 1/3 give the 32-node endpoints",

@@ -118,7 +118,6 @@ struct Bench {
     r.mode = opt.mode;
     r.nodes = nodes;
     r.transport = net::transport_name(opt.net.transport);
-    r.policy = opt.mode == Mode::Adaptive ? rse::policy::policy_name(opt.policy.kind) : "-";
     r.total_s = total_s;
     r.seq_s = seq_s;
     r.par_s = par_s;

@@ -51,7 +51,7 @@ struct RunOptions {
   rse::FlowControl flow = rse::FlowControl::Chained;
   tmk::TmkConfig tmk;
   net::NetConfig net;           // net.transport selects the wire backend
-  rse::policy::PolicyConfig policy;  // Mode::Adaptive decision procedure
+  rse::policy::PolicyConfig policy;  // Mode::Adaptive site pins
 };
 
 /// One row set for the paper's statistics tables.
@@ -60,7 +60,6 @@ struct RunReport {
   std::size_t nodes = 0;
   std::string transport;  // wire backend the run used (owned; reports must
                           // outlive reconfigured NetConfig temporaries)
-  std::string policy;     // decision procedure ("-" outside Mode::Adaptive)
 
   double total_s = 0;  // Table 1/3 "Total time"
   double seq_s = 0;    // "Sequential time"

@@ -40,6 +40,7 @@ inline constexpr std::uint32_t kSectionPoolInit = 1;
 inline constexpr std::uint32_t kSectionSumContrib = 2;
 inline constexpr std::uint32_t kSectionSerialUpdate = 3;
 
+/// Fields are the settings callers vary; static constexpr members are fixed calibration.
 struct IlinkConfig {
   int families = 4;           // nuclear families in the pedigree
   int children = 4;           // children per nuclear family
@@ -56,9 +57,9 @@ struct IlinkConfig {
   // microseconds on an 800 MHz machine).  Calibrated so the base system
   // lands in the paper's regime: ~2x speedup on 32 nodes with the parallel
   // sections dominated by genarray fan-out waits.
-  sim::SimDuration cost_element = sim::microseconds(300);  // per non-zero update
-  sim::SimDuration cost_init_element = sim::nanoseconds(40);
-  sim::SimDuration cost_sum_element = sim::nanoseconds(60);
+  static constexpr sim::SimDuration cost_element = sim::microseconds(300);  // per non-zero update
+  static constexpr sim::SimDuration cost_init_element = sim::nanoseconds(40);
+  static constexpr sim::SimDuration cost_sum_element = sim::nanoseconds(60);
 
   [[nodiscard]] int pool_persons() const { return 2 + children; }
 };

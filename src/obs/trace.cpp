@@ -184,27 +184,30 @@ std::size_t Tracer::write() {
     return a->ts_ns != b->ts_ns ? a->ts_ns < b->ts_ns : a->seq < b->seq;
   });
 
-  // Nesting repair per (pid, track): ring eviction can drop a span's B
-  // while keeping its E (drop the orphan E), and an exception can unwind
-  // past a span's end (close it at the trace's final instant).  The
-  // validator then holds unconditionally.
-  struct TrackState {
-    std::vector<const Event*> open;  // B events awaiting their E
+  // One pass per (pid, track) repairs the nesting and assigns thread ids.
+  // Ring eviction can drop a span's B while keeping its E (drop the orphan
+  // E), and an exception can unwind past a span's end (close it at the
+  // trace's final instant), so the validator holds unconditionally.  Thread
+  // ids follow first appearance among kept events and are emitted as
+  // thread_name metadata, ahead of the events, so Perfetto labels the tracks.
+  struct Track {
+    int tid = -1;                    // -1 until the track's first kept event
+    int depth = 0;                   // open spans, while marking orphans
+    std::vector<const Event*> open;  // B events awaiting their E, while emitting
   };
-  std::map<std::pair<std::int32_t, const char*>, TrackState> tracks;
+  std::map<std::pair<std::int32_t, const char*>, Track> tracks;
+  std::map<std::int32_t, int> next_tid;
   std::vector<char> keep(all.size(), 1);
   for (std::size_t i = 0; i < all.size(); ++i) {
     const Event& e = *all[i];
-    if (e.ph == 'B') {
-      tracks[{e.pid, e.track}].open.push_back(&e);
-    } else if (e.ph == 'E') {
-      auto& open = tracks[{e.pid, e.track}].open;
-      if (open.empty()) {
-        keep[i] = 0;  // orphaned by eviction
-      } else {
-        open.pop_back();
-      }
+    Track& t = tracks[{e.pid, e.track}];
+    if (e.ph == 'E' && t.depth == 0) {
+      keep[i] = 0;  // orphaned by eviction
+      continue;
     }
+    if (e.ph == 'B') ++t.depth;
+    if (e.ph == 'E') --t.depth;
+    if (t.tid < 0) t.tid = next_tid[e.pid]++;
   }
 
   std::FILE* f = std::fopen(path_.c_str(), "w");
@@ -217,16 +220,6 @@ std::size_t Tracer::write() {
   const auto sep = [&] {
     if (!first) std::fputs(",\n", f);
     first = false;
-  };
-
-  // Thread ids per (pid, track), in first-appearance order; emitted as
-  // thread_name metadata so Perfetto labels the tracks.
-  std::map<std::pair<std::int32_t, const char*>, int> tids;
-  std::map<std::int32_t, int> next_tid;
-  const auto tid_of = [&](std::int32_t pid, const char* track) {
-    auto [it, inserted] = tids.try_emplace({pid, track}, 0);
-    if (inserted) it->second = next_tid[pid]++;
-    return it->second;
   };
 
   for (const auto& [pid, name] : process_names_) {
@@ -243,29 +236,25 @@ std::size_t Tracer::write() {
                  pid, pid);
   }
 
-  // First pass over kept events assigns tids in deterministic order and
-  // lets the thread_name metadata precede the events that use it.
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    if (keep[i]) tid_of(all[i]->pid, all[i]->track);
-  }
-  for (const auto& [key, tid] : tids) {
+  for (const auto& [key, t] : tracks) {
+    if (t.tid < 0) continue;  // only orphans, all dropped
     sep();
     std::fprintf(f,
                  "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":%d,"
                  "\"args\":{\"name\":",
-                 key.first, tid);
+                 key.first, t.tid);
     print_string(f, key.second);
     std::fputs("}}", f);
   }
 
   std::int64_t last_ts = 0;
-  const auto emit = [&](const Event& e, char ph) {
+  const auto emit = [&](const Event& e, char ph, int tid) {
     sep();
     std::fputs("{\"name\":", f);
     print_string(f, e.name != nullptr ? e.name : "span");
     std::fprintf(f, ",\"cat\":\"%s\",\"ph\":\"%c\",\"ts\":%.3f,\"pid\":%d,\"tid\":%d",
                  cat_name(static_cast<Cat>(e.cat_bit)), ph,
-                 static_cast<double>(e.ts_ns) / 1e3, e.pid, tid_of(e.pid, e.track));
+                 static_cast<double>(e.ts_ns) / 1e3, e.pid, tid);
     if (ph == 'i') std::fputs(",\"s\":\"t\"", f);
     if (e.nargs > 0) {
       std::fputs(",\"args\":{", f);
@@ -282,34 +271,33 @@ std::size_t Tracer::write() {
 
   std::size_t written = 0;
   // E events inherit their B's name so the validator can match pairs.
-  std::map<std::pair<std::int32_t, const char*>, std::vector<const Event*>> open_b;
   for (std::size_t i = 0; i < all.size(); ++i) {
     if (!keep[i]) continue;
     const Event& e = *all[i];
+    Track& t = tracks[{e.pid, e.track}];
     last_ts = e.ts_ns;
     if (e.ph == 'B') {
-      open_b[{e.pid, e.track}].push_back(&e);
-      emit(e, 'B');
+      t.open.push_back(&e);
+      emit(e, 'B', t.tid);
     } else if (e.ph == 'E') {
-      auto& open = open_b[{e.pid, e.track}];
       Event closed = e;
-      closed.name = open.back()->name;
-      open.pop_back();
-      emit(closed, 'E');
+      closed.name = t.open.back()->name;
+      t.open.pop_back();
+      emit(closed, 'E', t.tid);
     } else {
-      emit(e, e.ph);
+      emit(e, e.ph, t.tid);
     }
     ++written;
   }
   // Close spans an exception (or eviction of the E's slab) left open, at
   // the final timestamp, innermost first.
-  for (auto& [key, open] : open_b) {
-    while (!open.empty()) {
-      Event closer = *open.back();
-      open.pop_back();
+  for (auto& [key, t] : tracks) {
+    while (!t.open.empty()) {
+      Event closer = *t.open.back();
+      t.open.pop_back();
       closer.ts_ns = last_ts;
       closer.nargs = 0;
-      emit(closer, 'E');
+      emit(closer, 'E', t.tid);
       ++written;
     }
   }

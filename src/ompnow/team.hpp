@@ -90,7 +90,6 @@ class Team {
   [[nodiscard]] sim::SimDuration parallel_time() const { return par_time_; }
   [[nodiscard]] std::uint64_t parallel_regions() const { return parallel_regions_; }
   [[nodiscard]] std::uint64_t sequential_sections() const { return seq_sections_; }
-  [[nodiscard]] SeqMode seq_mode() const { return seq_mode_; }
 
  private:
   void run_region(std::uint64_t work_id, tmk::Phase phase);

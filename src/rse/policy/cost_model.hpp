@@ -58,8 +58,6 @@ class CostModel {
   /// compute is identical under every strategy and cancels out.
   [[nodiscard]] double cost(SectionStrategy s, const SectionProfile& p) const;
 
-  [[nodiscard]] std::size_t nodes() const { return n_; }
-
  private:
   /// Master service time for an aftermath traffic volume: per-message
   /// software cost plus the measured (or predicted) payload on the wire.

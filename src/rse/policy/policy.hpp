@@ -29,21 +29,11 @@ inline constexpr std::size_t kStrategyCount = 3;
 [[nodiscard]] const char* strategy_name(SectionStrategy s);
 [[nodiscard]] std::optional<SectionStrategy> parse_strategy(std::string_view s);
 
-/// Decision procedures layered over the shared cost model.  Both probe every
-/// unpinned site with execute-and-broadcast first; a fixed strategy for a
-/// site is a pin (PolicyConfig::pins), not a policy.
-enum class PolicyKind : std::uint8_t {
-  Greedy,      // per section entry: argmin of the modeled strategy costs
-  Hysteresis,  // greedy, but a challenger must undercut the incumbent by a
-               // margin and the site must have dwelt since its last switch
-};
-
-[[nodiscard]] const char* policy_name(PolicyKind k);
-[[nodiscard]] std::optional<PolicyKind> parse_policy(std::string_view s);
-
+/// The engine has one decision procedure (policy_engine.cpp): it probes
+/// every unpinned site with execute-and-broadcast first, then keeps the
+/// incumbent strategy unless the cost model's cheapest undercuts it by a
+/// margin.  A fixed strategy for a site is a pin, not a policy.
 struct PolicyConfig {
-  PolicyKind kind = PolicyKind::Hysteresis;
-
   /// Per-site strategy pins for A/B runs (REPSEQ_PIN_SITE): a pinned site
   /// always executes its pinned strategy -- including its *first*
   /// occurrence, which skips the execute-and-broadcast bootstrap probe the

@@ -15,10 +15,8 @@ namespace {
 // measurement probe, the one strategy whose bracket observes the section's
 // full write set (the broadcast collects exactly those diffs).
 constexpr SectionStrategy kBootstrap = SectionStrategy::BroadcastAfter;
-// Hysteresis: a challenger must cost below incumbent * (1 - kSwitchMargin),
-// at least kMinDwell occurrences after the site's last switch.
+// Hysteresis: a challenger must cost below incumbent * (1 - kSwitchMargin).
 constexpr double kSwitchMargin = 0.15;
-constexpr std::uint64_t kMinDwell = 1;
 // EWMA smoothing factor of the per-site telemetry (0 < kAlpha <= 1).
 constexpr double kAlpha = 0.5;
 
@@ -38,22 +36,6 @@ const char* strategy_name(SectionStrategy s) {
       return "broadcast";
   }
   return "?";
-}
-
-const char* policy_name(PolicyKind k) {
-  switch (k) {
-    case PolicyKind::Greedy:
-      return "greedy";
-    case PolicyKind::Hysteresis:
-      return "hysteresis";
-  }
-  return "?";
-}
-
-std::optional<PolicyKind> parse_policy(std::string_view s) {
-  if (s == "greedy") return PolicyKind::Greedy;
-  if (s == "hysteresis" || s == "hyst") return PolicyKind::Hysteresis;
-  return std::nullopt;
 }
 
 std::optional<SectionStrategy> parse_strategy(std::string_view s) {
@@ -126,15 +108,10 @@ SectionStrategy PolicyEngine::decide(const SiteState& st) const {
     cost[s] = model_.cost(static_cast<SectionStrategy>(s), st.profile);
     if (cost[s] < cost[best]) best = s;  // strict <: ties keep enum order
   }
-  const auto challenger = static_cast<SectionStrategy>(best);
-  if (cfg_.kind == PolicyKind::Greedy) return challenger;
-
-  // Hysteresis: the incumbent survives unless the challenger undercuts it
-  // by the margin and the site has dwelt long enough since its last switch.
-  if (challenger == st.current) return st.current;
-  if (st.profile.runs - st.last_switch_run < kMinDwell) return st.current;
+  // Hysteresis: the incumbent survives unless the cheapest strategy
+  // undercuts it by the margin.
   const double incumbent = cost[static_cast<std::size_t>(st.current)];
-  if (cost[best] < incumbent * (1.0 - kSwitchMargin)) return challenger;
+  if (cost[best] < incumbent * (1.0 - kSwitchMargin)) return static_cast<SectionStrategy>(best);
   return st.current;
 }
 
@@ -164,10 +141,7 @@ SectionStrategy PolicyEngine::open_section(tmk::NodeRuntime& master, std::uint32
   const auto pin = cfg_.pins.find(site);
   const SectionStrategy chosen = pin != cfg_.pins.end() ? pin->second : decide(st);
   const bool switched = st.profile.runs > 0 && chosen != st.current;
-  if (switched) {
-    ++switches_;
-    st.last_switch_run = st.profile.runs;
-  }
+  if (switched) ++switches_;
   st.current = chosen;
   ++counts_[static_cast<std::size_t>(chosen)];
 

@@ -49,8 +49,6 @@ class PolicyEngine {
   /// profile and opens the aftermath (post-section contention) window.
   void close_section(tmk::NodeRuntime& master);
 
-  [[nodiscard]] const PolicyConfig& config() const { return cfg_; }
-
   /// The master's decision log.
   [[nodiscard]] const std::vector<Decision>& decisions() const { return log_[0]; }
   /// Per-node copy of the agreed decision sequence, built from the
@@ -67,7 +65,6 @@ class PolicyEngine {
   struct SiteState {
     SectionProfile profile;
     SectionStrategy current = SectionStrategy::Replicated;
-    std::uint64_t last_switch_run = 0;
   };
 
   [[nodiscard]] SectionStrategy decide(const SiteState& st) const;

@@ -757,12 +757,11 @@ void NodeRuntime::manager_acquire(NodeId acquirer, LockAcquireP p) {
     return;
   }
   st.held = true;
+  // Never released counts as released by the manager.  With no other
+  // releaser to pull notices from, the manager itself answers with
+  // everything the acquirer lacks (conservative but consistent).
   const NodeId releaser = st.last_releaser.value_or(id_);
-  if (releaser == acquirer || !st.last_releaser.has_value()) {
-    // No release chain to pull notices from: the manager itself answers
-    // with everything the acquirer lacks (conservative but consistent).
-    releaser_grant(acquirer, p.req_id, p.lock, p.vc);
-  } else if (releaser == id_) {
+  if (releaser == acquirer || releaser == id_) {
     releaser_grant(acquirer, p.req_id, p.lock, p.vc);
   } else {
     send_unicast(MsgKind::LockForward, releaser, LockForwardP{p.req_id, p.lock, acquirer, p.vc});

@@ -1,8 +1,14 @@
 #include "util/axis.hpp"
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
+
+#include "util/check.hpp"
 
 namespace repseq::util {
 
@@ -48,6 +54,34 @@ std::optional<std::uint8_t> parse_mask(std::string_view s,
 }
 
 const char* detail::axis_value(std::string_view name) {
+  // Every axis any reader takes.  A REPSEQ_ variable outside the list is a
+  // misspelt or retired axis that no reader would ever look at, so it exits
+  // 2 like a malformed value.  The environment is scanned on every read, not
+  // once, so a variable set after start-up (a test, a driver's flag) counts.
+  static constexpr std::string_view kPrefix = "REPSEQ_";
+  static constexpr std::string_view kNames[] = {
+      "BATCH_WINDOW", "BH_BODIES", "BH_STEPS", "CHECK", "FLOW", "HEAP_MB", "HUB_SHARDS",
+      "ILINK_CHILDREN", "ILINK_FAMILIES", "ILINK_GENOTYPES", "ILINK_ITERATIONS", "ILINK_MAX_NZ",
+      "ILINK_MIN_NZ", "ILINK_THRESHOLD", "NODES", "PIN_SITE", "TRACE", "TRACE_FILTER",
+      "TRANSPORT"};
+  const auto listed = [](std::string_view n) {
+    return std::find(std::begin(kNames), std::end(kNames), n) != std::end(kNames);
+  };
+  REPSEQ_CHECK(listed(name), "axis reader for unlisted REPSEQ_" + std::string(name));
+  for (char** env = environ; *env != nullptr; ++env) {
+    const std::string_view var(*env);
+    if (!var.starts_with(kPrefix)) continue;
+    const std::string_view got = var.substr(0, var.find('='));
+    if (listed(got.substr(kPrefix.size()))) continue;
+    std::string accepted;
+    for (const std::string_view n : kNames) {
+      if (!accepted.empty()) accepted += '|';
+      accepted += kPrefix;
+      accepted += n;
+    }
+    axis_error("variable", got, accepted);
+  }
+
   // Formatted on the stack: every Cluster reads its axes, and an allocation
   // here would show in the allocation counts perf_sim pins.
   char var[64];

@@ -2,7 +2,7 @@
 // REPSEQ_* environment axes, and the drivers' command-line spellings of them.
 //
 // A malformed axis value must kill the run, not silently fall back: a sweep
-// that quietly ran the wrong transport, policy or size produces tables that
+// that quietly ran the wrong transport, pin or size produces tables that
 // look fine and mean nothing.  Every such exit goes through axis_error, so
 // every axis fails the same way: exit 2, naming the value and the accepted
 // set.
@@ -34,7 +34,9 @@ namespace repseq::util {
     std::string_view s, std::initializer_list<std::string_view> names, std::string* bad);
 
 namespace detail {
-/// The raw value of REPSEQ_<name>; nullptr when unset.
+/// The raw value of REPSEQ_<name>; nullptr when unset.  `name` must be on
+/// axis.cpp's list of axes (anything else aborts), and any REPSEQ_* variable
+/// set but not on it goes to axis_error.
 [[nodiscard]] const char* axis_value(std::string_view name);
 }  // namespace detail
 

@@ -279,13 +279,12 @@ INSTANTIATE_TEST_SUITE_P(
 // sharded hub interleaves rounds across media -- but the protocol result may
 // never notice.  Checksums and interval vectors must be identical across
 // HubSwitch / ShardedHub S in {1, 4} / event-driven TreeMulticast for every
-// section mode x flow-control x policy combination.
+// section mode x flow-control combination.
 // ---------------------------------------------------------------------------
 
 struct OrderingAxis {
   SeqMode mode;
   rse::FlowControl flow;
-  rse::policy::PolicyKind policy;  // consulted in SeqMode::Adaptive only
 };
 
 ShardRunResult run_ordering_workload(const net::NetConfig& ncfg, const OrderingAxis& ax,
@@ -304,11 +303,7 @@ ShardRunResult run_ordering_workload(const net::NetConfig& ncfg, const OrderingA
   Cluster cl(cfg, ncfg, kNodes);
   rse::RseController rse(cl, ax.flow);
   std::unique_ptr<rse::policy::PolicyEngine> policy;
-  if (ax.mode == SeqMode::Adaptive) {
-    rse::policy::PolicyConfig pcfg;
-    pcfg.kind = ax.policy;
-    policy = std::make_unique<rse::policy::PolicyEngine>(cl, pcfg);
-  }
+  if (ax.mode == SeqMode::Adaptive) policy = std::make_unique<rse::policy::PolicyEngine>(cl);
   ompnow::Team team(cl, ax.mode, &rse, policy.get());
   auto a = ShArray<long>::alloc(cl, kElems, /*page_aligned=*/true);
 
@@ -374,22 +369,14 @@ TEST_P(OrderingInvarianceSweep, ChecksumAndIntervalVectorsInvariantAcrossBackend
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    ModeByFlowByPolicy, OrderingInvarianceSweep,
-    ::testing::Values(
-        OrderingAxis{SeqMode::Replicated, rse::FlowControl::Chained,
-                     rse::policy::PolicyKind::Greedy},
-        OrderingAxis{SeqMode::Replicated, rse::FlowControl::Windowed,
-                     rse::policy::PolicyKind::Greedy},
-        OrderingAxis{SeqMode::Replicated, rse::FlowControl::None,
-                     rse::policy::PolicyKind::Greedy},
-        OrderingAxis{SeqMode::BroadcastAfter, rse::FlowControl::Chained,
-                     rse::policy::PolicyKind::Greedy},
-        OrderingAxis{SeqMode::Adaptive, rse::FlowControl::Chained,
-                     rse::policy::PolicyKind::Greedy},
-        OrderingAxis{SeqMode::Adaptive, rse::FlowControl::Windowed,
-                     rse::policy::PolicyKind::Hysteresis},
-        OrderingAxis{SeqMode::Adaptive, rse::FlowControl::None,
-                     rse::policy::PolicyKind::Greedy}),
+    ModeByFlow, OrderingInvarianceSweep,
+    ::testing::Values(OrderingAxis{SeqMode::Replicated, rse::FlowControl::Chained},
+                      OrderingAxis{SeqMode::Replicated, rse::FlowControl::Windowed},
+                      OrderingAxis{SeqMode::Replicated, rse::FlowControl::None},
+                      OrderingAxis{SeqMode::BroadcastAfter, rse::FlowControl::Chained},
+                      OrderingAxis{SeqMode::Adaptive, rse::FlowControl::Chained},
+                      OrderingAxis{SeqMode::Adaptive, rse::FlowControl::Windowed},
+                      OrderingAxis{SeqMode::Adaptive, rse::FlowControl::None}),
     [](const ::testing::TestParamInfo<OrderingAxis>& info) {
       const OrderingAxis& ax = info.param;
       std::string name = ax.mode == SeqMode::Replicated        ? "Replicated"
@@ -398,9 +385,6 @@ INSTANTIATE_TEST_SUITE_P(
       name += ax.flow == rse::FlowControl::Chained    ? "Chained"
               : ax.flow == rse::FlowControl::Windowed ? "Windowed"
                                                       : "NoFlow";
-      if (ax.mode == SeqMode::Adaptive) {
-        name += ax.policy == rse::policy::PolicyKind::Greedy ? "Greedy" : "Hysteresis";
-      }
       return name;
     });
 
@@ -417,8 +401,7 @@ class BatchWindowSweep : public ::testing::TestWithParam<std::int64_t /*window, 
 
 TEST_P(BatchWindowSweep, ChecksumAndIntervalVectorsInvariantAcrossWindows) {
   const std::int64_t window_us = GetParam();
-  const OrderingAxis ax{SeqMode::Replicated, rse::FlowControl::Chained,
-                        rse::policy::PolicyKind::Greedy};
+  const OrderingAxis ax{SeqMode::Replicated, rse::FlowControl::Chained};
 
   net::NetConfig hub;  // unbatched single-hub reference
   hub.transport = net::TransportKind::HubSwitch;
@@ -467,8 +450,7 @@ class TraceInvarianceSweep : public ::testing::TestWithParam<TraceAxis> {};
 
 TEST_P(TraceInvarianceSweep, TracingDoesNotPerturbChecksumOrIntervalVectors) {
   const TraceAxis& ax = GetParam();
-  const OrderingAxis work{SeqMode::Adaptive, rse::FlowControl::Chained,
-                          rse::policy::PolicyKind::Greedy};
+  const OrderingAxis work{SeqMode::Adaptive, rse::FlowControl::Chained};
   net::NetConfig ncfg;
   ncfg.transport = ax.kind;
   ncfg.hub_shards = ax.shards;
@@ -530,8 +512,7 @@ class TransportScaleSweep : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(TransportScaleSweep, AllFourTransportsAgreeOnChecksumAndIntervalVectors) {
   const std::size_t nodes = GetParam();
-  const OrderingAxis ax{SeqMode::Replicated, rse::FlowControl::Chained,
-                        rse::policy::PolicyKind::Greedy};
+  const OrderingAxis ax{SeqMode::Replicated, rse::FlowControl::Chained};
 
   // A leaner workload than the 5-node ordering axis: at N=256 every extra
   // element multiplies 4 transports x 256 faulting nodes, and the property

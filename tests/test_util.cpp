@@ -96,6 +96,19 @@ TEST(AxisDeathTest, EnvLongReadsTheAxisAndExitsTwoNamingTheRange) {
   ::unsetenv("REPSEQ_NODES");
 }
 
+TEST(AxisDeathTest, UnknownVariableExitsTwo) {
+  // A misspelt axis is seen by every read, not ignored.
+  ::unsetenv("REPSEQ_NODES");
+  ::setenv("REPSEQ_NODE", "8", /*overwrite=*/1);
+  EXPECT_EXIT((void)env_long("NODES", 32, 2), ::testing::ExitedWithCode(2),
+              "unknown variable 'REPSEQ_NODE' .accepted: .*REPSEQ_NODES");
+  ::unsetenv("REPSEQ_NODE");
+}
+
+TEST(AxisDeathTest, ReaderOfAnUnlistedNameAborts) {
+  EXPECT_DEATH((void)env_long("NODE", 32, 2), "unlisted REPSEQ_NODE");
+}
+
 TEST(Table, RendersAlignedCells) {
   Table t({"row", "paper", "measured"});
   t.add_row({"Total time (sec.)", "53.6", "48.1"});
