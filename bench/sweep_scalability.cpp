@@ -15,7 +15,11 @@ int main() {
 
   print_header("Sweep: speedup vs cluster size (base vs replicated)",
                "PPoPP'01 Tables 1/3 give the 32-node endpoints",
-               "speedup = 1-node sequential time / total time");
+               (std::string("this run: Barnes-Hut ") + std::to_string(bh.bodies) + " bodies, " +
+                std::to_string(bh.steps) + " steps; Ilink " + std::to_string(il.families) +
+                " families, " + std::to_string(il.iterations) +
+                " iterations; speedup = 1-node sequential time / total time")
+                   .c_str());
 
   const double bh_base = apps::harness::run_barnes_hut(options_for(Mode::Sequential, 1), bh).total_s;
   const double il_base = apps::harness::run_ilink(options_for(Mode::Sequential, 1), il).total_s;

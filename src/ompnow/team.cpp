@@ -1,7 +1,6 @@
 #include "ompnow/team.hpp"
 
 #include "obs/trace.hpp"
-#include "rse/alternatives.hpp"
 #include "util/check.hpp"
 
 namespace repseq::ompnow {
@@ -96,7 +95,7 @@ void Team::seq_broadcast_after(const std::function<void(const Ctx&)>& body) {
   Ctx ctx{master, 0, static_cast<int>(cluster_.node_count())};
   body(ctx);
   master.cpu().flush();
-  rse::broadcast_section_updates(master, before);
+  master.broadcast_section(before);
 }
 
 void Team::seq_replicated(std::uint32_t site, std::function<void(const Ctx&)> body) {

@@ -138,11 +138,7 @@ void RseController::exit(tmk::NodeRuntime& rt) {
   st.write_protected.clear();
   st.table = nullptr;
   st.faulting.clear();
-  // Frames of rounds that never completed (watchdog-abandoned; the page was
-  // then validated by recovery's own complete batch) must not survive into
-  // the next section, whose pending sets they say nothing about.
-  st.staged.clear();
-  rt.set_in_replicated_section(false);
+  rt.set_in_replicated_section(false);  // also drops the round frames still staged
 
   // "At the fork at the end of a sequential section, threads wait until all
   // other threads have finished...  No memory coherence information is
@@ -475,60 +471,6 @@ void RseController::window_retire(tmk::NodeRuntime& rt, std::size_t shard, net::
   if (ms.awaiting_replies.empty()) master_round_finished(rt, shard);
 }
 
-void RseController::apply_mcast_packets(tmk::NodeRuntime& rt,
-                                        const std::vector<tmk::DiffPacket>& pkts) {
-  // Frames of one round arrive in chain (node-id) order, not causal order.
-  // With causally ordered same-page writers -- a lock chain before the
-  // section -- applying each frame on arrival would let an older diff land
-  // on top of the newer data that covers it: silent replica divergence (the
-  // same hazard the BcastUpdate handler guards; the diff-apply-causality
-  // oracle caught this path missing it).  So frames are staged per page and
-  // applied in ONE causal batch only once every pending notice is covered.
-  //
-  // Completeness is tracked incrementally: the page's pending set is
-  // snapshotted into `needed` when staging begins (pending only ever shrinks
-  // to empty mid-section, via the pull path, which drops the entry below)
-  // and arriving covers flag entries and count them down -- no per-arrival
-  // rescan.
-  NodeState& st = state_[rt.id()];
-  for (const tmk::DiffPacket& pkt : pkts) {
-    const auto& pending = rt.page(pkt.page).pending;
-    // Never touch a page this node already holds valid: its replicated
-    // writes may have moved it past the pre-section image these diffs carry.
-    if (pending.empty()) {
-      st.staged.erase(pkt.page);  // the pull path validated it first
-      continue;
-    }
-    auto [it, inserted] = st.staged.try_emplace(pkt.page);
-    NodeState::StagedPage& sp = it->second;
-    if (inserted) {
-      // A page's frames usually number its pending notices: one reservation
-      // instead of regrowth as they arrive.
-      sp.frames.reserve(pending.size());
-      sp.needed.reserve(pending.size());
-      for (const tmk::IntervalRecordPtr& r : pending) sp.needed.push_back({{r->owner, r->index}});
-      std::sort(sp.needed.begin(), sp.needed.end(),
-                [](const auto& a, const auto& b) { return a.id < b.id; });
-      sp.remaining = sp.needed.size();
-    }
-    sp.frames.push_back(pkt);  // a duplicate frame lands once (apply_packets_causally)
-    for (std::uint32_t i : pkt.covers()) {
-      const std::pair<net::NodeId, std::uint32_t> id{pkt.owner, i};
-      const auto nit = std::lower_bound(sp.needed.begin(), sp.needed.end(), id,
-                                        [](const auto& n, const auto& k) { return n.id < k; });
-      if (nit != sp.needed.end() && nit->id == id && !nit->covered) {
-        nit->covered = true;
-        --sp.remaining;
-      }
-    }
-    if (sp.remaining == 0) {
-      std::vector<tmk::DiffPacket> batch = std::move(sp.frames);
-      st.staged.erase(it);
-      rt.apply_packets_causally(std::move(batch));
-    }
-  }
-}
-
 void RseController::register_handlers(tmk::ProtocolEngine& engine) {
   // ---- handlers common to every flow-control variant ----
 
@@ -556,7 +498,7 @@ void RseController::register_handlers(tmk::ProtocolEngine& engine) {
     case FlowControl::Chained:
       engine.on(MsgKind::McastDiffReply, [this](tmk::NodeRuntime& rt, const net::Message& msg) {
         const auto& r = msg.as<tmk::McastDiffReplyP>();
-        apply_mcast_packets(rt, r.packets);
+        rt.apply_pushed(r.packets);
         if (r.round != 0) {
           const std::size_t shard = shard_for(r.page);
           RoundState& st = round_state(rt, shard);
@@ -583,7 +525,7 @@ void RseController::register_handlers(tmk::ProtocolEngine& engine) {
     case FlowControl::Windowed:
       engine.on(MsgKind::McastDiffReply, [this](tmk::NodeRuntime& rt, const net::Message& msg) {
         const auto& r = msg.as<tmk::McastDiffReplyP>();
-        apply_mcast_packets(rt, r.packets);
+        rt.apply_pushed(r.packets);
         if (r.round != 0 && rt.is_master()) {
           window_retire(rt, shard_for(r.page), r.sender, r.round);
         }
@@ -592,7 +534,7 @@ void RseController::register_handlers(tmk::ProtocolEngine& engine) {
     case FlowControl::None:
       // No rounds, no acks: replies carry diffs and nothing else.
       engine.on(MsgKind::McastDiffReply, [this](tmk::NodeRuntime& rt, const net::Message& msg) {
-        apply_mcast_packets(rt, msg.as<tmk::McastDiffReplyP>().packets);
+        rt.apply_pushed(msg.as<tmk::McastDiffReplyP>().packets);
       });
       break;
   }

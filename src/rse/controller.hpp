@@ -7,8 +7,9 @@
 // (Section 5.4.2): one elected requester per page forwards a request to the
 // master, the master serializes rounds and multicasts the request, and
 // holders reply by multicast in thread-id order with chained (null-)
-// acknowledgments.  Exit is a plain barrier exchanging no coherence
-// information (Section 5.2).
+// acknowledgments; receivers land the replies through the runtime's
+// pushed-diff rule (tmk::NodeRuntime::apply_pushed).  Exit is a plain
+// barrier exchanging no coherence information (Section 5.2).
 #pragma once
 
 #include <cstdint>
@@ -121,26 +122,6 @@ class RseController final : public tmk::RseHooks {
     /// shard count; single-medium backends have exactly one entry).
     std::vector<RoundState> rounds;
 
-    /// Multicast diff frames staged for one page until its whole pending set
-    /// is covered; only then do they apply, in one causal batch (see
-    /// apply_mcast_packets).  `needed` snapshots the page's pending
-    /// (owner, index) notices, sorted, when staging begins; arriving covers
-    /// flag entries and `remaining` counts the unflagged, so completeness
-    /// costs O(log) per cover instead of a rescan of everything staged.  A
-    /// round's wanted set can hold hundreds of intervals at 1024 nodes, so
-    /// linear work per frame here turns quadratic per round per receiver
-    /// (measured 1.3x on the ilink sweep).
-    struct Notice {
-      std::pair<net::NodeId, std::uint32_t> id;  // (owner, index)
-      bool covered = false;                       // a staged frame covers it
-    };
-    struct StagedPage {
-      std::vector<tmk::DiffPacket> frames;
-      std::vector<Notice> needed;
-      std::size_t remaining = 0;
-    };
-    std::map<tmk::PageId, StagedPage> staged;
-
     // ---- master-only state ----
     std::vector<MasterShard> shards;  // per-shard round tables (node 0 only)
   };
@@ -180,11 +161,6 @@ class RseController final : public tmk::RseHooks {
   /// window (ignores replies of abandoned rounds).
   void window_retire(tmk::NodeRuntime& rt, std::size_t shard, net::NodeId sender,
                      std::uint64_t round);
-
-  /// Applies multicast diff packets if (and only if) this node still misses
-  /// them; valid pages are never overwritten (their replicated writes may
-  /// already have diverged from the pre-section image).
-  void apply_mcast_packets(tmk::NodeRuntime& rt, const std::vector<tmk::DiffPacket>& pkts);
 
   /// Timeout recovery (Section 5.4.2): request own missing diffs directly.
   void recover(tmk::NodeRuntime& rt, tmk::PageId page);

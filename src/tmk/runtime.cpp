@@ -270,7 +270,9 @@ void NodeRuntime::flush_diff(PageId p) {
   // future index would let a node that already applied this diff re-fetch
   // it later and clobber its own (or third parties') newer writes.
   // Exception: a twin created *inside* the open interval carries only that
-  // interval's writes and is registered under its future index.
+  // interval's writes and is registered under its future index.  A page
+  // written again before that interval closes gives the interval a second
+  // registration, and a request for it is answered with both.
   std::vector<std::uint32_t> covers = ps.open_intervals;
   if (ps.dirty_in_current && covers.empty()) {
     covers.push_back(vc_.at(id_) + 1);
@@ -367,32 +369,39 @@ void NodeRuntime::apply_packets_causally(std::vector<DiffPacket> pkts) {
     // A registration listed twice (a multicast frame delivered again by
     // recovery) sorts next to itself; it lands and is charged once.
     if (k > 0 && pkt.reg == pkts[order[k - 1].pos].reg) continue;
-    PageState& ps = pages_[pkt.page];
-    const auto [oldest, newest] = std::minmax_element(pkt.covers().begin(), pkt.covers().end());
-    // Batch guard: if this copy's validity already reaches the batch's
-    // oldest interval, this exact frozen batch was applied here before.
-    // Re-applying it would overwrite every write that landed since (local
-    // writes and other owners' diffs) with the batch's stale image.  The
-    // notices it satisfies are still cleared below.
-    if (ps.valid_vc.at(pkt.owner) < *oldest) {
+    const std::uint32_t oldest = *std::min_element(pkt.covers().begin(), pkt.covers().end());
+    // Batch guard: if this copy's validity reached the packet's oldest
+    // interval before this batch, this exact frozen batch was applied here
+    // before.  Re-applying it would overwrite every write that landed since
+    // (local writes and other owners' diffs) with the batch's stale image.
+    // The notices it satisfies are still cleared below.  Validity rises
+    // after the loop, so an interval's second registration for the page
+    // (see flush_diff) lands too.
+    if (pages_[pkt.page].valid_vc.at(pkt.owner) < oldest) {
       // The oracle must see the notices pending as this packet lands: the
       // page's list minus what earlier packets of the batch satisfied.
       if (chk_ != nullptr) [[unlikely]] chk_->on_diff_apply(*this, pkt, satisfied);
       pkt.diff().apply(page_span(pkt.page));
     }
-    if (*newest > ps.valid_vc.at(pkt.owner)) ps.valid_vc.set(pkt.owner, *newest);
     for (std::uint32_t i : pkt.covers()) satisfied.push_back({pkt.page, pkt.owner, i});
     ++applied;
     bytes += pkt.wire_bytes();
   }
-  // Clear the satisfied pending notices, one pass per touched page (sorted,
-  // `satisfied` groups each page's covers into one run).
+  // Raise each touched page's validity to the newest cover applied per
+  // owner and clear its satisfied pending notices, one pass per page
+  // (sorted, `satisfied` groups each page's covers into one run, each
+  // owner's ascending).  Both happen before the charge, which can yield.
   std::sort(satisfied.begin(), satisfied.end());
   for (auto run = satisfied.begin(); run != satisfied.end();) {
     const PageId p = run->page;
     const auto end = std::find_if(run, satisfied.end(),
                                   [p](const NoticeKey& k) { return k.page != p; });
-    std::erase_if(pages_[p].pending, [&](const IntervalRecordPtr& r) {
+    PageState& ps = pages_[p];
+    for (auto k = run; k != end; ++k) {
+      const bool owner_newest = k + 1 == end || (k + 1)->owner != k->owner;
+      if (owner_newest && k->index > ps.valid_vc.at(k->owner)) ps.valid_vc.set(k->owner, k->index);
+    }
+    std::erase_if(ps.pending, [&](const IntervalRecordPtr& r) {
       return std::binary_search(run, end, NoticeKey{p, r->owner, r->index});
     });
     run = end;
@@ -424,6 +433,65 @@ void NodeRuntime::apply_packets_causally(std::vector<DiffPacket> pkts) {
   }
   order_buffer_ = std::move(order);
   satisfied_buffer_ = std::move(satisfied);
+}
+
+void NodeRuntime::apply_pushed(const std::vector<DiffPacket>& pkts) {
+  // Pushed packets arrive in send order, not causal order: a round's frames
+  // come in chain (node-id) order, and a page can owe an older third-party
+  // notice (say, another slave's pre-section writes) that a broadcast does
+  // not carry.  Applying a page's packets before all of its pending notices
+  // are covered would let an older diff, landing later, clobber the newer
+  // data: silent replica divergence.  A page that completes partway through
+  // the call still takes the call's later packets for it (an interval's
+  // second registration, see flush_diff).
+  bool completed = false;
+  for (const DiffPacket& pkt : pkts) {
+    const auto& pending = pages_[pkt.page].pending;
+    // Never touch a page this node already holds valid: its replicated
+    // writes may have moved it past the image these diffs carry.
+    if (pending.empty()) {
+      staged_.erase(pkt.page);  // validated meanwhile: what it staged is stale
+      continue;
+    }
+    auto [it, inserted] = staged_.try_emplace(pkt.page);
+    StagedPage& sp = it->second;
+    if (inserted) {
+      // A page's packets usually number its pending notices: one
+      // reservation instead of regrowth as they arrive.
+      sp.packets.reserve(pending.size());
+      sp.needed.reserve(pending.size());
+      for (const IntervalRecordPtr& r : pending) sp.needed.push_back({{r->owner, r->index}});
+      std::sort(sp.needed.begin(), sp.needed.end(),
+                [](const auto& a, const auto& b) { return a.id < b.id; });
+      sp.remaining = sp.needed.size();
+    }
+    sp.packets.push_back(pkt);  // a duplicate lands once (apply_packets_causally)
+    for (std::uint32_t i : pkt.covers()) {
+      const std::pair<NodeId, std::uint32_t> id{pkt.owner, i};
+      const auto nit = std::lower_bound(sp.needed.begin(), sp.needed.end(), id,
+                                        [](const auto& n, const auto& k) { return n.id < k; });
+      if (nit != sp.needed.end() && nit->id == id && !nit->covered) {
+        nit->covered = true;
+        if (--sp.remaining == 0) completed = true;
+      }
+    }
+  }
+  if (!completed) return;
+  // Completed pages leave the stage before the batch applies: the apply can
+  // yield, and the stage may be dropped meanwhile (section exit).  A second
+  // walk over the call's packets finds them, so no list of them is kept.
+  std::vector<DiffPacket> batch;
+  for (const DiffPacket& pkt : pkts) {
+    const auto it = staged_.find(pkt.page);
+    if (it == staged_.end() || it->second.remaining > 0) continue;
+    if (batch.empty()) {
+      batch = std::move(it->second.packets);  // a round frame completes one page
+    } else {
+      batch.insert(batch.end(), it->second.packets.begin(), it->second.packets.end());
+    }
+    staged_.erase(it);
+  }
+  apply_packets_causally(std::move(batch));
 }
 
 std::string stuck_request(NodeId node, PageId page, const WantedByOwner& outstanding,
@@ -802,7 +870,7 @@ void NodeRuntime::releaser_grant(NodeId acquirer, std::uint64_t req_id, std::uin
 void NodeRuntime::receive_grant(net::Message msg) { grant_ch_.push(std::move(msg)); }
 
 // ---------------------------------------------------------------------------
-// Fork / join
+// Fork / join and the section broadcast
 // ---------------------------------------------------------------------------
 
 void NodeRuntime::fork(std::uint64_t work_id, Phase phase) {
@@ -844,6 +912,46 @@ void NodeRuntime::slave_loop() {
     send_unicast(MsgKind::Join, 0, std::move(join));
     last_master_vc_.max_with(vc_);
   }
+}
+
+void NodeRuntime::broadcast_section(const VectorClock& since) {
+  REPSEQ_CHECK(is_master(), "section broadcast must run on the master");
+  end_interval();
+  const std::size_t n = node_count();
+  if (n == 1) return;
+
+  // Receivers must get contiguous notice streams, so the broadcast carries
+  // every record the least-informed slave might lack (duplicates are
+  // dropped on arrival); diffs are attached only for the master's own
+  // section records -- the "data modified during the sequential execution".
+  VectorClock least = slave_known_vc_[1];
+  for (NodeId s = 2; s < n; ++s) {
+    for (NodeId o = 0; o < n; ++o) {
+      least.set(o, std::min(least.at(o), slave_known_vc_[s].at(o)));
+    }
+  }
+  std::vector<IntervalRecordPtr> records = log_.records_after(least);
+
+  std::vector<DiffPacket> packets;
+  for (std::uint32_t i = since.at(0) + 1; i <= vc_.at(0); ++i) {
+    for (PageId p : log_.get(0, i).pages) {
+      for (DiffPacket& pkt : collect_diffs(p, {i})) {
+        const bool dup = std::any_of(packets.begin(), packets.end(),
+                                     [&](const DiffPacket& q) { return q.reg == pkt.reg; });
+        if (!dup) packets.push_back(std::move(pkt));
+      }
+    }
+  }
+  if (records.empty() && packets.empty()) return;
+
+  const std::uint64_t req_id = next_req_id();
+  auto& slot = expect_replies(req_id);
+  send_multicast(MsgKind::BcastUpdate, BcastUpdateP{req_id, std::move(records), std::move(packets)});
+  for (std::size_t i = 1; i < n; ++i) {
+    (void)slot.pop();  // one BcastAck per slave
+  }
+  drop_reply_slot();
+  for (NodeId s = 1; s < n; ++s) slave_known_vc_[s].max_with(vc_);
 }
 
 // ---------------------------------------------------------------------------
@@ -898,36 +1006,14 @@ void NodeRuntime::register_base_protocol(ProtocolEngine& engine) {
     rt.join_ch_.push(msg);
   });
   engine.on(MsgKind::BcastUpdate, [](NodeRuntime& rt, const net::Message& msg) {
-    // Push-style section broadcast (Sections 4.2 / 6.1.2 alternatives):
-    // log+invalidate the notices, then apply their diffs immediately --
-    // but only for pages this batch makes fully valid.  A receiver may
-    // still owe a page an *older* third-party notice it never pulled
-    // (say, another slave's pre-section writes): eagerly applying the
-    // master's newer diff there clears only the master's notice, and the
-    // eventual fault would pull the older diff on top of the newer data,
-    // clobbering it.  Such pages skip the eager path entirely -- they stay
-    // invalid, and the pull path fetches every pending diff together,
-    // causally ordered.
+    // Section broadcast (broadcast_section): log and invalidate the
+    // notices, then land the diffs as pushed diffs.  A page the message
+    // leaves incomplete stays invalid, and the pull path fetches every
+    // pending diff together, causally ordered.
     const auto& u = msg.as<BcastUpdateP>();
     for (const IntervalRecordPtr& rec : u.records) rt.apply_notice(rec);
-    std::map<PageId, std::set<std::pair<NodeId, std::uint32_t>>> covered;
-    for (const DiffPacket& pkt : u.packets) {
-      auto& c = covered[pkt.page];
-      for (std::uint32_t i : pkt.covers()) c.emplace(pkt.owner, i);
-    }
-    std::map<PageId, bool> page_complete;
-    for (const auto& [page, c] : covered) {
-      const auto& pending = rt.page(page).pending;
-      page_complete[page] =
-          std::all_of(pending.begin(), pending.end(), [&](const IntervalRecordPtr& r) {
-            return c.contains({r->owner, r->index});
-          });
-    }
-    std::vector<DiffPacket> complete;
-    for (const DiffPacket& pkt : u.packets) {
-      if (page_complete[pkt.page]) complete.push_back(pkt);
-    }
-    if (!complete.empty()) rt.apply_packets_causally(std::move(complete));
+    rt.apply_pushed(u.packets);
+    rt.staged_.clear();
     rt.send_unicast(MsgKind::BcastAck, msg.src, BcastAckP{u.req_id});
   });
   engine.on(MsgKind::BcastAck, [](NodeRuntime& rt, const net::Message& msg) {

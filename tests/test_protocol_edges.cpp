@@ -93,6 +93,43 @@ TEST(MergedDiffs, EmptyDiffServesEarlyFlushedIntervalWithNoLaterWrites) {
   EXPECT_EQ(seen_by_2, 3);
 }
 
+// Regression: one interval of the master holds two registrations for one
+// page.  A remote notice flushes the twin created inside the open interval
+// under that interval's future index; the master then re-faults and writes
+// the page again before the interval closes, so the closed interval is
+// answered with both.  The batch guard must judge "applied here before"
+// from the page's validity before the batch: raising it at the first
+// registration used to skip the second, and node 2 read 0 for word 2.
+TEST(MergedDiffs, SecondRegistrationOfAnIntervalLands) {
+  auto cl = make_cluster(3);
+  auto data = ShArray<int>::alloc(*cl, 1024, /*page_aligned=*/true);
+  std::vector<int> seen;
+
+  const auto work = cl->register_work([&](NodeRuntime& rt) {
+    if (rt.id() == 1) data.store(1, 11);
+    if (rt.id() == 0) {
+      data.store(0, 10);
+      // Node 1's barrier arrival lands meanwhile: its notice flushes the
+      // twin under the open interval's index and invalidates the page.
+      rt.charge(sim::milliseconds(50));
+      rt.cpu().flush();
+      data.store(2, 12);  // re-fault, re-twin, same interval
+    }
+    rt.barrier(7);
+    if (rt.id() == 2) {
+      for (std::size_t i = 0; i < 3; ++i) seen.push_back(data.load(i));
+    }
+  });
+
+  cl->run([&](NodeRuntime& rt) {
+    rt.fork(work);
+    cl->work(work)(rt);
+    rt.join_master();
+  });
+
+  EXPECT_EQ(seen, (std::vector<int>{10, 11, 12}));
+}
+
 TEST(MergedDiffs, IdenticalValueWritesYieldEmptyDiffButClearNotices) {
   auto cl = make_cluster(2);
   auto data = ShArray<int>::alloc(*cl, 64);

@@ -129,6 +129,44 @@ TEST(Rse, LockChainedWritersConvergeInsideSection) {
   }
 }
 
+TEST(Rse, SecondRegistrationOfAnIntervalReachesEveryReplica) {
+  // The round path of MergedDiffs.SecondRegistrationOfAnIntervalLands: one
+  // interval of the master holds two registrations for one page, and its
+  // reply frame carries both.  A page that completes partway through a frame
+  // must still take the frame's later packets, and the batch must land them
+  // all; nodes 1 and 2 used to read 0 for word 2.
+  for (FlowControl flow : {FlowControl::Chained, FlowControl::Windowed, FlowControl::None}) {
+    World w(3, SeqMode::Replicated, flow);
+    auto data = tmk::ShArray<int>::alloc(*w.cl, 1024, /*page_aligned=*/true);
+    std::vector<std::vector<int>> seen(3);
+
+    const auto work = w.cl->register_work([&](tmk::NodeRuntime& rt) {
+      if (rt.id() == 1) data.store(1, 11);
+      if (rt.id() == 0) {
+        data.store(0, 10);
+        // Node 1's notice lands meanwhile and flushes the twin early.
+        rt.charge(sim::milliseconds(50));
+        rt.cpu().flush();
+        data.store(2, 12);  // re-fault, re-twin, same interval
+      }
+      rt.barrier(7);
+    });
+    w.cl->run([&](tmk::NodeRuntime& rt) {
+      rt.fork(work);
+      w.cl->work(work)(rt);
+      rt.join_master();
+      w.team->sequential([&](const Ctx& ctx) {
+        for (std::size_t i = 0; i < 3; ++i) seen[ctx.tid].push_back(data.load(i));
+      });
+    });
+
+    for (int t = 0; t < 3; ++t) {
+      EXPECT_EQ(seen[t], (std::vector<int>{10, 11, 12}))
+          << "node " << t << " flow " << static_cast<int>(flow);
+    }
+  }
+}
+
 TEST(Rse, LazyDiffHazardYieldsPreSectionDataOnly) {
   // The Section 5.3 scenario: node 1 dirties a page before the section and
   // the diff stays lazy.  Inside the replicated section every node performs
