@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <set>
 #include <tuple>
 #include <utility>
@@ -487,7 +488,8 @@ void NodeRuntime::apply_pushed(const std::vector<DiffPacket>& pkts) {
     if (batch.empty()) {
       batch = std::move(it->second.packets);  // a round frame completes one page
     } else {
-      batch.insert(batch.end(), it->second.packets.begin(), it->second.packets.end());
+      batch.insert(batch.end(), std::make_move_iterator(it->second.packets.begin()),
+                   std::make_move_iterator(it->second.packets.end()));
     }
     staged_.erase(it);
   }
