@@ -58,6 +58,9 @@ class BatchingTransport final : public Transport {
   [[nodiscard]] std::size_t sender_frames(std::size_t receivers) const override {
     return inner_->sender_frames(receivers);
   }
+  [[nodiscard]] sim::SimDuration multicast_price(std::size_t wire_bytes) const override {
+    return inner_->multicast_price(wire_bytes);
+  }
   [[nodiscard]] std::size_t shard_count() const override { return inner_->shard_count(); }
   [[nodiscard]] sim::SimDuration shard_busy(std::size_t s) const override {
     return inner_->shard_busy(s);

@@ -21,6 +21,13 @@ class DirectAllTransport final : public SwitchedTransport {
   [[nodiscard]] std::size_t sender_frames(std::size_t receivers) const override {
     return receivers;
   }
+
+  /// The last receiver's frame leaves after every other fan-out frame.
+  [[nodiscard]] sim::SimDuration multicast_price(std::size_t wire_bytes) const override {
+    const auto receivers = static_cast<std::int64_t>(nics_.size()) - 1;
+    return (NetConfig::send_overhead + cfg_.link_tx_time(wire_bytes)) * receivers +
+           NetConfig::hop_latency * 2 + cfg_.recv_overhead;
+  }
 };
 
 }  // namespace repseq::net

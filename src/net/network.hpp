@@ -57,6 +57,11 @@ class Network {
     return nics_.size() > 1 ? transport_->sender_frames(nics_.size() - 1) : 1;
   }
 
+  /// Transport::multicast_price of one group send of `payload_bytes`.
+  [[nodiscard]] sim::SimDuration multicast_price(std::size_t payload_bytes) const {
+    return transport_->multicast_price(cfg_.wire_bytes(payload_bytes));
+  }
+
   /// Multicast serialization domains of the active backend
   /// (Transport::shard_count: hub_shards on the sharded hub and on the tree
   /// with a coalescing window, 1 otherwise); upper layers size per-shard

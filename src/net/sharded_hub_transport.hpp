@@ -24,6 +24,12 @@ class ShardedHubTransport final : public SwitchedTransport {
   void multicast(const Message& msg, std::size_t wire_bytes, const DeliverFn& deliver,
                  const AccountFn& account) override;
 
+  /// One frame on one medium reaches every receiver at once, whatever S.
+  [[nodiscard]] sim::SimDuration multicast_price(std::size_t wire_bytes) const override {
+    return NetConfig::send_overhead + cfg_.hub_tx_time(wire_bytes) + NetConfig::hub_latency +
+           cfg_.recv_overhead;
+  }
+
   [[nodiscard]] std::size_t shard_count() const override { return hubs_.size(); }
   [[nodiscard]] sim::SimDuration shard_busy(std::size_t s) const override {
     return s < hubs_.size() ? hubs_[s].busy : sim::SimDuration{};

@@ -99,6 +99,13 @@ class Transport {
     return 1;
   }
 
+  /// Modeled cost of one uncontended group send of a `wire_bytes` frame:
+  /// the sender's software send, the wire path to the last receiver and
+  /// that receiver's software receive.  The adaptive policy prices every
+  /// multicast with it, so its choices follow the configured medium
+  /// without re-deriving the medium's topology.
+  [[nodiscard]] virtual sim::SimDuration multicast_price(std::size_t wire_bytes) const = 0;
+
   /// Number of independent multicast serialization domains this backend
   /// exposes: NetConfig::hub_shards on the sharded hub and on the tree with
   /// a coalescing window, 1 on the hub, the fan-out strawman and the

@@ -1,5 +1,6 @@
 #include "net/tree_multicast_transport.hpp"
 
+#include <cstdint>
 #include <utility>
 
 #include "obs/trace.hpp"
@@ -43,6 +44,20 @@ void TreeMulticastTransport::multicast(const Message& msg, std::size_t wire_byte
   // path, and the descent never transmits the edge into the sender's
   // position (forward_children skips it).
   forward_children(fl, (std::size_t{msg.src} + n - root) % n);
+}
+
+sim::SimDuration TreeMulticastTransport::multicast_price(std::size_t wire_bytes) const {
+  constexpr std::size_t k = NetConfig::mcast_tree_fanout;
+  // Levels below the root of the heap-ordered k-ary tree over every node.
+  std::int64_t depth = 0;
+  for (std::size_t covered = 1, level = 1; covered < nics_.size(); ++depth) {
+    level *= k;
+    covered += level;
+  }
+  const sim::SimDuration per_child = NetConfig::send_overhead + cfg_.link_tx_time(wire_bytes);
+  const sim::SimDuration forward = cfg_.recv_overhead + per_child * static_cast<std::int64_t>(k) +
+                                   NetConfig::hop_latency * 2;
+  return NetConfig::send_overhead + forward * depth;
 }
 
 void TreeMulticastTransport::forward_children(const util::PoolPtr<const Flight>& fl,

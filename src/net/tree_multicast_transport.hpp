@@ -91,6 +91,11 @@ class TreeMulticastTransport final : public SwitchedTransport {
     return std::min(receivers, NetConfig::mcast_tree_fanout);
   }
 
+  /// The frame descends the tree's levels one after another; each level is
+  /// priced as a software forward: a receive, then one send and one uplink
+  /// serialization per child, and the two switched hops to the next level.
+  [[nodiscard]] sim::SimDuration multicast_price(std::size_t wire_bytes) const override;
+
   /// With a coalescing window the tree exposes hub_shards concurrency
   /// domains (see the header comment); without one it is the single
   /// domain it always was.

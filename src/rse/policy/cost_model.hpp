@@ -1,19 +1,21 @@
 // Closed-form per-strategy cost estimates for one sequential section --
 // the paper's Section 4 analysis as arithmetic over per-site telemetry.
 //
-// Every input is a protocol-level count (pages written, stale pages read,
-// post-section faults): counts are identical across transport backends and
-// shard counts, so the decisions derived from them are too.  Wall-clock
-// times and wire frame/byte counters both vary with the backend and are
-// deliberately excluded -- feeding them back would make the decision
-// sequence timing-dependent.  The constants come from the calibrated
-// NetConfig/TmkConfig scalars (software overheads, hub rate, page size),
-// which a transport choice does not alter.
+// The inputs are counts; the prices follow the transport.  Every input is a
+// protocol-level count (pages written, stale pages read, diff messages per
+// fault, post-section diff traffic), identical across transport backends
+// and shard counts.  Wall-clock times and wire frame/byte counters both
+// vary with the backend and are deliberately excluded -- feeding them back
+// would make the decision sequence timing-dependent.  What each multicast
+// costs is asked of the configured transport (net::Network::multicast_price:
+// one frame on a hub medium, a chain of forwarding levels on the tree), so
+// decisions are identical within one multicast cost class (the hub and the
+// sharded hub at any S) and may differ across classes.
 #pragma once
 
 #include <cstdint>
 
-#include "net/net_config.hpp"
+#include "net/network.hpp"
 #include "rse/policy/policy.hpp"
 #include "tmk/config.hpp"
 
@@ -35,44 +37,70 @@ struct SectionProfile {
   /// BroadcastAfter, flow-controlled multicast rounds under Replicated.
   double faults_in = 0;
 
-  /// Measured post-section contention, per strategy that actually ran:
-  /// diff messages/bytes converging on the *master* during the aftermath
-  /// window (the paper's Section 3 queue).  Counting master-side traffic
-  /// rather than cluster-wide faults keeps background contention -- e.g.
-  /// faults on pages other parallel threads wrote, served evenly by all
-  /// nodes -- from being attributed to the section.  Parallel-phase diff
-  /// traffic is unicast, and every backend shares the switched unicast
-  /// path, so both counters are transport-invariant.  tried[] gates the
-  /// prediction fallback in CostModel.
-  double after_msgs[kStrategyCount] = {0, 0, 0};
-  double after_bytes[kStrategyCount] = {0, 0, 0};
+  /// Diff messages converging on the master per master fault: one reply
+  /// from each writer of the faulted page (about 31 for Ilink's
+  /// contribution pages at 32 nodes).  Measured under MasterOnly and
+  /// BroadcastAfter; replicated execution takes no master fault, so the
+  /// last measured value carries, as pages_written does.
+  double fan_in = 1;
+  std::uint64_t fan_in_samples = 0;
+
+  /// Measured post-section diff traffic, per strategy that actually ran,
+  /// from the section's close to the next section's open.  `master` counts
+  /// what the master sends (the paper's Section 3 queue); `cluster` counts
+  /// every node's, which also sees the slaves refaulting pages the section
+  /// left stale.  Parallel-phase diff traffic is unicast, counted per
+  /// logical message at its standalone wire size, so both are
+  /// transport-invariant.  tried[] gates the prediction fallback in
+  /// CostModel.
+  struct Traffic {
+    double msgs = 0;
+    double bytes = 0;
+  };
+  Traffic after_master[kStrategyCount];
+  Traffic after_cluster[kStrategyCount];
   std::uint64_t tried[kStrategyCount] = {0, 0, 0};
 };
 
 class CostModel {
  public:
-  CostModel(const tmk::TmkConfig& tmk, const net::NetConfig& net, std::size_t nodes);
+  /// Prices multicasts on `net`'s configured transport for its node count;
+  /// `net` must outlive the model.
+  CostModel(const tmk::TmkConfig& tmk, const net::Network& net);
 
   /// Modeled protocol-overhead seconds of running one occurrence of a
   /// section with profile `p` under strategy `s`.  The section's own
   /// compute is identical under every strategy and cancels out.
   [[nodiscard]] double cost(SectionStrategy s, const SectionProfile& p) const;
 
- private:
-  /// Master service time for an aftermath traffic volume: per-message
-  /// software cost plus the measured (or predicted) payload on the wire.
-  [[nodiscard]] double after_cost(double msgs, double bytes) const;
+  /// Seconds of one multicast of `payload_bytes` on the transport.
+  [[nodiscard]] double mcast(double payload_bytes) const;
 
+  /// Seconds `traffic` costs one node that sends or serves all of it.
+  [[nodiscard]] double serialized(const SectionProfile::Traffic& traffic) const;
+
+ private:
+  /// Seconds of the post-section contention strategy `s` caused, as
+  /// measured (zero until it has run for the site): the master's
+  /// serialized diff service or the cluster's diff traffic spread over
+  /// every node, whichever is larger.
+  [[nodiscard]] double after(SectionStrategy s, const SectionProfile& p) const;
+
+  /// Seconds of one master fault: a request to and a reply from each
+  /// writer, a page-sized payload each way on the master's port, and the
+  /// diffs' creation and application.
+  [[nodiscard]] double fault(const SectionProfile& p) const;
+
+  const net::Network& net_;
   std::size_t n_;
-  double c_msg_;       // software send + receive per message
-  double c_page_;      // one page-sized payload: wire + diff create/apply
-  double c_ack_;       // one small control frame (null ack class)
-  double rt_;          // uncontended fault round trip (Table 2's ~0.7-0.9 ms)
-  double round_;       // one flow-controlled multicast round (n chained frames)
-  double repl_fixed_;  // per-section replicated bracket: fork/join, entry and
-                       // exit barriers, valid-notice exchange (Section 5.2/5.4.1)
+  double send_;        // software send per message
+  double recv_;        // software receive per message
   double link_rate_;   // switched unicast port, bytes/second
+  double page_bytes_;  // payload bytes of one page
   double page_wire_;   // wire bytes of one page-sized payload
+  double diff_;        // create + apply one page's diff
+  double mcast_ctl_;   // one small control multicast (fork, table, ack)
+  double mcast_page_;  // one page-sized multicast (a round's reply)
 };
 
 }  // namespace repseq::rse::policy

@@ -69,7 +69,7 @@ std::optional<std::map<std::uint32_t, SectionStrategy>> parse_pin_sites(std::str
 PolicyEngine::PolicyEngine(tmk::Cluster& cluster, PolicyConfig cfg)
     : cluster_(cluster),
       cfg_(cfg),
-      model_(cluster.config(), cluster.network().config(), cluster.node_count()),
+      model_(cluster.config(), cluster.network()),
       log_(cluster.node_count()) {
   cluster_.protocol().on(
       tmk::MsgKind::PolicySectionOpen, [this](tmk::NodeRuntime& rt, const net::Message& msg) {
@@ -83,20 +83,20 @@ PolicyEngine::PolicyEngine(tmk::Cluster& cluster, PolicyConfig cfg)
       });
 }
 
-std::uint64_t PolicyEngine::master_par_diff_msgs() const {
-  return cluster_.node(0).stats().par.diff_msgs_sent;
-}
-
-std::uint64_t PolicyEngine::master_par_diff_bytes() const {
-  return cluster_.node(0).stats().par.diff_bytes_sent;
-}
-
-std::uint64_t PolicyEngine::total_seq_fwd_requests() const {
-  std::uint64_t sum = 0;
-  for (net::NodeId n = 0; n < cluster_.node_count(); ++n) {
-    sum += cluster_.node(n).stats().seq.fwd_requests;
+std::uint64_t PolicyEngine::sum(net::NodeId first, tmk::Phase phase,
+                                std::uint64_t tmk::PhaseCounters::*counter) const {
+  std::uint64_t total = 0;
+  for (net::NodeId n = first; n < cluster_.node_count(); ++n) {
+    total += cluster_.node(n).stats().for_phase(phase).*counter;
   }
-  return sum;
+  return total;
+}
+
+PolicyEngine::ParDiffs PolicyEngine::par_diffs() const {
+  const tmk::PhaseCounters& master = cluster_.node(0).stats().par;
+  return {master.diff_msgs_sent, master.diff_bytes_sent,
+          sum(0, tmk::Phase::Parallel, &tmk::PhaseCounters::diff_msgs_sent),
+          sum(0, tmk::Phase::Parallel, &tmk::PhaseCounters::diff_bytes_sent)};
 }
 
 SectionStrategy PolicyEngine::decide(const SiteState& st) const {
@@ -120,10 +120,16 @@ void PolicyEngine::finalize_aftermath() {
   aftermath_pending_ = false;
   SectionProfile& p = sites_[aftermath_site_].profile;
   const auto i = static_cast<std::size_t>(aftermath_strategy_);
-  const auto msgs = static_cast<double>(master_par_diff_msgs() - snap_master_par_diffs_);
-  const auto bytes = static_cast<double>(master_par_diff_bytes() - snap_master_par_bytes_);
-  p.after_msgs[i] = ewma(p.after_msgs[i], msgs, p.tried[i] == 0);
-  p.after_bytes[i] = ewma(p.after_bytes[i], bytes, p.tried[i] == 0);
+  const bool first = p.tried[i] == 0;
+  const ParDiffs now = par_diffs();
+  auto fold = [first](SectionProfile::Traffic& t, std::uint64_t msgs, std::uint64_t bytes) {
+    t.msgs = ewma(t.msgs, static_cast<double>(msgs), first);
+    t.bytes = ewma(t.bytes, static_cast<double>(bytes), first);
+  };
+  fold(p.after_master[i], now.master_msgs - snap_par_diffs_.master_msgs,
+       now.master_bytes - snap_par_diffs_.master_bytes);
+  fold(p.after_cluster[i], now.cluster_msgs - snap_par_diffs_.cluster_msgs,
+       now.cluster_bytes - snap_par_diffs_.cluster_bytes);
   ++p.tried[i];
 }
 
@@ -154,10 +160,19 @@ SectionStrategy PolicyEngine::open_section(tmk::NodeRuntime& master, std::uint32
 
   if (obs::enabled(obs::Cat::Rse)) [[unlikely]] {
     // The decision with its full cost-model inputs: the profile the costs
-    // were computed from plus the per-strategy costs themselves (recomputed
-    // here -- decide() keeps them internal -- and meaningful once the site
-    // has a measured profile).
-    const bool modeled = st.profile.runs > 0;
+    // were computed from, the transport's per-frame multicast prices and
+    // the per-strategy costs themselves (recomputed here -- decide() keeps
+    // them internal -- and meaningful once the site has a measured
+    // profile).  The cluster-wide aftermath is the measured per-node share
+    // of each tried strategy's post-section diff traffic, in seconds.
+    const SectionProfile& p = st.profile;
+    const bool modeled = p.runs > 0;
+    const double nodes = static_cast<double>(cluster_.node_count());
+    auto cluster_after = [&](SectionStrategy s) {
+      const auto i = static_cast<std::size_t>(s);
+      return p.tried[i] > 0 ? model_.serialized(p.after_cluster[i]) / nodes : 0.0;
+    };
+    auto cost = [&](SectionStrategy s) { return modeled ? model_.cost(s, p) : 0.0; };
     obs::tracer().instant(
         obs::Cat::Rse, cluster_.engine().now(), 1, "policy", "decision",
         {{"seq", static_cast<double>(d.seq)},
@@ -165,15 +180,17 @@ SectionStrategy PolicyEngine::open_section(tmk::NodeRuntime& master, std::uint32
          {"strategy", static_cast<double>(static_cast<std::size_t>(chosen))},
          {"switched", switched ? 1.0 : 0.0},
          {"pinned", pin != cfg_.pins.end() ? 1.0 : 0.0},
-         {"runs", static_cast<double>(st.profile.runs)},
-         {"pages_written", st.profile.pages_written},
-         {"faults_in", st.profile.faults_in},
-         {"cost_master_only",
-          modeled ? model_.cost(SectionStrategy::MasterOnly, st.profile) : 0.0},
-         {"cost_replicated",
-          modeled ? model_.cost(SectionStrategy::Replicated, st.profile) : 0.0},
-         {"cost_broadcast",
-          modeled ? model_.cost(SectionStrategy::BroadcastAfter, st.profile) : 0.0}});
+         {"runs", static_cast<double>(p.runs)},
+         {"pages_written", p.pages_written},
+         {"faults_in", p.faults_in},
+         {"fan_in", p.fan_in},
+         {"mcast_page_s", model_.mcast(static_cast<double>(cluster_.config().page_bytes))},
+         {"cluster_after_master_only", cluster_after(SectionStrategy::MasterOnly)},
+         {"cluster_after_replicated", cluster_after(SectionStrategy::Replicated)},
+         {"cluster_after_broadcast", cluster_after(SectionStrategy::BroadcastAfter)},
+         {"cost_master_only", cost(SectionStrategy::MasterOnly)},
+         {"cost_replicated", cost(SectionStrategy::Replicated)},
+         {"cost_broadcast", cost(SectionStrategy::BroadcastAfter)}});
   }
   if (cluster_.node_count() > 1) {
     master.send_multicast(tmk::MsgKind::PolicySectionOpen,
@@ -186,7 +203,8 @@ SectionStrategy PolicyEngine::open_section(tmk::NodeRuntime& master, std::uint32
   open_site_ = site;
   open_strategy_ = chosen;
   snap_master_seq_faults_ = master.stats().seq.page_faults;
-  snap_fwd_requests_ = total_seq_fwd_requests();
+  snap_fwd_requests_ = sum(0, tmk::Phase::Sequential, &tmk::PhaseCounters::fwd_requests);
+  snap_slave_seq_diffs_ = sum(1, tmk::Phase::Sequential, &tmk::PhaseCounters::diff_msgs_sent);
   if (chosen != SectionStrategy::Replicated) {
     // Close the master's open interval so the write-set measurement sees a
     // clean dirty-page slate: a page dirtied by an *earlier* section and
@@ -205,9 +223,10 @@ void PolicyEngine::close_section(tmk::NodeRuntime& master) {
   section_open_ = false;
   SectionProfile& p = sites_[open_site_].profile;
 
+  const std::uint64_t master_faults = master.stats().seq.page_faults - snap_master_seq_faults_;
   const std::uint64_t faults_in =
-      (master.stats().seq.page_faults - snap_master_seq_faults_) +
-      (total_seq_fwd_requests() - snap_fwd_requests_);
+      master_faults +
+      (sum(0, tmk::Phase::Sequential, &tmk::PhaseCounters::fwd_requests) - snap_fwd_requests_);
 
   const bool first = p.runs == 0;
   if (open_strategy_ != SectionStrategy::Replicated) {
@@ -225,6 +244,17 @@ void PolicyEngine::close_section(tmk::NodeRuntime& master) {
       for (tmk::PageId pg : master.log().get(0, i).pages) wrote.insert(pg);
     }
     p.pages_written = ewma(p.pages_written, static_cast<double>(wrote.size()), first);
+    // Fan-in: while only the master executes, every slave diff message is
+    // a reply to one of the master's faults.
+    if (master_faults > 0) {
+      const std::uint64_t replies =
+          sum(1, tmk::Phase::Sequential, &tmk::PhaseCounters::diff_msgs_sent) -
+          snap_slave_seq_diffs_;
+      p.fan_in = ewma(p.fan_in,
+                      static_cast<double>(replies) / static_cast<double>(master_faults),
+                      p.fan_in_samples == 0);
+      ++p.fan_in_samples;
+    }
   }
   p.faults_in = ewma(p.faults_in, static_cast<double>(faults_in), first);
   ++p.runs;
@@ -232,8 +262,7 @@ void PolicyEngine::close_section(tmk::NodeRuntime& master) {
   aftermath_pending_ = true;
   aftermath_site_ = open_site_;
   aftermath_strategy_ = open_strategy_;
-  snap_master_par_diffs_ = master_par_diff_msgs();
-  snap_master_par_bytes_ = master_par_diff_bytes();
+  snap_par_diffs_ = par_diffs();
 }
 
 }  // namespace repseq::rse::policy

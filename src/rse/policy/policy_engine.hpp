@@ -10,12 +10,14 @@
 // handler sets -- so every node records the same agreed decision sequence.
 //
 // Telemetry discipline: the decision function consumes only protocol-level
-// counts (pages written, stale pages read, post-section faults), which are
-// identical across transport backends and shard counts; transport-dependent
-// measures (virtual section time, multicast bytes) never feed it.  In a real
-// system the counter deltas the master reads here would piggyback on the
-// join/barrier messages that already bracket every section at zero extra
-// frames; the simulation reads them from tmk::NodeStats directly.
+// counts (pages written, stale pages read, diff messages per fault,
+// post-section diff traffic), which are identical across transport backends
+// and shard counts; transport-dependent measures (virtual section time,
+// multicast frames and bytes) never feed it.  Only the cost model's prices
+// follow the configured transport.  In a real system the counter deltas the
+// master reads here would piggyback on the join/barrier messages that
+// already bracket every section at zero extra frames; the simulation reads
+// them from tmk::NodeStats directly.
 #pragma once
 
 #include <array>
@@ -70,11 +72,19 @@ class PolicyEngine {
   [[nodiscard]] SectionStrategy decide(const SiteState& st) const;
   void finalize_aftermath();
 
-  // Cluster-wide counter sums (the values a real master would piggyback on
-  // the bracketing synchronization messages).
-  [[nodiscard]] std::uint64_t master_par_diff_msgs() const;
-  [[nodiscard]] std::uint64_t master_par_diff_bytes() const;
-  [[nodiscard]] std::uint64_t total_seq_fwd_requests() const;
+  // Counter sums over nodes [first, n) (the values a real master would
+  // piggyback on the bracketing synchronization messages).
+  [[nodiscard]] std::uint64_t sum(net::NodeId first, tmk::Phase phase,
+                                  std::uint64_t tmk::PhaseCounters::*counter) const;
+
+  /// Parallel-phase diff traffic sent so far: the master's and every node's.
+  struct ParDiffs {
+    std::uint64_t master_msgs = 0;
+    std::uint64_t master_bytes = 0;
+    std::uint64_t cluster_msgs = 0;
+    std::uint64_t cluster_bytes = 0;
+  };
+  [[nodiscard]] ParDiffs par_diffs() const;
 
   tmk::Cluster& cluster_;
   PolicyConfig cfg_;
@@ -92,14 +102,14 @@ class PolicyEngine {
   SectionStrategy open_strategy_ = SectionStrategy::Replicated;
   std::uint64_t snap_master_seq_faults_ = 0;
   std::uint64_t snap_fwd_requests_ = 0;
+  std::uint64_t snap_slave_seq_diffs_ = 0;
   std::uint32_t snap_master_vc0_ = 0;
 
   // Aftermath window: close -> next open, attributed to the closed section.
   bool aftermath_pending_ = false;
   std::uint32_t aftermath_site_ = 0;
   SectionStrategy aftermath_strategy_ = SectionStrategy::Replicated;
-  std::uint64_t snap_master_par_diffs_ = 0;
-  std::uint64_t snap_master_par_bytes_ = 0;
+  ParDiffs snap_par_diffs_;
 };
 
 }  // namespace repseq::rse::policy

@@ -875,10 +875,32 @@ void NodeRuntime::receive_grant(net::Message msg) { grant_ch_.push(std::move(msg
 // Fork / join and the section broadcast
 // ---------------------------------------------------------------------------
 
+std::vector<IntervalRecordPtr> NodeRuntime::records_some_slave_lacks() const {
+  VectorClock least = slave_known_vc_[1];
+  for (NodeId s = 2; s < node_count(); ++s) {
+    for (NodeId o = 0; o < node_count(); ++o) {
+      least.set(o, std::min(least.at(o), slave_known_vc_[s].at(o)));
+    }
+  }
+  return records_unknown_to(least);
+}
+
 void NodeRuntime::fork(std::uint64_t work_id, Phase phase) {
   REPSEQ_CHECK(is_master(), "fork from non-master");
   end_interval();
   cluster_.set_phase(phase);
+  if (phase == Phase::Sequential && node_count() > 1) {
+    // A replicated section hands every slave the same work, so its fork is
+    // one multicast.  It carries every record the least-informed slave
+    // lacks; a better-informed slave drops the duplicates on arrival.
+    ForkP f{work_id, vc_, records_some_slave_lacks()};
+    if (chk_ != nullptr) [[unlikely]] f.chk = chk_->shadow(id_);
+    send_multicast(MsgKind::Fork, std::move(f));
+    for (NodeId s = 1; s < node_count(); ++s) slave_known_vc_[s].max_with(vc_);
+    return;
+  }
+  // A parallel region keeps TreadMarks' fork: one unicast per slave,
+  // carrying only what that slave lacks.
   for (NodeId s = 1; s < node_count(); ++s) {
     ForkP f{work_id, vc_, records_unknown_to(slave_known_vc_[s])};
     if (chk_ != nullptr) [[unlikely]] f.chk = chk_->shadow(id_);
@@ -926,13 +948,7 @@ void NodeRuntime::broadcast_section(const VectorClock& since) {
   // every record the least-informed slave might lack (duplicates are
   // dropped on arrival); diffs are attached only for the master's own
   // section records -- the "data modified during the sequential execution".
-  VectorClock least = slave_known_vc_[1];
-  for (NodeId s = 2; s < n; ++s) {
-    for (NodeId o = 0; o < n; ++o) {
-      least.set(o, std::min(least.at(o), slave_known_vc_[s].at(o)));
-    }
-  }
-  std::vector<IntervalRecordPtr> records = log_.records_after(least);
+  std::vector<IntervalRecordPtr> records = records_some_slave_lacks();
 
   std::vector<DiffPacket> packets;
   for (std::uint32_t i = since.at(0) + 1; i <= vc_.at(0); ++i) {

@@ -109,7 +109,9 @@ class NodeRuntime {
   /// Master: fork a parallel region; slaves run `work_id` via the cluster's
   /// registered work table.  `phase` tags statistics while the region runs
   /// (replicated *sequential* sections are forked too, but their traffic
-  /// belongs to the sequential-section accounting of Tables 2 and 4).
+  /// belongs to the sequential-section accounting of Tables 2 and 4).  A
+  /// Phase::Sequential fork is one multicast to every slave; a parallel
+  /// region's is one unicast per slave.
   void fork(std::uint64_t work_id, Phase phase = Phase::Parallel);
   /// Master: wait for all slaves' join messages.
   void join_master();
@@ -285,6 +287,9 @@ class NodeRuntime {
 
   void merge_sync_payload(const VectorClock& vc, const std::vector<IntervalRecordPtr>& records);
   [[nodiscard]] std::vector<IntervalRecordPtr> records_unknown_to(const VectorClock& vc) const;
+  /// Master: the records the least-informed slave lacks (element-wise
+  /// minimum of slave_known_vc_), what one multicast to every slave carries.
+  [[nodiscard]] std::vector<IntervalRecordPtr> records_some_slave_lacks() const;
 
   // barrier bookkeeping (master side)
   struct BarrierGroup {

