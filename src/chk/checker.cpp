@@ -396,6 +396,29 @@ void Checker::on_section_enter(tmk::NodeRuntime& rt, std::uint32_t site) {
   s.active = true;
   s.site = site;
   s.writes.clear();
+  if (!protocol()) return;
+  // The requester election takes each replica's own interval log for the
+  // cluster's: the join and the multicast fork that open the section must
+  // have left every log equal to the first reporter's.
+  const std::size_t n = cluster_.node_count();
+  tmk::VectorClock known(n);
+  for (tmk::NodeId o = 0; o < n; ++o) known.set(o, rt.log().known(o));
+  auto [it, first] = section_logs_.try_emplace(s.section_no, SectionLog{known, rt.id(), 0});
+  SectionLog& l = it->second;
+  if (!first && known != l.known) {
+    tmk::NodeId o = 0;
+    while (known.at(o) == l.known.at(o)) ++o;
+    record_violation("replica-interval-log",
+                     "  replicated section #" + std::to_string(s.section_no) + " (site " +
+                         site_str(site) + "): node " + std::to_string(rt.id()) +
+                         " enters knowing " + std::to_string(known.at(o)) +
+                         " intervals of owner " + std::to_string(o) + ", node " +
+                         std::to_string(l.first_node) + " entered knowing " +
+                         std::to_string(l.known.at(o)) + "\n  node log " + clock_str(known) +
+                         ", node " + std::to_string(l.first_node) + " log " +
+                         clock_str(l.known));
+  }
+  if (++l.reported == n) section_logs_.erase(it);
 }
 
 void Checker::on_section_exit(tmk::NodeRuntime& rt) {

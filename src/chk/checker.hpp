@@ -17,7 +17,8 @@
 //   * protocol -- invariant oracles over the protocol itself: per-node
 //     interval monotonicity, diff-apply causality (the PR 4 BcastUpdate bug
 //     class, asserted at apply time), at-most-one-round-in-flight per
-//     multicast shard, replica write-set agreement after replicated
+//     multicast shard, replica interval-log agreement at replicated
+//     section entry, replica write-set agreement after replicated
 //     sections, and write-notice coverage of every invalidation.
 //
 // Selection mirrors the obs layer: the REPSEQ_CHECK env axis (fail-loud,
@@ -93,6 +94,10 @@ enum class Mutation : std::uint8_t {
   /// apply_packets_causally reverses its causally-sorted batch -- the
   /// diff-apply-causality oracle must fire on the first stale apply.
   ReorderDiffApply,
+  /// A replicated section's fork drops its last record -- a slave that
+  /// lacked it enters the section with a shorter interval log than the
+  /// master's, and the replica-interval-log oracle must fire.
+  TruncateSectionFork,
 };
 extern Mutation g_test_mutation;
 
@@ -239,6 +244,15 @@ class Checker {
   };
   std::vector<SectionState> sections_;
   std::map<std::uint64_t, SectionDigest> section_digests_;
+
+  // replica interval-log agreement: the first reporter's log().known(o) per
+  // owner, keyed by section number like the digests
+  struct SectionLog {
+    tmk::VectorClock known;
+    tmk::NodeId first_node = 0;
+    std::size_t reported = 0;
+  };
+  std::map<std::uint64_t, SectionLog> section_logs_;
 
   friend class ScopedMutation;
 };

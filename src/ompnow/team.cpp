@@ -124,6 +124,7 @@ void Team::seq_replicated(std::uint32_t site, std::function<void(const Ctx&)> bo
         rt.set_current_site(tmk::NodeRuntime::kNoSite);
       });
   run_region(id, tmk::Phase::Sequential);
+  rse->retire_rounds(master);
 }
 
 void Team::sequential(std::function<void(const Ctx&)> body) {

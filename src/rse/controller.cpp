@@ -12,8 +12,6 @@
 namespace repseq::rse {
 
 namespace {
-constexpr std::uint32_t kEntryBarrier = 0xFFFF0001u;
-constexpr std::uint32_t kExitBarrier = 0xFFFF0002u;
 /// CPU cost per valid-notice entry scanned/serialized during the exchange.
 constexpr sim::SimDuration kPerEntryCost{120};
 
@@ -73,10 +71,10 @@ void RseController::enter(tmk::NodeRuntime& rt) {
                         static_cast<std::int32_t>(rt.id()) + 1, "app", "rse-bracket");
   }
   // "A join before a replicated sequential section behaves like a barrier"
-  // (Section 5.2): all threads align and receive the usual consistency
-  // information.
-  rt.barrier(kEntryBarrier);
-
+  // (Section 5.2): the master joined every slave before its fork, and the
+  // fork carried every record the least-informed slave lacked, so every
+  // interval log already equals the master's.  The exchange below aligns
+  // the nodes: no body starts before every node has sent its notices.
   NodeState& st = state_[rt.id()];
   const std::size_t n = cluster_.node_count();
   const sim::SimTime t0 = cluster_.engine().now();
@@ -142,24 +140,19 @@ void RseController::exit(tmk::NodeRuntime& rt) {
 
   // "At the fork at the end of a sequential section, threads wait until all
   // other threads have finished...  No memory coherence information is
-  // exchanged" (Section 5.2).  No intervals closed during the section, so
-  // this barrier carries no notices.
-  rt.barrier(kExitBarrier);
-  // Every node arrived, so none is still waiting in on_fault: a round still
-  // in flight or queued serves nobody.  One can outlive its section when
-  // the master's receive ring, full of sync arrivals, drops the tail of its
-  // ack chain; left alone it holds its shard until the watchdog fires and
-  // the next section's rounds queue behind it.
-  if (rt.is_master()) {
-    for (std::size_t shard = 0; shard < st.shards.size(); ++shard) {
-      MasterShard& ms = master_shard(shard);
-      ms.queue.clear();
-      if (ms.round_in_flight) master_round_finished(rt, shard);
-    }
-  }
+  // exchanged" (Section 5.2).  That wait is the join the omp layer sends
+  // next; no interval closed during the section, so it carries no notices.
   if (obs::enabled(obs::Cat::Rse)) [[unlikely]] {
     obs::tracer().end(obs::Cat::Rse, cluster_.engine().now(),
                       static_cast<std::int32_t>(rt.id()) + 1, "app");
+  }
+}
+
+void RseController::retire_rounds(tmk::NodeRuntime& master) {
+  for (std::size_t shard = 0; shard < state_[0].shards.size(); ++shard) {
+    MasterShard& ms = master_shard(shard);
+    ms.queue.clear();
+    if (ms.round_in_flight) master_round_finished(master, shard);
   }
 }
 

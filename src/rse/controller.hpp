@@ -1,15 +1,16 @@
 // Replicated sequential execution (the paper's contribution, Sections 4-5).
 //
 // Every node executes the sequential section on its own copy of shared
-// data.  Entry performs the join-as-barrier, the valid-notice exchange
-// (Section 5.4.1) and the dirty-page write-protection pass (Section 5.3).
-// Faults during the section use the flow-controlled multicast protocol
-// (Section 5.4.2): one elected requester per page forwards a request to the
-// master, the master serializes rounds and multicasts the request, and
-// holders reply by multicast in thread-id order with chained (null-)
-// acknowledgments; receivers land the replies through the runtime's
-// pushed-diff rule (tmk::NodeRuntime::apply_pushed).  Exit is a plain
-// barrier exchanging no coherence information (Section 5.2).
+// data.  The multicast fork opens it, leaving every interval log equal to
+// the master's; entry performs the valid-notice exchange (Section 5.4.1)
+// and the dirty-page write-protection pass (Section 5.3).  Faults during
+// the section use the flow-controlled multicast protocol (Section 5.4.2):
+// one elected requester per page forwards a request to the master, the
+// master serializes rounds and multicasts the request, and holders reply by
+// multicast in thread-id order with chained (null-) acknowledgments;
+// receivers land the replies through the runtime's pushed-diff rule
+// (tmk::NodeRuntime::apply_pushed).  The join closes the section,
+// exchanging no coherence information (Section 5.2).
 #pragma once
 
 #include <cstdint>
@@ -48,6 +49,11 @@ class RseController final : public tmk::RseHooks {
   /// layer forks the section body to the slaves).
   void enter(tmk::NodeRuntime& rt);
   void exit(tmk::NodeRuntime& rt);
+  /// Master, after every slave joined the section: no node waits in
+  /// on_fault, so queued rounds are dropped and rounds in flight finished
+  /// (one whose ack-chain tail a full receive ring dropped would otherwise
+  /// hold its shard until the watchdog fires).
+  void retire_rounds(tmk::NodeRuntime& master);
 
   [[nodiscard]] FlowControl flow() const { return flow_; }
 

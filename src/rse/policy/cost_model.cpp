@@ -64,15 +64,13 @@ double CostModel::cost(SectionStrategy s, const SectionProfile& p) const {
     }
     case SectionStrategy::Replicated: {
       // The bracket: the fork and the valid-notice table ride the multicast
-      // medium, and the master receives the entry-barrier arrivals, the
-      // valid notices, the exit-barrier arrivals and the joins and sends
-      // both barriers' departures (Sections 5.2 and 5.4.1).  Each stale
-      // page costs one flow-controlled round: a control multicast per node
-      // (request and chained acks) and the page-sized reply.  The write set
-      // costs nothing on the wire (every node computes it locally), and
-      // replication leaves no section-written page stale, so the
-      // unmeasured aftermath is zero.
-      const double bracket = 2.0 * mcast_ctl_ + (nd - 1.0) * (4.0 * recv_ + 2.0 * send_);
+      // medium, and the master receives the valid notices and the joins
+      // (Sections 5.2 and 5.4.1).  Each stale page costs one flow-controlled
+      // round: a control multicast per node (request and chained acks) and
+      // the page-sized reply.  The write set costs nothing on the wire
+      // (every node computes it locally), and replication leaves no
+      // section-written page stale, so the unmeasured aftermath is zero.
+      const double bracket = 2.0 * mcast_ctl_ + (nd - 1.0) * 2.0 * recv_;
       return bracket + f * (nd * mcast_ctl_ + mcast_page_ + diff_) + after(s, p);
     }
     case SectionStrategy::BroadcastAfter: {

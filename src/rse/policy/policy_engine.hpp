@@ -15,7 +15,7 @@
 // and shard counts; transport-dependent measures (virtual section time,
 // multicast frames and bytes) never feed it.  Only the cost model's prices
 // follow the configured transport.  In a real system the counter deltas the
-// master reads here would piggyback on the join/barrier messages that
+// master reads here would piggyback on the fork and join messages that
 // already bracket every section at zero extra frames; the simulation reads
 // them from tmk::NodeStats directly.
 #pragma once

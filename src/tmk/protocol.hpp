@@ -31,7 +31,7 @@ enum class MsgKind : std::uint32_t {
   Fork,
   Join,
   // ---- replicated sequential execution (paper Sections 5.2-5.4) ----
-  ValidNotices,      // node -> master at the join before a sequential section
+  ValidNotices,      // node -> master right after a replicated section's fork
   ValidTable,        // master -> all (multicast): aggregated valid notices
   McastRequestFwd,   // elected requester -> master (point-to-point)
   McastDiffRequest,  // master -> all (multicast), starts a reply chain

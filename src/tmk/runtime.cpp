@@ -894,6 +894,12 @@ void NodeRuntime::fork(std::uint64_t work_id, Phase phase) {
     // one multicast.  It carries every record the least-informed slave
     // lacks; a better-informed slave drops the duplicates on arrival.
     ForkP f{work_id, vc_, records_some_slave_lacks()};
+    // Oracle-validation mutation: withhold the last record; the
+    // replica-interval-log oracle must fire at section entry.
+    if (chk::g_test_mutation == chk::Mutation::TruncateSectionFork && !f.records.empty())
+        [[unlikely]] {
+      f.records.pop_back();
+    }
     if (chk_ != nullptr) [[unlikely]] f.chk = chk_->shadow(id_);
     send_multicast(MsgKind::Fork, std::move(f));
     for (NodeId s = 1; s < node_count(); ++s) slave_known_vc_[s].max_with(vc_);

@@ -128,7 +128,7 @@ class NodeRuntime {
   /// All interval records (own and remote) known to mention `p`, in no
   /// particular order.  The RSE requester election uses this as the
   /// universe of write notices for a page (logs are identical cluster-wide
-  /// after the barrier that precedes a replicated section).
+  /// once the multicast fork has opened a replicated section).
   [[nodiscard]] const std::vector<IntervalRecordPtr>& page_notices(PageId p) const {
     static const std::vector<IntervalRecordPtr> kEmpty;
     auto it = page_notice_index_.find(p);

@@ -296,6 +296,30 @@ TEST(ChkOracle, ReplicaWriteSetDivergenceTrips) {
   EXPECT_NE(hits[0].find("site 3"), std::string::npos) << hits[0];
 }
 
+TEST(ChkOracle, TruncatedSectionForkTripsIntervalLogAgreement) {
+  ScopedConfig sc(kProtocol, /*abort_on_violation=*/false);
+  ScopedMutation mut(Mutation::TruncateSectionFork);
+  Fixture fx;
+  auto cl = fx.make(4);
+  rse::RseController rse(*cl, rse::FlowControl::Chained);
+  ompnow::Team team(*cl, ompnow::SeqMode::Replicated, &rse);
+  auto data = tmk::ShArray<int>::alloc(*cl, 16);
+
+  cl->run([&](tmk::NodeRuntime&) {
+    // The master's write closes at the section's fork, so that interval is
+    // the fork's only record, and the mutation withholds it from every
+    // slave.  The program ends right after the section: a later record of
+    // the master's would trip the log's gap check first.
+    data.store(0, 1);
+    team.sequential(/*site=*/4, [](const ompnow::Ctx&) {});
+  });
+
+  const auto hits = details_of(*cl, "replica-interval-log");
+  ASSERT_FALSE(hits.empty());
+  EXPECT_NE(hits[0].find("section #0 (site 4)"), std::string::npos) << hits[0];
+  EXPECT_NE(hits[0].find("owner 0"), std::string::npos) << hits[0];
+}
+
 TEST(ChkOracle, IntervalMonotonicityOnForgedRecord) {
   ScopedConfig sc(kProtocol, /*abort_on_violation=*/false);
   Fixture fx;

@@ -243,6 +243,47 @@ TEST(Rse, ReplicatedSectionForkIsOneMulticast) {
   }
 }
 
+TEST(Rse, ReplicatedBracketSynchronizesOnce) {
+  // The paper synchronizes once on each side of a replicated section
+  // (Section 5.2): the multicast fork and the valid-notice exchange open it
+  // and the join closes it.  After a parallel region in which every slave
+  // wrote its own page, an empty section costs exactly 2n messages -- the
+  // fork frame, n-1 valid notices, the table frame and n-1 joins -- and the
+  // master sends two of them.
+  for (std::size_t nodes : {4u, 8u}) {
+    for (FlowControl flow : {FlowControl::Chained, FlowControl::Windowed, FlowControl::None}) {
+      World w(nodes, SeqMode::Replicated, flow);
+      const std::size_t ints_per_page = w.cfg.page_bytes / sizeof(int);
+      auto data = tmk::ShArray<int>::alloc(*w.cl, nodes * ints_per_page, /*page_aligned=*/true);
+      auto seq_msgs = [&] {
+        std::uint64_t sum = 0;
+        for (std::size_t t = 0; t < nodes; ++t) {
+          sum += w.cl->node(static_cast<net::NodeId>(t)).stats().seq.msgs_sent;
+        }
+        return sum;
+      };
+      std::uint64_t section_msgs = 0;
+      std::uint64_t master_msgs = 0;
+
+      w.cl->run([&](tmk::NodeRuntime& rt) {
+        w.team->parallel([&](const Ctx& ctx) {
+          if (ctx.tid > 0) data.store(ctx.tid * ints_per_page, ctx.tid);
+        });
+        const std::uint64_t all0 = seq_msgs();
+        const std::uint64_t master0 = rt.stats().seq.msgs_sent;
+        w.team->sequential([](const Ctx&) {});
+        section_msgs = seq_msgs() - all0;
+        master_msgs = rt.stats().seq.msgs_sent - master0;
+      });
+
+      const std::string what =
+          std::to_string(nodes) + " nodes, flow " + std::to_string(static_cast<int>(flow));
+      EXPECT_EQ(section_msgs, 2 * nodes) << what;
+      EXPECT_EQ(master_msgs, 2u) << what;
+    }
+  }
+}
+
 TEST(Rse, LazyDiffHazardYieldsPreSectionDataOnly) {
   // The Section 5.3 scenario: node 1 dirties a page before the section and
   // the diff stays lazy.  Inside the replicated section every node performs

@@ -145,13 +145,13 @@ TEST(WatchdogAbandonment, LateCompletingChainDoesNotDoubleFinishRounds) {
 TEST(RoundLifetime, MasterRetiresRoundsAtSectionExit) {
   // Regression: a round must not outlive its section.  Node 1 alone holds
   // the page's diff, so once its frame lands every faulting node leaves the
-  // section at once, and their exit-barrier arrivals (sync traffic,
-  // admitted past a full receive ring) reach the master with the rest of
-  // the ack chain (null acks, droppable).  The master drops the chain's
-  // tail and never sees it complete.  The round used to stay in flight
-  // until the watchdog abandoned it, rse_wait_timeout later, with the next
-  // section's round queued behind it.  Past the exit barrier nobody waits
-  // on a round, so the master retires it there.
+  // section at once, and their joins (sync traffic, admitted past a full
+  // receive ring) reach the master with the rest of the ack chain (null
+  // acks, droppable).  The master drops the chain's tail and never sees it
+  // complete.  The round used to stay in flight until the watchdog
+  // abandoned it, rse_wait_timeout later, with the next section's round
+  // queued behind it.  Once every slave has joined nobody waits on a round,
+  // so the master retires it there.
   constexpr std::size_t kNodes = 8;
   constexpr std::size_t kIntsPerPage = 4096 / sizeof(int);
   tmk::TmkConfig cfg;
