@@ -6,8 +6,10 @@
 // data it reads, and the contention its output induces afterwards
 // (Section 4.2 discusses execute-then-broadcast as an alternative precisely
 // because the trade-off is per-section).  rse::policy makes that choice
-// online, per section site, with the master's decision propagated to all
-// nodes in a section-open message.
+// online, per section site, on the master alone: no message announces it,
+// since a slave learns what a section asks of it from the master's fork
+// (replicated), its broadcast (execute-then-broadcast) or nothing
+// (master-only).
 #pragma once
 
 #include <cstdint>
@@ -49,12 +51,11 @@ struct PolicyConfig {
 [[nodiscard]] std::optional<std::map<std::uint32_t, SectionStrategy>> parse_pin_sites(
     std::string_view s);
 
-/// One entry of the per-section decision log: what the master multicasts
-/// at section entry and what every node's log must agree on.  The log is
-/// the one record of the policy's choices; per-site summaries are derived
-/// from it (apps::harness::site_policy_summary).
+/// One entry of the master's per-section decision log.  The log is the one
+/// record of the policy's choices; the engine's counts and the per-site
+/// summaries are derived from it (apps::harness::site_policy_summary).
 struct Decision {
-  std::uint64_t seq = 0;   // cluster-global section sequence number
+  std::uint64_t seq = 0;   // section sequence number, from 1
   std::uint32_t site = 0;  // application-stamped section site id
   SectionStrategy strategy = SectionStrategy::Replicated;
   bool switched = false;   // site changed strategy at this entry

@@ -1,5 +1,6 @@
 #include "rse/policy/policy_engine.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <set>
 
@@ -67,20 +68,17 @@ std::optional<std::map<std::uint32_t, SectionStrategy>> parse_pin_sites(std::str
 }
 
 PolicyEngine::PolicyEngine(tmk::Cluster& cluster, PolicyConfig cfg)
-    : cluster_(cluster),
-      cfg_(cfg),
-      model_(cluster.config(), cluster.network()),
-      log_(cluster.node_count()) {
-  cluster_.protocol().on(
-      tmk::MsgKind::PolicySectionOpen, [this](tmk::NodeRuntime& rt, const net::Message& msg) {
-        const auto& p = msg.as<tmk::PolicySectionOpenP>();
-        Decision d;
-        d.seq = p.seq;
-        d.site = p.site;
-        d.strategy = static_cast<SectionStrategy>(p.strategy);
-        d.switched = p.switched != 0;
-        log_[rt.id()].push_back(d);
-      });
+    : cluster_(cluster), cfg_(cfg), model_(cluster.config(), cluster.network()) {}
+
+std::uint64_t PolicyEngine::switches() const {
+  return static_cast<std::uint64_t>(
+      std::count_if(log_.begin(), log_.end(), [](const Decision& d) { return d.switched; }));
+}
+
+std::array<std::uint64_t, kStrategyCount> PolicyEngine::strategy_counts() const {
+  std::array<std::uint64_t, kStrategyCount> counts{};
+  for (const Decision& d : log_) ++counts[static_cast<std::size_t>(d.strategy)];
+  return counts;
 }
 
 std::uint64_t PolicyEngine::sum(net::NodeId first, tmk::Phase phase,
@@ -116,10 +114,9 @@ SectionStrategy PolicyEngine::decide(const SiteState& st) const {
 }
 
 void PolicyEngine::finalize_aftermath() {
-  if (!aftermath_pending_) return;
-  aftermath_pending_ = false;
-  SectionProfile& p = sites_[aftermath_site_].profile;
-  const auto i = static_cast<std::size_t>(aftermath_strategy_);
+  const Decision& closed = log_.back();
+  SectionProfile& p = sites_[closed.site].profile;
+  const auto i = static_cast<std::size_t>(closed.strategy);
   const bool first = p.tried[i] == 0;
   const ParDiffs now = par_diffs();
   auto fold = [first](SectionProfile::Traffic& t, std::uint64_t msgs, std::uint64_t bytes) {
@@ -136,7 +133,7 @@ void PolicyEngine::finalize_aftermath() {
 SectionStrategy PolicyEngine::open_section(tmk::NodeRuntime& master, std::uint32_t site) {
   REPSEQ_CHECK(master.is_master(), "policy decisions are made on the master");
   REPSEQ_CHECK(!section_open_, "policy section opened twice");
-  finalize_aftermath();
+  if (!log_.empty()) finalize_aftermath();
 
   auto [it, inserted] = sites_.try_emplace(site);
   SiteState& st = it->second;
@@ -147,16 +144,8 @@ SectionStrategy PolicyEngine::open_section(tmk::NodeRuntime& master, std::uint32
   const auto pin = cfg_.pins.find(site);
   const SectionStrategy chosen = pin != cfg_.pins.end() ? pin->second : decide(st);
   const bool switched = st.profile.runs > 0 && chosen != st.current;
-  if (switched) ++switches_;
   st.current = chosen;
-  ++counts_[static_cast<std::size_t>(chosen)];
-
-  Decision d;
-  d.seq = next_seq_++;
-  d.site = site;
-  d.strategy = chosen;
-  d.switched = switched;
-  log_[0].push_back(d);
+  const Decision& d = log_.emplace_back(Decision{log_.size() + 1, site, chosen, switched});
 
   if (obs::enabled(obs::Cat::Rse)) [[unlikely]] {
     // The decision with its full cost-model inputs: the profile the costs
@@ -192,16 +181,8 @@ SectionStrategy PolicyEngine::open_section(tmk::NodeRuntime& master, std::uint32
          {"cost_replicated", cost(SectionStrategy::Replicated)},
          {"cost_broadcast", cost(SectionStrategy::BroadcastAfter)}});
   }
-  if (cluster_.node_count() > 1) {
-    master.send_multicast(tmk::MsgKind::PolicySectionOpen,
-                          tmk::PolicySectionOpenP{d.seq, site,
-                                                  static_cast<std::uint8_t>(chosen),
-                                                  static_cast<std::uint8_t>(switched)});
-  }
 
   section_open_ = true;
-  open_site_ = site;
-  open_strategy_ = chosen;
   snap_master_seq_faults_ = master.stats().seq.page_faults;
   snap_fwd_requests_ = sum(0, tmk::Phase::Sequential, &tmk::PhaseCounters::fwd_requests);
   snap_slave_seq_diffs_ = sum(1, tmk::Phase::Sequential, &tmk::PhaseCounters::diff_msgs_sent);
@@ -221,7 +202,8 @@ SectionStrategy PolicyEngine::open_section(tmk::NodeRuntime& master, std::uint32
 void PolicyEngine::close_section(tmk::NodeRuntime& master) {
   REPSEQ_CHECK(section_open_, "policy section closed without open");
   section_open_ = false;
-  SectionProfile& p = sites_[open_site_].profile;
+  const Decision& open = log_.back();
+  SectionProfile& p = sites_[open.site].profile;
 
   const std::uint64_t master_faults = master.stats().seq.page_faults - snap_master_seq_faults_;
   const std::uint64_t faults_in =
@@ -229,17 +211,14 @@ void PolicyEngine::close_section(tmk::NodeRuntime& master) {
       (sum(0, tmk::Phase::Sequential, &tmk::PhaseCounters::fwd_requests) - snap_fwd_requests_);
 
   const bool first = p.runs == 0;
-  if (open_strategy_ != SectionStrategy::Replicated) {
+  if (open.strategy != SectionStrategy::Replicated) {
     // Write set: pages dirtied in the master's still-open interval (exact --
     // open_section closed the previous interval) plus the pages of intervals
     // closed during the bracket (the BroadcastAfter path closes one; section
     // bodies with internal synchronization may close more).  Replicated
     // execution leaves no write trace by design (Section 5.2), so the site's
     // last measured value carries and the scan is skipped entirely.
-    std::set<tmk::PageId> wrote;
-    for (tmk::PageId pg = 0; pg < master.page_count(); ++pg) {
-      if (master.page(pg).dirty_in_current) wrote.insert(pg);
-    }
+    std::set<tmk::PageId> wrote(master.current_dirty().begin(), master.current_dirty().end());
     for (std::uint32_t i = snap_master_vc0_ + 1; i <= master.vc().at(0); ++i) {
       for (tmk::PageId pg : master.log().get(0, i).pages) wrote.insert(pg);
     }
@@ -259,9 +238,6 @@ void PolicyEngine::close_section(tmk::NodeRuntime& master) {
   p.faults_in = ewma(p.faults_in, static_cast<double>(faults_in), first);
   ++p.runs;
 
-  aftermath_pending_ = true;
-  aftermath_site_ = open_site_;
-  aftermath_strategy_ = open_strategy_;
   snap_par_diffs_ = par_diffs();
 }
 

@@ -4,10 +4,11 @@
 // sequential-section entry, how *that* section executes: master-only (the
 // base system), replicated (the paper's optimization), or
 // execute-then-broadcast (the Section 4.2 alternative).  The master makes
-// the decision from per-site telemetry and multicasts it in a
-// PolicySectionOpen message -- its own message kind, registered through the
-// tmk::ProtocolEngine dispatch registry exactly like the RSE flow-control
-// handler sets -- so every node records the same agreed decision sequence.
+// the decision alone, from per-site telemetry, and sends no message for it:
+// a slave learns what a section asks of it from the master's fork
+// (replicated), from its broadcast (execute-then-broadcast) or from nothing
+// (master-only).  The master's decision log is the one record of the
+// policy's choices.
 //
 // Telemetry discipline: the decision function consumes only protocol-level
 // counts (pages written, stale pages read, diff messages per fault,
@@ -33,17 +34,14 @@ namespace repseq::rse::policy {
 
 class PolicyEngine {
  public:
-  /// Registers the PolicySectionOpen handler with the cluster's dispatch
-  /// registry; constructing two engines on one cluster is a wiring bug and
-  /// aborts (duplicate registration).
   explicit PolicyEngine(tmk::Cluster& cluster, PolicyConfig cfg = {});
 
   PolicyEngine(const PolicyEngine&) = delete;
   PolicyEngine& operator=(const PolicyEngine&) = delete;
 
   /// Master application fiber, at section entry: finalizes the previous
-  /// section's aftermath window, decides this section's strategy, multicasts
-  /// the decision, and opens the during-section measurement window.
+  /// section's aftermath window, decides this section's strategy, logs the
+  /// decision, and opens the during-section measurement window.
   [[nodiscard]] SectionStrategy open_section(tmk::NodeRuntime& master, std::uint32_t site);
 
   /// Master application fiber, immediately after the strategy's execution
@@ -51,17 +49,12 @@ class PolicyEngine {
   /// profile and opens the aftermath (post-section contention) window.
   void close_section(tmk::NodeRuntime& master);
 
-  /// The master's decision log.
-  [[nodiscard]] const std::vector<Decision>& decisions() const { return log_[0]; }
-  /// Per-node copy of the agreed decision sequence, built from the
-  /// section-open multicasts.
-  [[nodiscard]] const std::vector<Decision>& node_log(net::NodeId n) const { return log_[n]; }
-
-  [[nodiscard]] std::uint64_t sections() const { return log_[0].size(); }
-  [[nodiscard]] std::uint64_t switches() const { return switches_; }
-  [[nodiscard]] const std::array<std::uint64_t, kStrategyCount>& strategy_counts() const {
-    return counts_;
-  }
+  /// The decision log, one entry per section in order; every count below
+  /// is derived from it.
+  [[nodiscard]] const std::vector<Decision>& decisions() const { return log_; }
+  [[nodiscard]] std::uint64_t sections() const { return log_.size(); }
+  [[nodiscard]] std::uint64_t switches() const;
+  [[nodiscard]] std::array<std::uint64_t, kStrategyCount> strategy_counts() const;
 
  private:
   struct SiteState {
@@ -70,6 +63,7 @@ class PolicyEngine {
   };
 
   [[nodiscard]] SectionStrategy decide(const SiteState& st) const;
+  /// Folds the diff traffic since log_.back() closed into its site profile.
   void finalize_aftermath();
 
   // Counter sums over nodes [first, n) (the values a real master would
@@ -91,24 +85,16 @@ class PolicyEngine {
   CostModel model_;
 
   std::map<std::uint32_t, SiteState> sites_;
-  std::vector<std::vector<Decision>> log_;  // [node] -> agreed sequence
-  std::array<std::uint64_t, kStrategyCount> counts_{};
-  std::uint64_t switches_ = 0;
-  std::uint64_t next_seq_ = 1;
+  std::vector<Decision> log_;
 
-  // During-section window (master side).
+  // During-section window of log_.back().
   bool section_open_ = false;
-  std::uint32_t open_site_ = 0;
-  SectionStrategy open_strategy_ = SectionStrategy::Replicated;
   std::uint64_t snap_master_seq_faults_ = 0;
   std::uint64_t snap_fwd_requests_ = 0;
   std::uint64_t snap_slave_seq_diffs_ = 0;
   std::uint32_t snap_master_vc0_ = 0;
 
-  // Aftermath window: close -> next open, attributed to the closed section.
-  bool aftermath_pending_ = false;
-  std::uint32_t aftermath_site_ = 0;
-  SectionStrategy aftermath_strategy_ = SectionStrategy::Replicated;
+  // Aftermath window of log_.back(): its close -> the next open.
   ParDiffs snap_par_diffs_;
 };
 

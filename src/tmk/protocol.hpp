@@ -41,8 +41,6 @@ enum class MsgKind : std::uint32_t {
   // ---- broadcast-all alternative (paper Sections 4.2 / 6.1.2 ablations) ----
   BcastUpdate,       // master -> all (multicast): notices + diffs of a section
   BcastAck,          // receiver -> master: applied
-  // ---- adaptive replication policy (rse::policy) ----
-  PolicySectionOpen,  // master -> all (multicast): section id + chosen strategy
   // ---- local control (never on the wire) ----
   RseRoundTick,      // master-local timer: force round progression on loss
 };
@@ -283,19 +281,6 @@ struct BcastAckP {
   [[nodiscard]] static std::size_t wire_bytes() { return 16; }
 };
 
-/// The per-section strategy decision, multicast by the master at section
-/// entry so every node records the same agreed decision sequence (the
-/// adaptive-policy analogue of the fork's work descriptor).  Slaves only log
-/// it; the execution itself is still driven by the master's fork-or-inline
-/// choice, which this message names.
-struct PolicySectionOpenP {
-  std::uint64_t seq = 0;      // cluster-global section sequence number
-  std::uint32_t site = 0;     // application-stamped section site id
-  std::uint8_t strategy = 0;  // rse::policy::SectionStrategy
-  std::uint8_t switched = 0;  // differs from this site's previous strategy
-  [[nodiscard]] static std::size_t wire_bytes() { return 16; }
-};
-
 /// Master-local watchdog tick (injected into the master's own inbox, never
 /// transmitted): if the multicast round `round` on `shard` is still in
 /// flight when the tick is handled, the master abandons it and starts that
@@ -343,8 +328,11 @@ net::Message make_message(MsgKind kind, NodeId src, NodeId dst, P payload) {
   // ring, while sync traffic is admitted as if kernel-retried (a dropped
   // Join/Barrier has no protocol-level recovery and would deadlock the
   // cluster, e.g. when concurrent sharded rounds' ack tails overlap the
-  // join burst at a section boundary).
-  m.reliable = !is_diff_traffic(kind);
+  // join burst at a section boundary).  The section broadcast counts as
+  // diff traffic but is reliable like the fork: it carries the section's
+  // write notices, and a slave that missed it would never acknowledge, so
+  // the master would wait for its BcastAck forever.
+  m.reliable = !is_diff_traffic(kind) || kind == MsgKind::BcastUpdate;
   m.payload_bytes = payload.wire_bytes();
   m.payload = util::make_pooled<P>(std::move(payload));
   return m;

@@ -2,9 +2,8 @@
 //
 // Each Message::Kind has exactly one registered handler.  The tmk base
 // protocol registers its handlers at Cluster construction
-// (NodeRuntime::register_base_protocol); protocol extensions -- the RSE
-// engine's flow-control variants, the policy engine -- register theirs in
-// their own constructors.  The dispatcher fiber then routes every inbound
+// (NodeRuntime::register_base_protocol); a protocol extension -- the RSE
+// engine's flow-control variants -- registers its own in its constructor.  The dispatcher fiber then routes every inbound
 // message through dispatch(), which replaces the monolithic switch that
 // previously fused all protocol handling into NodeRuntime.
 #pragma once

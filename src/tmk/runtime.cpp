@@ -1133,6 +1133,12 @@ sim::SimDuration Cluster::run(std::function<void(NodeRuntime&)> master_program) 
   f->set_user_data(master);
   f->set_trace_pid(1);
   engine_.run();
+  // The engine stops once every fiber is parked and no event is left.  A
+  // master program still parked then waits for a message that will never
+  // come, and its results were never produced.
+  REPSEQ_CHECK(f->finished(), "the master program never finished: it is parked with no event "
+                              "left to wake it, at virtual time " +
+                                  std::to_string(engine_.now().ns) + " ns");
   return engine_.now() - start;
 }
 

@@ -143,6 +143,9 @@ class NodeRuntime {
   }
   /// Pages currently holding a twin, in no particular order.
   [[nodiscard]] const std::vector<PageId>& twinned_pages() const { return twinned_pages_; }
+  /// Pages written in the open interval (PageState::dirty_in_current), in
+  /// no particular order.
+  [[nodiscard]] const std::vector<PageId>& current_dirty() const { return current_dirty_; }
 
   /// Closes the current interval if dirty (publishes write notices locally;
   /// they travel with the next synchronization message).

@@ -170,7 +170,7 @@ TEST(Ilink, OptimizedCutsParallelTrafficSharply) {
   // Paper Table 3/4 shape that holds at any scale: the parallel sections
   // lose almost all their traffic and time; the sequential sections pay
   // for it.  (The *total*-time crossover needs the paper's 32-node regime;
-  // see OptimizedWinsTotalAtScale and bench/table3_ilink.)
+  // see OptimizedWinsTotalAtScale and bench/tables_ilink.)
   EXPECT_LT(optm.par_s, orig.par_s);
   EXPECT_LT(optm.par_kb, orig.par_kb / 2);
   EXPECT_GT(optm.seq_s, orig.seq_s);

@@ -1,20 +1,19 @@
 // Tests for the adaptive per-section replication policy engine
 // (rse::policy): decision determinism, decisions shared by the transports
-// of one multicast cost class, cluster-wide decision agreement via the
-// section-open multicast, correctness of mixed-strategy runs, the cost
+// of one multicast cost class, a pinned site running exactly like the
+// static mode it names, correctness of mixed-strategy runs, the cost
 // model's transport prices, and the headline competitiveness claim --
 // adaptive within a few percent of the best static mode on both
 // applications, and following the transport at 64 nodes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "apps/harness/run_modes.hpp"
 #include "net/network.hpp"
-#include "ompnow/team.hpp"
 #include "rse/policy/policy_engine.hpp"
-#include "tmk/access.hpp"
 
 namespace repseq::rse::policy {
 namespace {
@@ -41,12 +40,6 @@ apps::ilink::IlinkConfig small_ilink() {
   cfg.max_nonzero = 256;
   cfg.threshold = 96;
   return cfg;
-}
-
-std::vector<Decision> sorted_by_seq(std::vector<Decision> v) {
-  std::sort(v.begin(), v.end(),
-            [](const Decision& a, const Decision& b) { return a.seq < b.seq; });
-  return v;
 }
 
 void expect_same_choices(const std::vector<Decision>& a, const std::vector<Decision>& b,
@@ -222,58 +215,40 @@ TEST(Policy, DecisionSequenceIsInvariantWithinAMulticastCostClass) {
   EXPECT_EQ(hub.checksum, tree.checksum);
 }
 
-// Every node's policy log -- rebuilt from the PolicySectionOpen multicasts
-// the master sends at each entry -- must agree with the master's decision
-// sequence: the cluster-wide strategy agreement the section-open message
-// exists for.
-TEST(Policy, AllNodesAgreeOnTheDecisionSequence) {
-  constexpr std::size_t kNodes = 6;
-  tmk::TmkConfig tc;
-  tc.heap_bytes = 24u << 20;
-  net::NetConfig nc;
-  tmk::Cluster cl(tc, nc, kNodes);
-  RseController rse(cl, FlowControl::Chained);
-  PolicyEngine policy(cl);
-  ompnow::Team team(cl, ompnow::SeqMode::Adaptive, &rse, &policy);
-
-  const auto cfg = small_ilink();
-  apps::ilink::IlinkWorld w = apps::ilink::setup_world(cl, cfg);
-  cl.run([&](tmk::NodeRuntime&) { (void)apps::ilink::run_program(cl, team, w, cfg); });
-
-  ASSERT_GT(policy.sections(), 0u);
-  for (net::NodeId n = 1; n < kNodes; ++n) {
-    expect_same_choices(sorted_by_seq(policy.decisions()), sorted_by_seq(policy.node_log(n)),
-                        "slave log");
-  }
-}
-
-TEST(Policy, SecondEngineOnOneClusterAborts) {
-  // Both engines would claim the PolicySectionOpen kind.
-  tmk::TmkConfig tc;
-  tc.heap_bytes = 1u << 20;
-  tmk::Cluster cl(tc, net::NetConfig{}, 2);
-  PolicyEngine first(cl);
-  EXPECT_DEATH(PolicyEngine second(cl), "duplicate handler registration");
-}
-
-TEST(Policy, PinnedReplicatedMatchesOptimizedPlusOneOpenFramePerSection) {
+TEST(Policy, PinnedReplicatedMatchesOptimized) {
   // Pinning Barnes-Hut's only section site to Replicated
   // (REPSEQ_PIN_SITE=1=replicated) must execute exactly like
-  // Mode::Optimized; the only extra traffic is the one section-open
-  // multicast frame per section (HubSwitch: one frame per send).
+  // Mode::Optimized: the master decides alone and sends nothing for the
+  // decision, so times and traffic are equal, not merely close.
   apps::bh::BhConfig cfg;
   cfg.bodies = 512;
   cfg.steps = 2;
-  RunOptions pinned = opts(Mode::Adaptive, 4);
-  pinned.policy.pins = {{apps::bh::kSectionTreeBuild, SectionStrategy::Replicated}};
-  const RunReport a = run_barnes_hut(pinned, cfg);
-  const RunReport o = run_barnes_hut(opts(Mode::Optimized, 4), cfg);
-
-  EXPECT_EQ(a.checksum, o.checksum);
-  EXPECT_EQ(a.sections_by_strategy[static_cast<std::size_t>(SectionStrategy::Replicated)],
-            a.sections);
-  EXPECT_EQ(a.policy_switches, 0u);
-  EXPECT_EQ(a.total_msgs, o.total_msgs + a.sections);
+  for (net::TransportKind kind :
+       {net::TransportKind::HubSwitch, net::TransportKind::TreeMulticast}) {
+    for (std::size_t nodes : {4u, 16u}) {
+      auto run = [&](Mode mode) {
+        RunOptions o = opts(mode, nodes);
+        o.net.transport = kind;
+        // Read only in Mode::Adaptive.
+        o.policy.pins = {{apps::bh::kSectionTreeBuild, SectionStrategy::Replicated}};
+        return run_barnes_hut(o, cfg);
+      };
+      const RunReport a = run(Mode::Adaptive);
+      const RunReport o = run(Mode::Optimized);
+      const std::string what = std::string(net::transport_name(kind)) + ", " +
+                               std::to_string(nodes) + " nodes";
+      EXPECT_EQ(a.sections_by_strategy[static_cast<std::size_t>(SectionStrategy::Replicated)],
+                a.sections)
+          << what;
+      EXPECT_GT(a.sections, 0u) << what;
+      EXPECT_EQ(a.policy_switches, 0u) << what;
+      EXPECT_EQ(a.total_s, o.total_s) << what;
+      EXPECT_EQ(a.seq_s, o.seq_s) << what;
+      EXPECT_EQ(a.par_s, o.par_s) << what;
+      EXPECT_EQ(a.total_msgs, o.total_msgs) << what;
+      EXPECT_EQ(a.checksum, o.checksum) << what;
+    }
+  }
 }
 
 TEST(Policy, MixedStrategiesPreserveResultsAcrossFlowControls) {

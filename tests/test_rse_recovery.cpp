@@ -33,7 +33,7 @@ struct LossyWorld {
   LossyWorld(std::size_t nodes, FlowControl flow, double loss, std::uint64_t seed,
              sim::SimDuration wait_timeout = sim::milliseconds(20),
              net::TransportKind transport = net::TransportKind::HubSwitch,
-             sim::SimDuration batch_window = {}) {
+             sim::SimDuration batch_window = {}, SeqMode seq_mode = SeqMode::Replicated) {
     cfg.heap_bytes = 1u << 20;
     cfg.rse_wait_timeout = wait_timeout;
     cfg.request_timeout = sim::milliseconds(10);
@@ -43,7 +43,7 @@ struct LossyWorld {
     ncfg.batch_window = batch_window;
     cl = std::make_unique<tmk::Cluster>(cfg, ncfg, nodes);
     rse = std::make_unique<RseController>(*cl, flow);
-    team = std::make_unique<ompnow::Team>(*cl, SeqMode::Replicated, rse.get());
+    team = std::make_unique<ompnow::Team>(*cl, seq_mode, rse.get());
   }
 };
 
@@ -205,6 +205,28 @@ TEST(LossRecoverySeeds, ManySeedsConverge) {
     LossyWorld lossy(3, FlowControl::Chained, 0.10, seed);
     EXPECT_EQ(run_workload(lossy, kElems), expect) << "seed " << seed;
   }
+}
+
+// Execute-then-broadcast under loss.  The section broadcast carries the
+// section's write notices and has no recovery, and a slave that missed it
+// would never acknowledge it, leaving the master parked: it is reliable
+// like the fork, while the master's faults inside the section still lose
+// frames and recover.
+TEST(LossRecoverySeeds, BroadcastSectionsConverge) {
+  constexpr std::size_t kElems = 3000;
+  auto world = [](double loss, std::uint64_t seed) {
+    return LossyWorld(4, FlowControl::Chained, loss, seed, sim::milliseconds(20),
+                      net::TransportKind::HubSwitch, {}, SeqMode::BroadcastAfter);
+  };
+  LossyWorld clean = world(0.0, 1);
+  const long expect = run_workload(clean, kElems);
+  std::uint64_t losses = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    LossyWorld lossy = world(0.2, seed);
+    EXPECT_EQ(run_workload(lossy, kElems), expect) << "seed " << seed;
+    losses += lossy.cl->network().losses_injected();
+  }
+  EXPECT_GT(losses, 0u);
 }
 
 // Recovery exhaustion names the stuck request: with every diff frame lost,

@@ -453,6 +453,19 @@ TEST(TmkRuntimeDeathTest, SecondOutstandingRequestAborts) {
       "a second request outstanding on one node");
 }
 
+TEST(TmkRuntimeDeathTest, UnfinishedMasterProgramAborts) {
+  // Nothing pushes the channel, so the master parks for good and the engine
+  // runs out of events: Cluster::run must say so rather than return as if
+  // the program had finished.
+  EXPECT_DEATH(
+      {
+        Cluster cl(TmkConfig{}, net::NetConfig{}, 2);
+        sim::Channel<int> never(cl.engine());
+        cl.run([&](NodeRuntime&) { (void)never.pop(); });
+      },
+      "the master program never finished");
+}
+
 // Parameterized consistency sweep: random access schedules over varying node
 // counts still satisfy the golden final image computed on one node.
 class RandomScheduleProperty : public ::testing::TestWithParam<int> {};
