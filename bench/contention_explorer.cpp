@@ -64,8 +64,8 @@ Sample probe(std::size_t nodes, ompnow::SeqMode mode, const net::NetConfig& ncfg
   auto data = tmk::ShArray<int>::alloc(cl, elems, /*page_aligned=*/true);
 
   cl.run([&](tmk::NodeRuntime&) {
-    // Two rounds, so an adaptive policy gets past its bootstrap probe and
-    // the steady-state decision shows in the second section.
+    // Two rounds, so an adaptive policy gets past its replicated bootstrap
+    // and the steady-state decision shows in the second section.
     for (int round = 0; round < 2; ++round) {
       team.sequential(kSite, [&](const ompnow::Ctx&) {
         for (std::size_t i = 0; i < elems; ++i) data.store(i, static_cast<int>(i));
@@ -196,7 +196,7 @@ int main(int argc, char** argv) {
               "at the master, paper Section 3); replication removes those faults.\n");
   if (adaptive) {
     std::printf("Adaptive rows list sections per strategy (master-only/replicated/"
-                "broadcast):\nthe first section of each site is the broadcast probe, the "
+                "broadcast):\nthe first section of each site runs replicated, the "
                 "rest follow the\ncost model.\n");
   }
   return 0;

@@ -13,7 +13,7 @@
 
 namespace {
 
-// The adaptive probe's section sites: the master's producer section and
+// The adaptive rows' section sites: the master's producer section and
 // the consumer section that reads the block back.
 constexpr std::uint32_t kProducerSite = 1;
 constexpr std::uint32_t kConsumerSite = 2;
@@ -227,7 +227,7 @@ int main() {
                   p.site_policy, util::fmt_fixed(p.checksum, 0)});
   }
   std::printf("%s", ad_t.render().c_str());
-  std::printf("\nEach site's first section is the broadcast bootstrap probe; afterwards the\n"
+  std::printf("\nEach site's first section runs replicated (the bootstrap); afterwards the\n"
               "cost model keeps the write-heavy producer section off the master and the\n"
               "read-only consumer section on it (checksum invariant per node count).\n"
               "site:dec/sw/final summarizes the decision log per site: sections\n"

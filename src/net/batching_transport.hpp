@@ -61,6 +61,9 @@ class BatchingTransport final : public Transport {
   [[nodiscard]] sim::SimDuration multicast_price(std::size_t wire_bytes) const override {
     return inner_->multicast_price(wire_bytes);
   }
+  [[nodiscard]] sim::SimDuration successor_price(std::size_t wire_bytes) const override {
+    return inner_->successor_price(wire_bytes);
+  }
   [[nodiscard]] std::size_t shard_count() const override { return inner_->shard_count(); }
   [[nodiscard]] sim::SimDuration shard_busy(std::size_t s) const override {
     return inner_->shard_busy(s);

@@ -61,6 +61,10 @@ class Network {
   [[nodiscard]] sim::SimDuration multicast_price(std::size_t payload_bytes) const {
     return transport_->multicast_price(cfg_.wire_bytes(payload_bytes));
   }
+  /// Transport::successor_price of one group send of `payload_bytes`.
+  [[nodiscard]] sim::SimDuration successor_price(std::size_t payload_bytes) const {
+    return transport_->successor_price(cfg_.wire_bytes(payload_bytes));
+  }
 
   /// Multicast serialization domains of the active backend
   /// (Transport::shard_count: hub_shards on the sharded hub and on the tree

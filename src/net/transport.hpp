@@ -106,6 +106,14 @@ class Transport {
   /// without re-deriving the medium's topology.
   [[nodiscard]] virtual sim::SimDuration multicast_price(std::size_t wire_bytes) const = 0;
 
+  /// Modeled cost of one uncontended group send of a `wire_bytes` frame
+  /// until it reaches the sender's successor (node id + 1): one step of an
+  /// ack chain, where each node sends once its predecessor's frame has
+  /// arrived.  By default the whole multicast's price.
+  [[nodiscard]] virtual sim::SimDuration successor_price(std::size_t wire_bytes) const {
+    return multicast_price(wire_bytes);
+  }
+
   /// Number of independent multicast serialization domains this backend
   /// exposes: NetConfig::hub_shards on the sharded hub and on the tree with
   /// a coalescing window, 1 on the hub, the fan-out strawman and the

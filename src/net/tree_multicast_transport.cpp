@@ -60,6 +60,12 @@ sim::SimDuration TreeMulticastTransport::multicast_price(std::size_t wire_bytes)
   return NetConfig::send_overhead + forward * depth;
 }
 
+sim::SimDuration TreeMulticastTransport::successor_price(std::size_t wire_bytes) const {
+  if (cfg_.batch_window.ns > 0) return multicast_price(wire_bytes);
+  return NetConfig::send_overhead + cfg_.link_tx_time(wire_bytes) + NetConfig::hop_latency * 2 +
+         cfg_.recv_overhead;
+}
+
 void TreeMulticastTransport::forward_children(const util::PoolPtr<const Flight>& fl,
                                               std::size_t pos) {
   // The node at `pos` holds the complete frame as of now (the root at send

@@ -96,6 +96,11 @@ class TreeMulticastTransport final : public SwitchedTransport {
   /// serialization per child, and the two switched hops to the next level.
   [[nodiscard]] sim::SimDuration multicast_price(std::size_t wire_bytes) const override;
 
+  /// Without a window the sender roots the tree, so its successor sits at
+  /// position 1, one switched hop away.  With one, the group's root can be
+  /// anywhere and the whole descent is priced.
+  [[nodiscard]] sim::SimDuration successor_price(std::size_t wire_bytes) const override;
+
   /// With a coalescing window the tree exposes hub_shards concurrency
   /// domains (see the header comment); without one it is the single
   /// domain it always was.

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "util/axis.hpp"
+#include "util/check.hpp"
 
 namespace repseq::obs {
 
@@ -129,8 +130,9 @@ Tracer::Event& Tracer::push(Cat cat, char ph, sim::SimTime t, std::int32_t pid,
   e.name = name;
   e.cat_bit = static_cast<std::uint8_t>(cat);
   e.nargs = 0;
+  REPSEQ_CHECK(args.size() <= kMaxArgs,
+               std::string("trace event ") + name + " carries more than kMaxArgs arguments");
   for (const Arg& a : args) {
-    if (e.nargs == kMaxArgs) break;
     e.keys[e.nargs] = a.key;
     e.vals[e.nargs] = a.value;
     ++e.nargs;

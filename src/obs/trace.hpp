@@ -68,7 +68,8 @@ struct Arg {
 
 class Tracer {
  public:
-  static constexpr std::size_t kMaxArgs = 16;
+  /// Arguments per event (the policy's `decision` instant carries 18).
+  static constexpr std::size_t kMaxArgs = 18;
   /// Events per slab; slabs are the ring-buffer eviction unit.
   static constexpr std::size_t kSlabEvents = 4096;
   /// Per-process slab cap (drop-oldest past this): bounds a runaway trace

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <set>
+#include <span>
 #include <string>
 
 #include "chk/checker.hpp"
@@ -23,6 +24,75 @@ using tmk::PageProt;
 /// them, so B/E pairs on it always alternate and nest trivially.
 const char* shard_track(std::size_t shard) {
   return obs::tracer().intern("rse-round-shard" + std::to_string(shard));
+}
+
+/// The owner of the first (owner, interval) pair in which two ascending
+/// lists differ (they must differ).
+tmk::NodeId first_differing_owner(const std::vector<std::pair<tmk::NodeId, std::uint32_t>>& a,
+                                  const std::vector<std::pair<tmk::NodeId, std::uint32_t>>& b) {
+  std::size_t k = 0;
+  while (k < a.size() && k < b.size() && a[k] == b[k]) ++k;
+  if (k == a.size()) return b[k].first;
+  if (k == b.size()) return a[k].first;
+  return std::min(a[k].first, b[k].first);
+}
+
+/// Buffers of `lacked` and of the valid-notice check, kept between calls
+/// so that a steady state allocates nothing.
+struct DecodeScratch {
+  /// Per owner: kNotLacked, kNewestOnly or the lowest lag any thread names.
+  std::vector<std::uint32_t> from;
+  std::vector<std::pair<tmk::NodeId, std::uint32_t>> lacked;
+  std::vector<std::pair<tmk::NodeId, std::uint32_t>> pending;
+};
+thread_local DecodeScratch scratch;
+
+constexpr std::uint32_t kNotLacked = 0;
+constexpr std::uint32_t kNewestOnly = std::numeric_limits<std::uint32_t>::max();
+
+/// Fills `out` with the (owner, interval) pairs of `notices` the `faulting`
+/// threads lack, ascending and unique.  Each lacked owner's notices are a
+/// suffix of its notices on the page, so the union lacks, per owner, every
+/// notice from the lowest lag any thread names, or only the newest when no
+/// thread names a lag.  `notices` lists each owner's notices in index
+/// order (NodeRuntime::page_notices), so the walk runs backwards and stops
+/// once every lacked owner has reached its lag or its newest notice: it
+/// visits the notices since the oldest one lacked, not the page's history.
+void lacked(const std::vector<tmk::IntervalRecordPtr>& notices,
+            std::span<const RseController::FaultingThread> faulting,
+            std::vector<std::pair<tmk::NodeId, std::uint32_t>>& out) {
+  out.clear();
+  if (faulting.empty()) return;
+  // `from` holds kNotLacked between calls; only the owners an entry names
+  // are touched, and reset on the way out.
+  std::vector<std::uint32_t>& from = scratch.from;
+  const std::size_t nodes = faulting.front().second->owners.size();
+  if (from.size() < nodes) from.resize(nodes, kNotLacked);
+  std::size_t open = 0;  // lacked owners the walk has not closed yet
+  for (const auto& [t, entry] : faulting) {
+    entry->owners.for_each([&](tmk::NodeId o) {
+      if (from[o] == kNotLacked) {
+        from[o] = kNewestOnly;
+        ++open;
+      }
+    });
+    for (const auto& [o, oldest] : entry->lags) from[o] = std::min(from[o], oldest);
+  }
+  for (auto it = notices.rbegin(); it != notices.rend() && open > 0; ++it) {
+    const tmk::IntervalRecord& rec = **it;
+    const std::uint32_t f = from[rec.owner];
+    if (f == kNotLacked) continue;
+    if (f == kNewestOnly || rec.index >= f) out.emplace_back(rec.owner, rec.index);
+    if (f == kNewestOnly || rec.index <= f) {
+      from[rec.owner] = kNotLacked;  // closed: the owner's older notices are not lacked
+      --open;
+    }
+  }
+  for (const auto& [t, entry] : faulting) {
+    entry->owners.for_each([&](tmk::NodeId o) { from[o] = kNotLacked; });
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
 }
 }  // namespace
 
@@ -54,13 +124,50 @@ void RseController::begin_round(tmk::NodeRuntime& rt, const tmk::McastDiffReques
   }
 }
 
+tmk::ValidNotice RseController::valid_notice(PageId page,
+                                             const std::vector<tmk::IntervalRecordPtr>& pending,
+                                             std::size_t nodes) {
+  tmk::ValidNotice e{page, tmk::NodeSet(nodes), {}};
+  for (const tmk::IntervalRecordPtr& rec : pending) {
+    if (!e.owners.contains(rec->owner)) {
+      e.owners.insert(rec->owner);
+      continue;
+    }
+    // A second notice of this owner: the entry names its oldest one.
+    if (std::none_of(e.lags.begin(), e.lags.end(),
+                     [&](const auto& lag) { return lag.first == rec->owner; })) {
+      std::uint32_t oldest = rec->index;
+      for (const tmk::IntervalRecordPtr& r : pending) {
+        if (r->owner == rec->owner) oldest = std::min(oldest, r->index);
+      }
+      e.lags.emplace_back(rec->owner, oldest);
+    }
+  }
+  std::sort(e.lags.begin(), e.lags.end());
+  return e;
+}
+
 tmk::ValidNoticesP RseController::local_valid_notices(tmk::NodeRuntime& rt) {
   tmk::ValidNoticesP out;
   for (const auto& [p, notices] : rt.page_notice_index()) {
     const tmk::PageState& ps = rt.page(p);
-    if (!ps.pending.empty()) {
-      out.entries.emplace_back(p, ps.valid_vc);
+    if (ps.pending.empty()) continue;
+    tmk::ValidNotice& e = out.entries.emplace_back(valid_notice(p, ps.pending, rt.node_count()));
+    // The entry is exact only if this node's pending notices from each
+    // owner are that owner's newest on the page (and every node's log is
+    // the one the entry is decoded against, see the replica interval-log
+    // oracle).
+    const FaultingThread self{rt.id(), &e};
+    lacked(notices, {&self, 1}, scratch.lacked);
+    scratch.pending.clear();
+    for (const tmk::IntervalRecordPtr& r : ps.pending) {
+      scratch.pending.emplace_back(r->owner, r->index);
     }
+    std::sort(scratch.pending.begin(), scratch.pending.end());
+    REPSEQ_CHECK(scratch.lacked == scratch.pending,
+                 "the valid notice of node " + std::to_string(rt.id()) + ", page " +
+                     std::to_string(p) + " misnames the pending notices of owner " +
+                     std::to_string(first_differing_owner(scratch.lacked, scratch.pending)));
   }
   return out;
 }
@@ -100,8 +207,8 @@ void RseController::enter(tmk::NodeRuntime& rt) {
     // Index the table by page for O(log) per-fault lookups.  Threads are
     // visited in ascending order, so each page's list is sorted.
     for (std::size_t t = 0; t < n; ++t) {
-      for (const auto& [page, vc] : (*st.table)[t].entries) {
-        st.faulting[page].emplace_back(static_cast<net::NodeId>(t), &vc);
+      for (const tmk::ValidNotice& e : (*st.table)[t].entries) {
+        st.faulting[e.page].emplace_back(static_cast<net::NodeId>(t), &e);
       }
       rt.charge(kPerEntryCost * static_cast<std::int64_t>((*st.table)[t].entries.size()));
     }
@@ -158,32 +265,9 @@ void RseController::retire_rounds(tmk::NodeRuntime& master) {
 
 tmk::WantedByOwner RseController::union_missing(const std::vector<tmk::IntervalRecordPtr>& notices,
                                                 const std::vector<FaultingThread>& faulting) {
-  // Interval (o, i) is missing somewhere iff some faulting thread other
-  // than o (an owner never misses its own writes) has validity below i for
-  // o, i.e. iff i exceeds the lowest such validity.  So the faulting threads
-  // are walked once per owner, not once per notice, and every notice costs
-  // one comparison.
-  std::vector<net::NodeId> owners;
-  owners.reserve(notices.size());
-  for (const tmk::IntervalRecordPtr& rec : notices) owners.push_back(rec->owner);
-  std::sort(owners.begin(), owners.end());
-  owners.erase(std::unique(owners.begin(), owners.end()), owners.end());
-  std::vector<std::uint32_t> floor(owners.size(), std::numeric_limits<std::uint32_t>::max());
-  for (const auto& [t, valid] : faulting) {
-    for (std::size_t k = 0; k < owners.size(); ++k) {
-      if (owners[k] != t) floor[k] = std::min(floor[k], valid->at(owners[k]));
-    }
-  }
-  std::vector<std::pair<net::NodeId, std::uint32_t>> missing;
-  for (const tmk::IntervalRecordPtr& rec : notices) {
-    const auto k = static_cast<std::size_t>(
-        std::lower_bound(owners.begin(), owners.end(), rec->owner) - owners.begin());
-    if (rec->index > floor[k]) missing.emplace_back(rec->owner, rec->index);
-  }
-  std::sort(missing.begin(), missing.end());
-  missing.erase(std::unique(missing.begin(), missing.end()), missing.end());
+  lacked(notices, faulting, scratch.lacked);
   tmk::WantedByOwner out;
-  for (const auto& [owner, index] : missing) {
+  for (const auto& [owner, index] : scratch.lacked) {
     if (out.empty() || out.back().first != owner) {
       out.emplace_back(owner, std::vector<std::uint32_t>{});
     }
@@ -214,6 +298,7 @@ void RseController::on_fault(tmk::NodeRuntime& rt, PageId page) {
     tmk::WantedByOwner wanted = union_missing(rt.page_notices(page), faulting->second);
     REPSEQ_CHECK(!wanted.empty(), "requester elected with nothing to request");
     ++c.fwd_requests;
+    c.fwd_owners += wanted.size();
     if (flow_ == FlowControl::None) {
       // Strawman: the faulting node multicasts its request directly; no
       // serialization at the master, holders reply immediately.

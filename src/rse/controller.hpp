@@ -57,17 +57,24 @@ class RseController final : public tmk::RseHooks {
 
   [[nodiscard]] FlowControl flow() const { return flow_; }
 
-  /// This node's valid notices (Section 5.4.1): one (page, valid_vc) entry
-  /// per page it would fault on, ascending by page.  Visits only pages with
-  /// known write notices, not the whole heap.
+  /// This node's valid notices (Section 5.4.1): one entry per page it would
+  /// fault on, ascending by page.  Visits only pages with known write
+  /// notices, not the whole heap.  Checks that each entry, decoded against
+  /// the node's own log, names exactly the page's pending notices.
   [[nodiscard]] static tmk::ValidNoticesP local_valid_notices(tmk::NodeRuntime& rt);
 
-  /// A thread that will fault on a page, with its valid-notice clock for it.
-  using FaultingThread = std::pair<net::NodeId, const tmk::VectorClock*>;
+  /// The valid notice of `page` for a node with `pending` notices on it
+  /// (any order) in a cluster of `nodes`.
+  [[nodiscard]] static tmk::ValidNotice valid_notice(
+      tmk::PageId page, const std::vector<tmk::IntervalRecordPtr>& pending, std::size_t nodes);
+
+  /// A thread that will fault on a page, with its valid notice for it.
+  using FaultingThread = std::pair<net::NodeId, const tmk::ValidNotice*>;
   /// The elected requester's merged request (Section 5.4.2): the union over
   /// the `faulting` threads of the intervals in `notices` (the page's known
-  /// write notices) each one misses.  Owners ascending, intervals ascending
-  /// and unique per owner.
+  /// write notices) each one lacks: for every owner its entry names, the
+  /// newest notice of that owner, or every notice from its lag on.  Owners
+  /// ascending, intervals ascending and unique per owner.
   [[nodiscard]] static tmk::WantedByOwner union_missing(
       const std::vector<tmk::IntervalRecordPtr>& notices,
       const std::vector<FaultingThread>& faulting);

@@ -5,13 +5,6 @@
 
 namespace repseq::rse::policy {
 
-namespace {
-
-// Payload of a small control frame: a fork, a null ack, a round's request.
-constexpr double kControlBytes = 20;
-
-}  // namespace
-
 CostModel::CostModel(const tmk::TmkConfig& tmk, const net::Network& net)
     : net_(net), n_(net.node_count()) {
   const net::NetConfig& cfg = net.config();
@@ -22,6 +15,7 @@ CostModel::CostModel(const tmk::TmkConfig& tmk, const net::Network& net)
   page_wire_ = static_cast<double>(cfg.wire_bytes(tmk.page_bytes));
   diff_ = page_bytes_ * (tmk.diff_create_ns_per_byte + tmk.diff_apply_ns_per_byte) * 1e-9;
   mcast_ctl_ = mcast(kControlBytes);
+  step_ctl_ = step(kControlBytes);
   mcast_page_ = mcast(page_bytes_);
 }
 
@@ -29,13 +23,31 @@ double CostModel::mcast(double payload_bytes) const {
   return net_.multicast_price(static_cast<std::size_t>(std::llround(payload_bytes))).seconds();
 }
 
+double CostModel::step(double payload_bytes) const {
+  return net_.successor_price(static_cast<std::size_t>(std::llround(payload_bytes))).seconds();
+}
+
 double CostModel::serialized(const SectionProfile::Traffic& traffic) const {
   return traffic.msgs * (send_ + recv_) + traffic.bytes / link_rate_;
 }
 
+double CostModel::untried_after(SectionStrategy s, const SectionProfile& p) const {
+  const double slaves = static_cast<double>(n_) - 1.0;
+  switch (s) {
+    case SectionStrategy::MasterOnly:
+      return serialized({p.pages_written * slaves, p.pages_written * slaves * page_wire_});
+    case SectionStrategy::Replicated:
+      return 0.0;
+    case SectionStrategy::BroadcastAfter:
+      return serialized({p.faults_in * p.fan_in * slaves, p.faults_in * slaves * page_wire_}) /
+             static_cast<double>(n_);
+  }
+  return 0.0;
+}
+
 double CostModel::after(SectionStrategy s, const SectionProfile& p) const {
   const auto i = static_cast<std::size_t>(s);
-  if (p.tried[i] == 0) return 0.0;
+  if (p.tried[i] == 0) return untried_after(s, p);
   return std::max(serialized(p.after_master[i]),
                   serialized(p.after_cluster[i]) / static_cast<double>(n_));
 }
@@ -51,27 +63,19 @@ double CostModel::cost(SectionStrategy s, const SectionProfile& p) const {
   switch (s) {
     case SectionStrategy::MasterOnly: {
       // Post-section reads of the write set converge on the master (the
-      // Section 3 queue).  Until MasterOnly has actually run for this site,
-      // assume the pessimistic full fan-out: every other node faults on
-      // every section-written page.  The engine therefore only leaves a
-      // contention-eliminating strategy when the write set is demonstrably
-      // small -- mispredicting toward replication is cheap, the reverse is
-      // not.
-      const double aftermath = p.tried[static_cast<std::size_t>(s)] > 0
-                                   ? after(s, p)
-                                   : serialized({w * (nd - 1.0), w * (nd - 1.0) * page_wire_});
-      return f * fault(p) + aftermath;
+      // Section 3 queue).
+      return f * fault(p) + after(s, p);
     }
     case SectionStrategy::Replicated: {
       // The bracket: the fork and the valid-notice table ride the multicast
       // medium, and the master receives the valid notices and the joins
       // (Sections 5.2 and 5.4.1).  Each stale page costs one flow-controlled
-      // round: a control multicast per node (request and chained acks) and
-      // the page-sized reply.  The write set costs nothing on the wire
-      // (every node computes it locally), and replication leaves no
-      // section-written page stale, so the unmeasured aftermath is zero.
+      // round: the master's request, n-1 chain steps (each node's frame
+      // reaching the next node) and the page-sized reply.  The write set
+      // costs nothing on the wire (every node computes it locally).
       const double bracket = 2.0 * mcast_ctl_ + (nd - 1.0) * 2.0 * recv_;
-      return bracket + f * (nd * mcast_ctl_ + mcast_page_ + diff_) + after(s, p);
+      return bracket + f * (mcast_ctl_ + (nd - 1.0) * step_ctl_ + mcast_page_ + diff_) +
+             after(s, p);
     }
     case SectionStrategy::BroadcastAfter: {
       // Master-only faults on stale reads, then the whole write set rides

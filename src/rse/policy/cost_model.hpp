@@ -26,22 +26,21 @@ namespace repseq::rse::policy {
 struct SectionProfile {
   std::uint64_t runs = 0;
 
-  /// Pages the section body writes.  Measured under MasterOnly (newly
-  /// dirtied pages) and BroadcastAfter (the closed interval's page list);
-  /// replicated execution leaves no write trace by design (Section 5.2), so
-  /// the last measured value carries -- section sites have stable static
-  /// write sets, which is the premise of per-site policies.
+  /// Pages the section body writes: newly dirtied pages under MasterOnly,
+  /// the closed interval's page list under BroadcastAfter, and the pages
+  /// the master's write barrier saw inside the section under Replicated
+  /// (tmk::NodeRuntime::section_writes).
   double pages_written = 0;
 
   /// Stale pages the section reads: master faults under MasterOnly and
   /// BroadcastAfter, flow-controlled multicast rounds under Replicated.
   double faults_in = 0;
 
-  /// Diff messages converging on the master per master fault: one reply
-  /// from each writer of the faulted page (about 31 for Ilink's
-  /// contribution pages at 32 nodes).  Measured under MasterOnly and
-  /// BroadcastAfter; replicated execution takes no master fault, so the
-  /// last measured value carries, as pages_written does.
+  /// Diff messages converging on a faulting node per stale page: one reply
+  /// from each writer of the page (about 31 for Ilink's contribution pages
+  /// at 32 nodes).  Measured per master fault under MasterOnly and
+  /// BroadcastAfter, and as the owners each elected request names under
+  /// Replicated.
   double fan_in = 1;
   std::uint64_t fan_in_samples = 0;
 
@@ -64,6 +63,10 @@ struct SectionProfile {
 
 class CostModel {
  public:
+  /// Payload of a small control frame: a fork, a null ack, a round's
+  /// request.
+  static constexpr double kControlBytes = 20;
+
   /// Prices multicasts on `net`'s configured transport for its node count;
   /// `net` must outlive the model.
   CostModel(const tmk::TmkConfig& tmk, const net::Network& net);
@@ -76,14 +79,27 @@ class CostModel {
   /// Seconds of one multicast of `payload_bytes` on the transport.
   [[nodiscard]] double mcast(double payload_bytes) const;
 
+  /// Seconds of one ack-chain step: a multicast of `payload_bytes`
+  /// reaching the sender's successor.
+  [[nodiscard]] double step(double payload_bytes) const;
+
   /// Seconds `traffic` costs one node that sends or serves all of it.
   [[nodiscard]] double serialized(const SectionProfile::Traffic& traffic) const;
 
+  /// Seconds of the post-section contention strategy `s` is assumed to
+  /// cause until it has run for the site.  Mispredicting toward
+  /// replication is cheap and the reverse is not, so both strategies that
+  /// leave section-written pages stale assume the worst: every slave reads
+  /// every page the section wrote (MasterOnly, served by the master) or
+  /// every stale page it read (BroadcastAfter, from every writer).
+  /// Replication leaves no section-written page stale: zero.
+  [[nodiscard]] double untried_after(SectionStrategy s, const SectionProfile& p) const;
+
  private:
   /// Seconds of the post-section contention strategy `s` caused, as
-  /// measured (zero until it has run for the site): the master's
-  /// serialized diff service or the cluster's diff traffic spread over
-  /// every node, whichever is larger.
+  /// measured once it has run for the site (untried_after before): the
+  /// master's serialized diff service or the cluster's diff traffic spread
+  /// over every node, whichever is larger.
   [[nodiscard]] double after(SectionStrategy s, const SectionProfile& p) const;
 
   /// Seconds of one master fault: a request to and a reply from each
@@ -99,7 +115,8 @@ class CostModel {
   double page_bytes_;  // payload bytes of one page
   double page_wire_;   // wire bytes of one page-sized payload
   double diff_;        // create + apply one page's diff
-  double mcast_ctl_;   // one small control multicast (fork, table, ack)
+  double mcast_ctl_;   // one small control multicast (fork, table, request)
+  double step_ctl_;    // one ack-chain step of a small control frame
   double mcast_page_;  // one page-sized multicast (a round's reply)
 };
 

@@ -31,16 +31,16 @@ inline constexpr std::size_t kStrategyCount = 3;
 [[nodiscard]] const char* strategy_name(SectionStrategy s);
 [[nodiscard]] std::optional<SectionStrategy> parse_strategy(std::string_view s);
 
-/// The engine has one decision procedure (policy_engine.cpp): it probes
-/// every unpinned site with execute-and-broadcast first, then keeps the
-/// incumbent strategy unless the cost model's cheapest undercuts it by a
-/// margin.  A fixed strategy for a site is a pin, not a policy.
+/// The engine has one decision procedure (policy_engine.cpp): it runs
+/// every unpinned site replicated first, then keeps the incumbent strategy
+/// unless the cost model's cheapest undercuts it by a margin.  A fixed
+/// strategy for a site is a pin, not a policy.
 struct PolicyConfig {
   /// Per-site strategy pins for A/B runs (REPSEQ_PIN_SITE): a pinned site
   /// always executes its pinned strategy -- including its *first*
-  /// occurrence, which skips the execute-and-broadcast bootstrap probe the
-  /// adaptive path would otherwise run there.  Unpinned sites adapt
-  /// normally; telemetry is still collected everywhere.
+  /// occurrence, which skips the replicated bootstrap the adaptive path
+  /// would otherwise run there.  Unpinned sites adapt normally; telemetry
+  /// is still collected everywhere.
   std::map<std::uint32_t, SectionStrategy> pins;
 };
 

@@ -12,10 +12,11 @@ namespace repseq::rse::policy {
 
 namespace {
 
-// First occurrence of an unpinned site: BroadcastAfter doubles as the
-// measurement probe, the one strategy whose bracket observes the section's
-// full write set (the broadcast collects exactly those diffs).
-constexpr SectionStrategy kBootstrap = SectionStrategy::BroadcastAfter;
+// First occurrence of an unpinned site.  Replication measures what the
+// other strategies do -- the write set, the stale pages read and their
+// fan-in -- and leaves no section-written page stale, the cheap side of a
+// misprediction.
+constexpr SectionStrategy kBootstrap = SectionStrategy::Replicated;
 // Hysteresis: a challenger must cost below incumbent * (1 - kSwitchMargin).
 constexpr double kSwitchMargin = 0.15;
 // EWMA smoothing factor of the per-site telemetry (0 < kAlpha <= 1).
@@ -138,9 +139,9 @@ SectionStrategy PolicyEngine::open_section(tmk::NodeRuntime& master, std::uint32
   auto [it, inserted] = sites_.try_emplace(site);
   SiteState& st = it->second;
   // A pinned site bypasses the decision procedure entirely -- on its first
-  // occurrence too, which would otherwise run the execute-and-broadcast
-  // bootstrap probe: an A/B pin must never leak probe traffic into the
-  // measurement it exists for.  Telemetry still accumulates normally.
+  // occurrence too, which would otherwise run the replicated bootstrap: an
+  // A/B pin must never leak bootstrap traffic into the measurement it
+  // exists for.  Telemetry still accumulates normally.
   const auto pin = cfg_.pins.find(site);
   const SectionStrategy chosen = pin != cfg_.pins.end() ? pin->second : decide(st);
   const bool switched = st.profile.runs > 0 && chosen != st.current;
@@ -149,11 +150,13 @@ SectionStrategy PolicyEngine::open_section(tmk::NodeRuntime& master, std::uint32
 
   if (obs::enabled(obs::Cat::Rse)) [[unlikely]] {
     // The decision with its full cost-model inputs: the profile the costs
-    // were computed from, the transport's per-frame multicast prices and
-    // the per-strategy costs themselves (recomputed here -- decide() keeps
-    // them internal -- and meaningful once the site has a measured
-    // profile).  The cluster-wide aftermath is the measured per-node share
-    // of each tried strategy's post-section diff traffic, in seconds.
+    // were computed from, the transport's prices of a page-sized multicast
+    // and of one ack-chain step, and the per-strategy costs themselves
+    // (recomputed here -- decide() keeps them internal -- and meaningful
+    // once the site has a measured profile).  The cluster-wide aftermath is
+    // the measured per-node share of each tried strategy's post-section
+    // diff traffic, in seconds; an untried broadcast is priced at its
+    // pessimistic estimate instead.
     const SectionProfile& p = st.profile;
     const bool modeled = p.runs > 0;
     const double nodes = static_cast<double>(cluster_.node_count());
@@ -174,6 +177,8 @@ SectionStrategy PolicyEngine::open_section(tmk::NodeRuntime& master, std::uint32
          {"faults_in", p.faults_in},
          {"fan_in", p.fan_in},
          {"mcast_page_s", model_.mcast(static_cast<double>(cluster_.config().page_bytes))},
+         {"step_ctl_s", model_.step(CostModel::kControlBytes)},
+         {"untried_after_broadcast", model_.untried_after(SectionStrategy::BroadcastAfter, p)},
          {"cluster_after_master_only", cluster_after(SectionStrategy::MasterOnly)},
          {"cluster_after_replicated", cluster_after(SectionStrategy::Replicated)},
          {"cluster_after_broadcast", cluster_after(SectionStrategy::BroadcastAfter)},
@@ -185,6 +190,7 @@ SectionStrategy PolicyEngine::open_section(tmk::NodeRuntime& master, std::uint32
   section_open_ = true;
   snap_master_seq_faults_ = master.stats().seq.page_faults;
   snap_fwd_requests_ = sum(0, tmk::Phase::Sequential, &tmk::PhaseCounters::fwd_requests);
+  snap_fwd_owners_ = sum(0, tmk::Phase::Sequential, &tmk::PhaseCounters::fwd_owners);
   snap_slave_seq_diffs_ = sum(1, tmk::Phase::Sequential, &tmk::PhaseCounters::diff_msgs_sent);
   if (chosen != SectionStrategy::Replicated) {
     // Close the master's open interval so the write-set measurement sees a
@@ -206,36 +212,40 @@ void PolicyEngine::close_section(tmk::NodeRuntime& master) {
   SectionProfile& p = sites_[open.site].profile;
 
   const std::uint64_t master_faults = master.stats().seq.page_faults - snap_master_seq_faults_;
-  const std::uint64_t faults_in =
-      master_faults +
-      (sum(0, tmk::Phase::Sequential, &tmk::PhaseCounters::fwd_requests) - snap_fwd_requests_);
+  const std::uint64_t requests =
+      sum(0, tmk::Phase::Sequential, &tmk::PhaseCounters::fwd_requests) - snap_fwd_requests_;
 
-  const bool first = p.runs == 0;
-  if (open.strategy != SectionStrategy::Replicated) {
+  std::size_t written = 0;
+  // Fan-in: the owners each elected request named, or, while only the
+  // master executes, the slave diff messages (each a reply to one of the
+  // master's faults) per master fault.
+  std::uint64_t replies = 0;
+  std::uint64_t stale_reads = master_faults;
+  if (open.strategy == SectionStrategy::Replicated) {
+    written = master.section_writes().size();
+    replies = sum(0, tmk::Phase::Sequential, &tmk::PhaseCounters::fwd_owners) - snap_fwd_owners_;
+    stale_reads = requests;
+  } else {
     // Write set: pages dirtied in the master's still-open interval (exact --
     // open_section closed the previous interval) plus the pages of intervals
     // closed during the bracket (the BroadcastAfter path closes one; section
-    // bodies with internal synchronization may close more).  Replicated
-    // execution leaves no write trace by design (Section 5.2), so the site's
-    // last measured value carries and the scan is skipped entirely.
+    // bodies with internal synchronization may close more).
     std::set<tmk::PageId> wrote(master.current_dirty().begin(), master.current_dirty().end());
     for (std::uint32_t i = snap_master_vc0_ + 1; i <= master.vc().at(0); ++i) {
       for (tmk::PageId pg : master.log().get(0, i).pages) wrote.insert(pg);
     }
-    p.pages_written = ewma(p.pages_written, static_cast<double>(wrote.size()), first);
-    // Fan-in: while only the master executes, every slave diff message is
-    // a reply to one of the master's faults.
-    if (master_faults > 0) {
-      const std::uint64_t replies =
-          sum(1, tmk::Phase::Sequential, &tmk::PhaseCounters::diff_msgs_sent) -
-          snap_slave_seq_diffs_;
-      p.fan_in = ewma(p.fan_in,
-                      static_cast<double>(replies) / static_cast<double>(master_faults),
-                      p.fan_in_samples == 0);
-      ++p.fan_in_samples;
-    }
+    written = wrote.size();
+    replies = sum(1, tmk::Phase::Sequential, &tmk::PhaseCounters::diff_msgs_sent) -
+              snap_slave_seq_diffs_;
   }
-  p.faults_in = ewma(p.faults_in, static_cast<double>(faults_in), first);
+  const bool first = p.runs == 0;
+  p.pages_written = ewma(p.pages_written, static_cast<double>(written), first);
+  if (stale_reads > 0) {
+    p.fan_in = ewma(p.fan_in, static_cast<double>(replies) / static_cast<double>(stale_reads),
+                    p.fan_in_samples == 0);
+    ++p.fan_in_samples;
+  }
+  p.faults_in = ewma(p.faults_in, static_cast<double>(master_faults + requests), first);
   ++p.runs;
 
   snap_par_diffs_ = par_diffs();

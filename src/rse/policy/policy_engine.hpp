@@ -91,6 +91,7 @@ class PolicyEngine {
   bool section_open_ = false;
   std::uint64_t snap_master_seq_faults_ = 0;
   std::uint64_t snap_fwd_requests_ = 0;
+  std::uint64_t snap_fwd_owners_ = 0;
   std::uint64_t snap_slave_seq_diffs_ = 0;
   std::uint32_t snap_master_vc0_ = 0;
 

@@ -36,17 +36,21 @@ struct PageState {
   bool dirty_in_current = false;
 
   /// Write notices received but whose diffs have not been applied here,
-  /// in arrival order.  Sorted causally at fault time.
+  /// in arrival order.  Sorted causally at fault time.  The paper's "valid
+  /// notices" (Section 5.4.1) communicate them in compact form
+  /// (tmk::ValidNotice).
   std::vector<IntervalRecordPtr> pending;
 
   /// Local knowledge timestamp: covers (owner, index) iff this copy
   /// reflects owner's interval `index` modifications to this page.
-  /// This is what the paper's "valid notices" communicate (Section 5.4.1).
   VectorClock valid_vc;
 
   /// Set during a replicated sequential section when the page was dirty on
   /// entry and has been write-protected (paper Section 5.3).
   bool rse_write_protected = false;
+
+  /// Set while the page is listed in NodeRuntime::section_writes().
+  bool section_written = false;
 
   [[nodiscard]] bool has_twin() const { return twin != nullptr; }
 };

@@ -5,6 +5,7 @@
 // would occupy so that message/byte accounting matches the paper's tables.
 #pragma once
 
+#include <bit>
 #include <compare>
 #include <cstdint>
 #include <memory>
@@ -205,13 +206,56 @@ struct JoinP {
 
 // ---- replicated sequential execution payloads ----
 
-/// One node's valid notices: for each page it would fault on, its local
-/// validity timestamp (paper Section 5.4.1).
+/// A set of node ids as an n-bit map.
+class NodeSet {
+ public:
+  NodeSet() = default;
+  explicit NodeSet(std::size_t nodes) : size_(nodes), words_((nodes + 63) / 64) {}
+
+  [[nodiscard]] std::size_t size() const { return size_; }
+  void insert(NodeId n) { words_[n / 64] |= std::uint64_t{1} << (n % 64); }
+  [[nodiscard]] bool contains(NodeId n) const { return (words_[n / 64] >> (n % 64)) & 1u; }
+  /// Calls `fn(id)` for every member, ascending.
+  template <typename F>
+  void for_each(F&& fn) const {
+    for (std::size_t w = 0; w < words_.size(); ++w) {
+      for (std::uint64_t bits = words_[w]; bits != 0; bits &= bits - 1) {
+        fn(static_cast<NodeId>(w * 64 + static_cast<std::size_t>(std::countr_zero(bits))));
+      }
+    }
+  }
+  [[nodiscard]] std::size_t wire_bytes() const { return (size_ + 7) / 8; }
+
+ private:
+  std::size_t size_ = 0;
+  std::vector<std::uint64_t> words_;
+};
+
+/// One page a node would fault on, as its valid notice (paper Section
+/// 5.4.1).  The fork leaves every node's interval log equal, and a node's
+/// pending notices from one owner are that owner's newest on the page, so
+/// the entry carries only what a receiver cannot rebuild from its own log,
+/// as differential vector clocks do (Singhal & Kshemkalyani, IPL 1992):
+/// which owners' notices are pending, and for each owner lacked by more
+/// than its newest notice, the oldest interval lacked.
+struct ValidNotice {
+  PageId page = 0;
+  NodeSet owners;  // the owners with a notice pending on the page here
+  /// (owner, oldest pending interval) for every owner with two or more
+  /// notices pending on the page, ascending by owner.
+  std::vector<std::pair<NodeId, std::uint32_t>> lags;
+  /// Page id, owner map, lag count, then 8 bytes per lag.
+  [[nodiscard]] std::size_t wire_bytes() const {
+    return 4 + owners.wire_bytes() + 1 + 8 * lags.size();
+  }
+};
+
+/// One node's valid notices, ascending by page.
 struct ValidNoticesP {
-  std::vector<std::pair<PageId, VectorClock>> entries;
+  std::vector<ValidNotice> entries;
   [[nodiscard]] std::size_t wire_bytes() const {
     std::size_t b = 8;
-    for (const auto& [page, vc] : entries) b += 4 + vc.wire_bytes();
+    for (const ValidNotice& e : entries) b += e.wire_bytes();
     return b;
   }
 };

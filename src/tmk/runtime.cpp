@@ -118,6 +118,10 @@ void NodeRuntime::write_barrier(GAddr addr, std::size_t bytes) {
       // section must flush its pre-section modifications into a diff at
       // the first replicated write.
       if (ps.prot == PageProt::Invalid) cluster_.rse_hooks()->on_fault(*this, p);
+      if (!ps.section_written) {
+        ps.section_written = true;
+        section_writes_.push_back(p);
+      }
       if (ps.rse_write_protected) {
         charge(config().fault_overhead);  // the write-protection trap
         flush_diff(p);

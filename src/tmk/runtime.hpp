@@ -125,10 +125,11 @@ class NodeRuntime {
   [[nodiscard]] PageState& page(PageId p) { return pages_[p]; }
   [[nodiscard]] std::size_t page_count() const { return pages_.size(); }
 
-  /// All interval records (own and remote) known to mention `p`, in no
-  /// particular order.  The RSE requester election uses this as the
-  /// universe of write notices for a page (logs are identical cluster-wide
-  /// once the multicast fork has opened a replicated section).
+  /// All interval records (own and remote) known to mention `p`, in the
+  /// order this node logged them, so each owner's in ascending index order.
+  /// The RSE requester election uses this as the universe of write notices
+  /// for a page (logs are identical cluster-wide once the multicast fork
+  /// has opened a replicated section).
   [[nodiscard]] const std::vector<IntervalRecordPtr>& page_notices(PageId p) const {
     static const std::vector<IntervalRecordPtr> kEmpty;
     auto it = page_notice_index_.find(p);
@@ -146,6 +147,10 @@ class NodeRuntime {
   /// Pages written in the open interval (PageState::dirty_in_current), in
   /// no particular order.
   [[nodiscard]] const std::vector<PageId>& current_dirty() const { return current_dirty_; }
+  /// Pages written inside the current or the last replicated section, in
+  /// first-write order: the section's write set, which replication keeps
+  /// out of every interval (Section 5.2).
+  [[nodiscard]] const std::vector<PageId>& section_writes() const { return section_writes_; }
 
   /// Closes the current interval if dirty (publishes write notices locally;
   /// they travel with the next synchronization message).
@@ -215,12 +220,18 @@ class NodeRuntime {
     send_raw_multicast(std::move(m));
   }
 
-  /// RSE integration.  Leaving a section drops the round frames still staged
-  /// (apply_pushed): they say nothing about the next section's pending sets.
+  /// RSE integration.  Entering a section clears section_writes().  Leaving
+  /// one drops the round frames still staged (apply_pushed): they say
+  /// nothing about the next section's pending sets.
   [[nodiscard]] bool in_replicated_section() const { return in_replicated_section_; }
   void set_in_replicated_section(bool v) {
     in_replicated_section_ = v;
-    if (!v) staged_.clear();
+    if (v) {
+      for (PageId p : section_writes_) pages_[p].section_written = false;
+      section_writes_.clear();
+    } else {
+      staged_.clear();
+    }
   }
 
   /// The sequential-section site currently executing on this node's app
@@ -324,6 +335,7 @@ class NodeRuntime {
   VectorClock vc_;
   IntervalLog log_;
   std::vector<PageId> current_dirty_;
+  std::vector<PageId> section_writes_;
   /// Own diffs per (page, interval); the same registration may appear under
   /// several intervals (merged lazy diffs).
   std::map<std::pair<PageId, std::uint32_t>, std::vector<RegisteredDiffPtr>> own_diffs_;

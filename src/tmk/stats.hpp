@@ -39,6 +39,7 @@ struct PhaseCounters {
   std::uint64_t diff_requests = 0;    // fault-driven request rounds issued
   std::uint64_t null_acks_sent = 0;   // RSE flow-control null acknowledgments
   std::uint64_t fwd_requests = 0;     // RSE requests forwarded via master
+  std::uint64_t fwd_owners = 0;       // owners those requests name, summed
   std::uint64_t recoveries = 0;       // timeout recovery rounds
 
   /// Round-trip per diff request round, milliseconds.
@@ -55,6 +56,7 @@ struct PhaseCounters {
     diff_requests += o.diff_requests;
     null_acks_sent += o.null_acks_sent;
     fwd_requests += o.fwd_requests;
+    fwd_owners += o.fwd_owners;
     recoveries += o.recoveries;
     response_ms.merge(o.response_ms);
     fault_wait += o.fault_wait;

@@ -2,7 +2,8 @@
 // The causal order and the RSE request union cost linear work per batch;
 // the references below compute the same results the quadratic way (a
 // stable sort recomputing keys per comparison, a walk of every faulting
-// thread over every notice), and every randomized case must match them.
+// thread's dense validity clock over every notice), and every randomized
+// case must match them.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -56,11 +57,13 @@ std::vector<std::uint32_t> reference_causal_order(const IntervalLog& log,
   return order;
 }
 
-/// The request union as a walk of every faulting thread over every notice,
-/// gathered into a map of sets.
-tmk::WantedByOwner reference_union_missing(
-    const std::vector<IntervalRecordPtr>& notices,
-    const std::vector<rse::RseController::FaultingThread>& faulting) {
+/// A thread that will fault on a page, with its dense validity clock.
+using DenseThread = std::pair<NodeId, const VectorClock*>;
+
+/// The request union as a walk of every faulting thread's clock over every
+/// notice, gathered into a map of sets.
+tmk::WantedByOwner reference_union_missing(const std::vector<IntervalRecordPtr>& notices,
+                                           const std::vector<DenseThread>& faulting) {
   std::map<NodeId, std::set<std::uint32_t>> want;
   for (const auto& [t, valid] : faulting) {
     for (const IntervalRecordPtr& rec : notices) {
@@ -89,6 +92,23 @@ DiffPacket make_packet(NodeId owner, std::vector<std::uint32_t> covers, std::uin
   return DiffPacket{owner, 0,
                     util::make_pooled<tmk::RegisteredDiff>(tmk::RegisteredDiff{
                         seq, std::move(covers), util::make_pooled<tmk::Diff>()})};
+}
+
+/// The valid notice of thread `t` holding validity `valid` on a page whose
+/// known notices are `notices`: its pending notices are the ones `valid`
+/// does not cover, never its own (NodeRuntime::apply_notice never pends an
+/// own record), each once.
+tmk::ValidNotice valid_notice_of(NodeId t, const std::vector<IntervalRecordPtr>& notices,
+                                 const VectorClock& valid) {
+  std::vector<IntervalRecordPtr> pending;
+  std::set<std::pair<NodeId, std::uint32_t>> seen;
+  for (const IntervalRecordPtr& rec : notices) {
+    if (rec->owner != t && !valid.covers(rec->owner, rec->index) &&
+        seen.emplace(rec->owner, rec->index).second) {
+      pending.push_back(rec);
+    }
+  }
+  return rse::RseController::valid_notice(0, pending, valid.size());
 }
 
 std::vector<std::uint32_t> new_causal_order(const IntervalLog& log,
@@ -202,8 +222,11 @@ TEST(CausalApply, ARegistrationListedTwiceLandsAndIsChargedOnce) {
 // ---- request union ---------------------------------------------------------
 
 TEST(UnionMissing, MatchesMapOfSetsOnRandomPages) {
+  // Compact entries decoded against the page's notices must request what
+  // the dense validity clocks they were built from request.
   std::mt19937 rng(424242);
   int empty_results = 0;
+  int lagging_threads = 0;
   for (int trial = 0; trial < 600; ++trial) {
     const std::size_t nodes = 2 + rng() % 10;
     std::vector<IntervalRecordPtr> notices;
@@ -214,7 +237,8 @@ TEST(UnionMissing, MatchesMapOfSetsOnRandomPages) {
       notices.push_back(make_record(owner, ++top[owner], VectorClock(nodes)));
       if (rng() % 8 == 0) notices.push_back(notices.back());  // a repeated notice
     }
-    std::shuffle(notices.begin(), notices.end(), rng);  // page_notices has no order
+    // Owners interleave at random; each owner's notices ascend, as in
+    // NodeRuntime::page_notices.
     // Faulting threads include notice owners; in some trials every thread's
     // validity already covers every notice (nothing to request).
     const bool all_covered = trial % 5 == 0;
@@ -229,34 +253,65 @@ TEST(UnionMissing, MatchesMapOfSetsOnRandomPages) {
       clocks.push_back(std::move(vc));
       ids.push_back(t);
     }
+    std::vector<DenseThread> dense;
+    std::vector<tmk::ValidNotice> entries;
+    entries.reserve(ids.size());
     std::vector<rse::RseController::FaultingThread> faulting;
-    for (std::size_t k = 0; k < ids.size(); ++k) faulting.emplace_back(ids[k], &clocks[k]);
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+      dense.emplace_back(ids[k], &clocks[k]);
+      const tmk::ValidNotice& e = entries.emplace_back(valid_notice_of(ids[k], notices, clocks[k]));
+      faulting.emplace_back(ids[k], &e);
+      lagging_threads += e.lags.empty() ? 0 : 1;
+    }
     const tmk::WantedByOwner got = rse::RseController::union_missing(notices, faulting);
-    ASSERT_EQ(got, reference_union_missing(notices, faulting)) << "trial " << trial;
+    ASSERT_EQ(got, reference_union_missing(notices, dense)) << "trial " << trial;
     if (all_covered) {
       EXPECT_TRUE(got.empty()) << "trial " << trial;
     }
     empty_results += got.empty() ? 1 : 0;
   }
   EXPECT_LT(empty_results, 300);  // most cases request something
+  EXPECT_GT(lagging_threads, 300);  // many threads lack two or more intervals of an owner
 }
 
 TEST(UnionMissing, OwnersNeverMissTheirOwnNotices) {
   // Thread 1 wrote intervals 1..3 and lags behind on its own copy; thread 2
-  // has seen interval 1 only.  Only thread 2's gap is a request.
+  // has seen interval 1 only.  Only thread 2's gap is a request: an owner's
+  // entry never names its own notices.
   const std::vector<IntervalRecordPtr> notices{
       make_record(1, 1, VectorClock(3)), make_record(1, 2, VectorClock(3)),
       make_record(1, 3, VectorClock(3))};
   VectorClock stale_owner(3);
   VectorClock behind(3);
   behind.set(1, 1);
-  const std::vector<rse::RseController::FaultingThread> faulting{{1, &stale_owner},
-                                                                 {2, &behind}};
+  const tmk::ValidNotice owner_entry = valid_notice_of(1, notices, stale_owner);
+  const tmk::ValidNotice behind_entry = valid_notice_of(2, notices, behind);
+  EXPECT_FALSE(owner_entry.owners.contains(1));
+  ASSERT_TRUE(behind_entry.owners.contains(1));
+  const std::vector<std::pair<NodeId, std::uint32_t>> lag{{1, 2}};
+  EXPECT_EQ(behind_entry.lags, lag);
   const tmk::WantedByOwner want{{1, {2, 3}}};
-  EXPECT_EQ(rse::RseController::union_missing(notices, faulting), want);
-  EXPECT_EQ(reference_union_missing(notices, faulting), want);
+  EXPECT_EQ(rse::RseController::union_missing(notices, {{1, &owner_entry}, {2, &behind_entry}}),
+            want);
+  EXPECT_EQ(reference_union_missing(notices, {{1, &stale_owner}, {2, &behind}}), want);
   // With the owner the only faulting thread, nothing is missing anywhere.
-  EXPECT_TRUE(rse::RseController::union_missing(notices, {{1, &stale_owner}}).empty());
+  EXPECT_TRUE(rse::RseController::union_missing(notices, {{1, &owner_entry}}).empty());
+}
+
+TEST(UnionMissing, EntryLacksOnlyTheNewestNoticeWithoutALag) {
+  // Thread 2 lacks only owner 1's newest notice on the page (interval 4;
+  // intervals 2 and 3 of owner 1 wrote other pages): the entry is the
+  // owner's bit alone, 21 wire bytes at 128 nodes.
+  constexpr std::size_t kNodes = 128;
+  const std::vector<IntervalRecordPtr> notices{make_record(1, 1, VectorClock(kNodes)),
+                                               make_record(1, 4, VectorClock(kNodes))};
+  VectorClock valid(kNodes);
+  valid.set(1, 3);
+  const tmk::ValidNotice e = valid_notice_of(2, notices, valid);
+  EXPECT_TRUE(e.lags.empty());
+  EXPECT_EQ(e.wire_bytes(), 21u);
+  const tmk::WantedByOwner want{{1, {4}}};
+  EXPECT_EQ(rse::RseController::union_missing(notices, {{2, &e}}), want);
 }
 
 }  // namespace

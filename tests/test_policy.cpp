@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/harness/run_modes.hpp"
@@ -90,8 +91,8 @@ TEST(PolicyParsing, StrategyAndPinListRoundTrip) {
 TEST(Policy, PinnedSiteSkipsProbeAndHoldsItsStrategy) {
   // REPSEQ_PIN_SITE semantics: a pinned site executes the pinned strategy
   // on EVERY occurrence -- including the first, which for an unpinned site
-  // would run the execute-and-broadcast bootstrap probe -- while unpinned
-  // sites adapt normally.  Results must stay bit-identical.
+  // would run the replicated bootstrap -- while unpinned sites adapt
+  // normally.  Results must stay bit-identical.
   const auto cfg = small_ilink();
   const RunReport free_run = run_ilink(opts(Mode::Adaptive, 6), cfg);
 
@@ -113,15 +114,14 @@ TEST(Policy, PinnedSiteSkipsProbeAndHoldsItsStrategy) {
       EXPECT_EQ(d.strategy, SectionStrategy::MasterOnly)
           << "pinned site deviated at seq " << d.seq;
       if (first_of_pinned) {
-        // The probe-bracket fix: no broadcast probe on a pinned site's
-        // first occurrence.
+        // No bootstrap on a pinned site's first occurrence.
         EXPECT_FALSE(d.switched);
         first_of_pinned = false;
       }
     } else if (first) {
-      // Unpinned sites still bootstrap with the broadcast probe.
-      EXPECT_EQ(d.strategy, SectionStrategy::BroadcastAfter)
-          << "unpinned site " << d.site << " lost its bootstrap probe";
+      // Unpinned sites still bootstrap replicated.
+      EXPECT_EQ(d.strategy, SectionStrategy::Replicated)
+          << "unpinned site " << d.site << " lost its replicated bootstrap";
     }
   }
   EXPECT_TRUE(saw_pinned);
@@ -147,6 +147,34 @@ TEST(CostModel, MulticastPriceFollowsTheTransportsCostClass) {
     EXPECT_EQ(price(net::TransportKind::ShardedHub, 4, bytes), hub) << bytes;
     EXPECT_GT(price(net::TransportKind::TreeMulticast, 1, bytes), hub) << bytes;
   }
+}
+
+TEST(CostModel, ChainStepPricesTheHopToTheSuccessor) {
+  // An ack-chain step waits for one node's frame to reach the next node.  A
+  // hub medium reaches every receiver at once, and a windowed tree roots
+  // all of a group's sends at one node, so there a step costs the whole
+  // multicast; the unwindowed tree roots each send at its sender, whose
+  // successor is one switched hop away.
+  constexpr std::size_t kNodes = 64;
+  sim::Engine eng;
+  auto prices = [&](net::TransportKind kind, std::size_t shards, sim::SimDuration window) {
+    net::NetConfig nc;
+    nc.transport = kind;
+    nc.hub_shards = shards;
+    nc.batch_window = window;
+    const net::Network nw(eng, nc, kNodes);
+    const CostModel model(tmk::TmkConfig{}, nw);
+    return std::pair{model.step(CostModel::kControlBytes), model.mcast(CostModel::kControlBytes)};
+  };
+  const auto hub = prices(net::TransportKind::HubSwitch, 1, {});
+  const auto sharded = prices(net::TransportKind::ShardedHub, 4, {});
+  const auto windowed = prices(net::TransportKind::TreeMulticast, 4, sim::microseconds(500));
+  const auto tree = prices(net::TransportKind::TreeMulticast, 1, {});
+  EXPECT_EQ(hub.first, hub.second);
+  EXPECT_EQ(sharded.first, sharded.second);
+  EXPECT_EQ(windowed.first, windowed.second);
+  EXPECT_GT(tree.first, 0.0);
+  EXPECT_LT(tree.first, tree.second);
 }
 
 TEST(PolicyParsing, NamesRoundTrip) {
@@ -254,15 +282,16 @@ TEST(Policy, PinnedReplicatedMatchesOptimized) {
 TEST(Policy, MixedStrategiesPreserveResultsAcrossFlowControls) {
   // Master-only, replicated, and broadcast sections interleave within one
   // run; results must stay bit-identical to the sequential baseline under
-  // every RSE flow-control variant.  Left alone the engine never picks
-  // master-only on this workload, so the below-threshold update site is
-  // pinned to it.
+  // every RSE flow-control variant.  Left alone the engine picks neither
+  // master-only nor broadcast on this workload, so the below-threshold
+  // update site is pinned to master-only and pool init to broadcast.
   const auto cfg = small_ilink();
   const RunReport seq = run_ilink(opts(Mode::Sequential, 1), cfg);
   for (FlowControl f : {FlowControl::Chained, FlowControl::Windowed}) {
     RunOptions o = opts(Mode::Adaptive, 6);
     o.flow = f;
     o.policy.pins[apps::ilink::kSectionSerialUpdate] = SectionStrategy::MasterOnly;
+    o.policy.pins[apps::ilink::kSectionPoolInit] = SectionStrategy::BroadcastAfter;
     const RunReport r = run_ilink(o, cfg);
     for (std::size_t s = 0; s < kStrategyCount; ++s) {
       EXPECT_GT(r.sections_by_strategy[s], 0u)
@@ -279,13 +308,14 @@ TEST(Policy, BootstrapProbesEverySiteThenSettles) {
   const RunReport r = run_ilink(opts(Mode::Adaptive, 8), cfg);
   ASSERT_GT(r.sections, 0u);
 
-  // First occurrence of every site is the BroadcastAfter measurement probe.
+  // The first occurrence of every site runs replicated, which measures the
+  // write set, the stale pages read and their fan-in.
   std::vector<std::uint32_t> seen;
   for (const Decision& d : r.decisions) {
     if (std::find(seen.begin(), seen.end(), d.site) == seen.end()) {
       seen.push_back(d.site);
-      EXPECT_EQ(d.strategy, SectionStrategy::BroadcastAfter)
-          << "site " << d.site << " did not bootstrap with the broadcast probe";
+      EXPECT_EQ(d.strategy, SectionStrategy::Replicated)
+          << "site " << d.site << " did not bootstrap replicated";
       EXPECT_FALSE(d.switched);
     }
   }
@@ -357,44 +387,52 @@ TEST(Policy, AdaptiveCompetitiveWithBestStaticAt32Nodes) {
   settled_on_best(il_ad, il_orig, il_opt, il_bc, "ilink");
 }
 
-// The same Ilink at 64 nodes, on a hub and on the forwarding tree.  The
-// contribution sum is cheapest replicated on the hub (pinned with pool init
-// replicated: 2.490 s against 3.878 s broadcast) and broadcast on the tree
-// (6.182 s against 6.219 s), so a policy that prices each strategy on the
+// The same Ilink at 64 nodes on three transports.  Pinning pool init and
+// the contribution sum (r = replicated, b = broadcast), the sum is cheapest
+// replicated on the hub (r/r 2.292 s against r/b 3.836 s) and on the tree
+// without a coalescing window (4.287 s against 5.746 s), whose
+// sender-rooted trees put each ack-chain successor one hop from its
+// predecessor; with a 500 us window the group's tree has one root, every
+// chain step descends it, and the sum is cheapest broadcast (r/b 5.771 s
+// against r/r 6.472 s).  A policy that prices each strategy on the
 // configured transport settles the sum that way on each, and stays within
-// 5% of the best static mode on both.  Beating every static mode on the
-// tree is out of reach for any policy with a broadcast probe: the best
-// per-site pin beats Optimized by 0.4%, while probing pool init broadcast
-// once costs about 180 ms more than running it replicated.
+// 5% of the best static mode on all three.
 TEST(Policy, AdaptiveFollowsTheTransportAt64Nodes) {
   apps::ilink::IlinkConfig il;
   il.iterations = 3;
-  for (net::TransportKind kind :
-       {net::TransportKind::HubSwitch, net::TransportKind::TreeMulticast}) {
+  struct Case {
+    const char* what;
+    net::TransportKind kind;
+    sim::SimDuration window;
+    SectionStrategy sum;
+  };
+  for (const Case& c : {Case{"hub", net::TransportKind::HubSwitch, {}, SectionStrategy::Replicated},
+                        Case{"tree", net::TransportKind::TreeMulticast, {},
+                             SectionStrategy::Replicated},
+                        Case{"tree, 500 us window", net::TransportKind::TreeMulticast,
+                             sim::microseconds(500), SectionStrategy::BroadcastAfter}}) {
     auto run = [&](Mode mode) {
       RunOptions o = opts(mode, 64);
-      o.net.transport = kind;
+      o.net.transport = c.kind;
+      o.net.batch_window = c.window;
       return run_ilink(o, il);
     };
     const RunReport orig = run(Mode::Original);
     const RunReport opt = run(Mode::Optimized);
     const RunReport bc = run(Mode::BroadcastSeq);
     const RunReport ad = run(Mode::Adaptive);
-    const char* what = net::transport_name(kind);
     const double best = std::min({orig.total_s, opt.total_s, bc.total_s});
-    EXPECT_LE(ad.total_s, best * 1.05) << what << ": adaptive " << ad.total_s
+    EXPECT_LE(ad.total_s, best * 1.05) << c.what << ": adaptive " << ad.total_s
                                        << " vs best static " << best;
     const auto sum =
         std::find_if(ad.decisions.rbegin(), ad.decisions.rend(),
                      [](const Decision& d) { return d.site == apps::ilink::kSectionSumContrib; });
-    ASSERT_NE(sum, ad.decisions.rend()) << what;
-    EXPECT_EQ(sum->strategy, kind == net::TransportKind::HubSwitch
-                                 ? SectionStrategy::Replicated
-                                 : SectionStrategy::BroadcastAfter)
-        << what << ": the sum settled on " << strategy_name(sum->strategy);
-    EXPECT_EQ(ad.checksum, orig.checksum) << what;
-    EXPECT_EQ(ad.checksum, opt.checksum) << what;
-    EXPECT_EQ(ad.checksum, bc.checksum) << what;
+    ASSERT_NE(sum, ad.decisions.rend()) << c.what;
+    EXPECT_EQ(sum->strategy, c.sum) << c.what << ": the sum settled on "
+                                    << strategy_name(sum->strategy);
+    EXPECT_EQ(ad.checksum, orig.checksum) << c.what;
+    EXPECT_EQ(ad.checksum, opt.checksum) << c.what;
+    EXPECT_EQ(ad.checksum, bc.checksum) << c.what;
   }
 }
 

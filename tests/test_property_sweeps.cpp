@@ -313,7 +313,7 @@ ShardRunResult run_ordering_workload(const net::NetConfig& ncfg, const OrderingA
       a.store(static_cast<std::size_t>(i), 5 * i + 3);
     });
     // Two stamped sites so an adaptive policy has a site mix to decide
-    // over (and its broadcast probes ride every backend's ordering).
+    // over, on every backend's ordering.
     for (int round = 0; round < 2; ++round) {
       team.sequential(1, [&](const Ctx&) {
         for (std::size_t i = 0; i < kElems; ++i) a.store(i, a.load(i) % 1000003 + 11);

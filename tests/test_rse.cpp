@@ -4,6 +4,8 @@
 // broadcast-after alternative.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
 #include <set>
 #include <vector>
@@ -328,23 +330,35 @@ TEST(Rse, EntryScansMatchAFullHeapScan) {
   std::size_t multi_owner_pages = 0;
   auto check_entry = [&](tmk::NodeRuntime& rt) {
     ++entries;
-    tmk::ValidNoticesP full;
+    // The full scan's expected entries: per page with pending notices, the
+    // owners pending and, for an owner pending twice or more, its oldest.
+    std::vector<tmk::PageId> pages;
+    std::vector<std::map<tmk::NodeId, std::vector<std::uint32_t>>> pending;
     for (tmk::PageId p = 0; p < rt.page_count(); ++p) {
       const tmk::PageState& ps = rt.page(p);
       EXPECT_EQ(ps.rse_write_protected, ps.has_twin()) << "node " << rt.id() << " page " << p;
       if (ps.rse_write_protected) ++protected_pages;
       if (ps.pending.empty()) continue;
-      full.entries.emplace_back(p, ps.valid_vc);
-      std::set<tmk::NodeId> owners;
-      for (const tmk::IntervalRecordPtr& r : ps.pending) owners.insert(r->owner);
-      if (owners.size() > 1) ++multi_owner_pages;
+      pages.push_back(p);
+      auto& by_owner = pending.emplace_back();
+      for (const tmk::IntervalRecordPtr& r : ps.pending) by_owner[r->owner].push_back(r->index);
+      if (by_owner.size() > 1) ++multi_owner_pages;
     }
     const tmk::ValidNoticesP bounded = RseController::local_valid_notices(rt);
-    ASSERT_EQ(bounded.entries.size(), full.entries.size()) << "node " << rt.id();
-    for (std::size_t i = 0; i < full.entries.size(); ++i) {
-      EXPECT_EQ(bounded.entries[i].first, full.entries[i].first) << "node " << rt.id();
-      EXPECT_TRUE(bounded.entries[i].second == full.entries[i].second)
-          << "node " << rt.id() << " page " << full.entries[i].first;
+    ASSERT_EQ(bounded.entries.size(), pages.size()) << "node " << rt.id();
+    for (std::size_t i = 0; i < pages.size(); ++i) {
+      const tmk::ValidNotice& e = bounded.entries[i];
+      EXPECT_EQ(e.page, pages[i]) << "node " << rt.id();
+      std::vector<std::pair<tmk::NodeId, std::uint32_t>> lags;
+      for (tmk::NodeId o = 0; o < static_cast<tmk::NodeId>(kNodes); ++o) {
+        const auto it = pending[i].find(o);
+        EXPECT_EQ(e.owners.contains(o), it != pending[i].end())
+            << "node " << rt.id() << " page " << pages[i] << " owner " << o;
+        if (it != pending[i].end() && it->second.size() > 1) {
+          lags.emplace_back(o, *std::min_element(it->second.begin(), it->second.end()));
+        }
+      }
+      EXPECT_EQ(e.lags, lags) << "node " << rt.id() << " page " << pages[i];
     }
   };
 
@@ -380,6 +394,68 @@ TEST(Rse, EntryScansMatchAFullHeapScan) {
   EXPECT_EQ(entries, 3 * kNodes);
   EXPECT_GT(protected_pages, 0u);
   EXPECT_GT(multi_owner_pages, 0u);
+}
+
+TEST(Rse, ReplicasReadNoticesPendingAcrossSections) {
+  // Nodes 1 and 2 write every `multi` page in each of three parallel
+  // regions, while nodes 0 and 3 leave them alone (node 3 reads them once,
+  // in a region after the first).  The sections between the regions read
+  // nothing, so the notices stay pending across them, and at the last
+  // section's entry nodes 0 and 3 lack three and two notices of each
+  // writer: their valid notices name the oldest, and the elected requester
+  // must ask for every interval some replica lacks.
+  constexpr std::size_t kNodes = 4;
+  constexpr std::size_t kPages = 4;
+  World w(kNodes, SeqMode::Replicated, FlowControl::Chained,
+          [](World& ww) { ww.cfg.page_bytes = 1024; });
+  constexpr std::size_t kIntsPerPage = 1024 / sizeof(int);
+  auto multi = tmk::ShArray<int>::alloc(*w.cl, kPages * kIntsPerPage, /*page_aligned=*/true);
+  auto out = tmk::ShArray<long>::alloc(*w.cl, 1);
+  auto word = [](std::size_t page, int writer, int iter) {
+    return page * kIntsPerPage + static_cast<std::size_t>(8 * writer + iter);
+  };
+  std::vector<long> seen(kNodes, -1);
+  std::size_t lagged_entries = 0;
+
+  w.cl->run([&](tmk::NodeRuntime&) {
+    for (int iter = 0; iter < 3; ++iter) {
+      w.team->parallel([&](const Ctx& ctx) {
+        if (ctx.tid == 1 || ctx.tid == 2) {
+          for (std::size_t p = 0; p < kPages; ++p) {
+            multi.store(word(p, ctx.tid, iter), 100 * ctx.tid + iter + 1);
+          }
+        }
+      });
+      if (iter == 0) {
+        w.team->parallel([&](const Ctx& ctx) {
+          if (ctx.tid != 3) return;
+          long s = 0;
+          for (std::size_t i = 0; i < multi.size(); ++i) s += multi.load(i);
+          EXPECT_EQ(s, static_cast<long>(kPages) * (101 + 201));
+        });
+      }
+      w.team->sequential([&](const Ctx&) { out.store(0, iter); });
+    }
+    w.team->sequential([&](const Ctx& ctx) {
+      for (const tmk::ValidNotice& e : RseController::local_valid_notices(ctx.rt).entries) {
+        if (!e.lags.empty()) ++lagged_entries;
+      }
+      long s = 0;
+      for (std::size_t i = 0; i < multi.size(); ++i) s += multi.load(i);
+      seen[ctx.rt.id()] = s;
+      out.store(0, s);
+    });
+  });
+
+  // Every page holds 1..3 from node 1 at 101..103 and from node 2 at
+  // 201..203.
+  const long expect = static_cast<long>(kPages) * (101 + 102 + 103 + 201 + 202 + 203);
+  for (std::size_t t = 0; t < kNodes; ++t) EXPECT_EQ(seen[t], expect) << "node " << t;
+  EXPECT_GT(lagged_entries, 0u);
+  for (net::NodeId n = 0; n < kNodes; ++n) {
+    EXPECT_EQ(w.cl->node(n).stats().seq.recoveries, 0u) << "node " << n;
+    EXPECT_EQ(w.cl->node(n).stats().par.recoveries, 0u) << "node " << n;
+  }
 }
 
 TEST(Rse, LowestFaultingThreadRequestsEachPageOnce) {
