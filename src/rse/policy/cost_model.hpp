@@ -26,10 +26,9 @@ namespace repseq::rse::policy {
 struct SectionProfile {
   std::uint64_t runs = 0;
 
-  /// Pages the section body writes: newly dirtied pages under MasterOnly,
-  /// the closed interval's page list under BroadcastAfter, and the pages
-  /// the master's write barrier saw inside the section under Replicated
-  /// (tmk::NodeRuntime::section_writes).
+  /// Pages the section body writes: the pages the master's write barrier
+  /// saw inside the section (tmk::NodeRuntime::section_writes), listed the
+  /// same way under every strategy.
   double pages_written = 0;
 
   /// Stale pages the section reads: master faults under MasterOnly and

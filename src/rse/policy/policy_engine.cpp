@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <set>
 
 #include "obs/trace.hpp"
 #include "util/axis.hpp"
@@ -192,16 +191,6 @@ SectionStrategy PolicyEngine::open_section(tmk::NodeRuntime& master, std::uint32
   snap_fwd_requests_ = sum(0, tmk::Phase::Sequential, &tmk::PhaseCounters::fwd_requests);
   snap_fwd_owners_ = sum(0, tmk::Phase::Sequential, &tmk::PhaseCounters::fwd_owners);
   snap_slave_seq_diffs_ = sum(1, tmk::Phase::Sequential, &tmk::PhaseCounters::diff_msgs_sent);
-  if (chosen != SectionStrategy::Replicated) {
-    // Close the master's open interval so the write-set measurement sees a
-    // clean dirty-page slate: a page dirtied by an *earlier* section and
-    // re-written here would otherwise go uncounted (dirty_in_current never
-    // toggles twice within one interval).  The BroadcastAfter bracket does
-    // this anyway; for MasterOnly it merely makes the master's intervals
-    // section-granular, which the lazy-diff machinery merges regardless.
-    master.end_interval();
-  }
-  snap_master_vc0_ = master.vc().at(0);
   return chosen;
 }
 
@@ -211,41 +200,31 @@ void PolicyEngine::close_section(tmk::NodeRuntime& master) {
   const Decision& open = log_.back();
   SectionProfile& p = sites_[open.site].profile;
 
-  const std::uint64_t master_faults = master.stats().seq.page_faults - snap_master_seq_faults_;
-  const std::uint64_t requests =
-      sum(0, tmk::Phase::Sequential, &tmk::PhaseCounters::fwd_requests) - snap_fwd_requests_;
-
-  std::size_t written = 0;
-  // Fan-in: the owners each elected request named, or, while only the
-  // master executes, the slave diff messages (each a reply to one of the
-  // master's faults) per master fault.
+  // Stale pages read: the elected requests of a replicated section (the
+  // master's own RSE faults are on those same pages), else the master's
+  // faults.  Fan-in: the owners each elected request named, or, while only
+  // the master executes, the slave diff messages (each a reply to one of
+  // the master's faults) per master fault.
+  std::uint64_t stale_reads = 0;
   std::uint64_t replies = 0;
-  std::uint64_t stale_reads = master_faults;
   if (open.strategy == SectionStrategy::Replicated) {
-    written = master.section_writes().size();
+    stale_reads =
+        sum(0, tmk::Phase::Sequential, &tmk::PhaseCounters::fwd_requests) - snap_fwd_requests_;
     replies = sum(0, tmk::Phase::Sequential, &tmk::PhaseCounters::fwd_owners) - snap_fwd_owners_;
-    stale_reads = requests;
   } else {
-    // Write set: pages dirtied in the master's still-open interval (exact --
-    // open_section closed the previous interval) plus the pages of intervals
-    // closed during the bracket (the BroadcastAfter path closes one; section
-    // bodies with internal synchronization may close more).
-    std::set<tmk::PageId> wrote(master.current_dirty().begin(), master.current_dirty().end());
-    for (std::uint32_t i = snap_master_vc0_ + 1; i <= master.vc().at(0); ++i) {
-      for (tmk::PageId pg : master.log().get(0, i).pages) wrote.insert(pg);
-    }
-    written = wrote.size();
+    stale_reads = master.stats().seq.page_faults - snap_master_seq_faults_;
     replies = sum(1, tmk::Phase::Sequential, &tmk::PhaseCounters::diff_msgs_sent) -
               snap_slave_seq_diffs_;
   }
   const bool first = p.runs == 0;
-  p.pages_written = ewma(p.pages_written, static_cast<double>(written), first);
+  p.pages_written =
+      ewma(p.pages_written, static_cast<double>(master.section_writes().size()), first);
   if (stale_reads > 0) {
     p.fan_in = ewma(p.fan_in, static_cast<double>(replies) / static_cast<double>(stale_reads),
                     p.fan_in_samples == 0);
     ++p.fan_in_samples;
   }
-  p.faults_in = ewma(p.faults_in, static_cast<double>(master_faults + requests), first);
+  p.faults_in = ewma(p.faults_in, static_cast<double>(stale_reads), first);
   ++p.runs;
 
   snap_par_diffs_ = par_diffs();

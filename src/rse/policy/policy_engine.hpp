@@ -93,7 +93,6 @@ class PolicyEngine {
   std::uint64_t snap_fwd_requests_ = 0;
   std::uint64_t snap_fwd_owners_ = 0;
   std::uint64_t snap_slave_seq_diffs_ = 0;
-  std::uint32_t snap_master_vc0_ = 0;
 
   // Aftermath window of log_.back(): its close -> the next open.
   ParDiffs snap_par_diffs_;

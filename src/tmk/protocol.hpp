@@ -23,10 +23,6 @@ enum class MsgKind : std::uint32_t {
   // ---- base TreadMarks protocol ----
   DiffRequest = 1,
   DiffReply,
-  LockAcquire,   // acquirer -> manager
-  LockForward,   // manager -> last releaser
-  LockRelease,   // holder  -> manager
-  LockGrant,     // releaser -> acquirer (write notices ride here)
   BarrierArrive,
   BarrierDepart,
   Fork,
@@ -124,40 +120,6 @@ struct DiffReplyP {
   PageId page = 0;
   std::vector<DiffPacket> packets;
   [[nodiscard]] std::size_t wire_bytes() const { return 16 + packets_wire_bytes(packets); }
-};
-
-struct LockAcquireP {
-  std::uint64_t req_id = 0;
-  std::uint32_t lock = 0;
-  VectorClock vc;
-  [[nodiscard]] std::size_t wire_bytes() const { return 16 + vc.wire_bytes(); }
-};
-
-struct LockForwardP {
-  std::uint64_t req_id = 0;
-  std::uint32_t lock = 0;
-  NodeId acquirer = 0;
-  VectorClock vc;
-  [[nodiscard]] std::size_t wire_bytes() const { return 20 + vc.wire_bytes(); }
-};
-
-struct LockReleaseP {
-  std::uint32_t lock = 0;
-  [[nodiscard]] static std::size_t wire_bytes() { return 8; }
-};
-
-struct LockGrantP {
-  std::uint64_t req_id = 0;
-  std::uint32_t lock = 0;
-  VectorClock vc;
-  std::vector<IntervalRecordPtr> records;
-  /// Shadow happens-before snapshot for the chk race detector; empty (and
-  /// excluded from wire_bytes) unless checking is on -- the analysis rides
-  /// the sync messages without perturbing the accounted wire.
-  VectorClock chk{};
-  [[nodiscard]] std::size_t wire_bytes() const {
-    return 16 + vc.wire_bytes() + records_wire_bytes(records);
-  }
 };
 
 struct BarrierArriveP {
@@ -365,8 +327,8 @@ net::Message make_message(MsgKind kind, NodeId src, NodeId dst, P payload) {
   m.dst = dst;
   m.kind = static_cast<std::uint32_t>(kind);
   // Loss injection exercises the diff-request recovery paths; the
-  // synchronization messages (fork/join/barrier/lock) are modeled as
-  // reliable transport (TreadMarks retries them below the protocol layer).
+  // synchronization messages (fork/join/barrier) are modeled as reliable
+  // transport (TreadMarks retries them below the protocol layer).
   // The same split governs receive-ring overflow: diff traffic -- the
   // Section 5.4 hazard the flow control exists for -- drops on a full
   // ring, while sync traffic is admitted as if kernel-retried (a dropped

@@ -36,7 +36,6 @@ NodeRuntime::NodeRuntime(Cluster& cluster, NodeId id)
       fork_ch_(cluster.engine()),
       depart_ch_(cluster.engine()),
       join_ch_(cluster.engine()),
-      grant_ch_(cluster.engine()),
       last_master_vc_(cluster.node_count()) {
   for (PageState& ps : pages_) ps.valid_vc = VectorClock(cluster.node_count());
   if (id_ == 0) {
@@ -110,6 +109,10 @@ void NodeRuntime::write_barrier(GAddr addr, std::size_t bytes) {
   const PageId last = page_of(addr + (bytes == 0 ? 0 : bytes - 1), pb);
   for (PageId p = first; p <= last; ++p) {
     PageState& ps = pages_[p];
+    if (current_site_ != kNoSite && !ps.section_written) {
+      ps.section_written = true;
+      section_writes_.push_back(p);
+    }
 
     if (in_replicated_section_) {
       // Writes during replicated execution are performed identically by
@@ -118,10 +121,6 @@ void NodeRuntime::write_barrier(GAddr addr, std::size_t bytes) {
       // section must flush its pre-section modifications into a diff at
       // the first replicated write.
       if (ps.prot == PageProt::Invalid) cluster_.rse_hooks()->on_fault(*this, p);
-      if (!ps.section_written) {
-        ps.section_written = true;
-        section_writes_.push_back(p);
-      }
       if (ps.rse_write_protected) {
         charge(config().fault_overhead);  // the write-protection trap
         flush_diff(p);
@@ -794,88 +793,6 @@ void NodeRuntime::barrier_complete_if_ready(std::uint64_t barrier_seq) {
 }
 
 // ---------------------------------------------------------------------------
-// Synchronization: locks
-// ---------------------------------------------------------------------------
-
-void NodeRuntime::lock_acquire(std::uint32_t lock_id) {
-  end_interval();
-  const NodeId manager = static_cast<NodeId>(lock_id % node_count());
-  const std::uint64_t req_id = next_req_id();
-  LockAcquireP payload{req_id, lock_id, vc_};
-  if (manager == id_) {
-    manager_acquire(id_, std::move(payload));
-  } else {
-    send_unicast(MsgKind::LockAcquire, manager, std::move(payload));
-  }
-  net::Message msg = grant_ch_.pop();
-  const auto& g = msg.as<LockGrantP>();
-  REPSEQ_CHECK(g.lock == lock_id, "lock grant mismatch");
-  merge_sync_payload(g.vc, g.records);
-  if (chk_ != nullptr) [[unlikely]] chk_->on_acquire(id_, g.chk);
-}
-
-void NodeRuntime::lock_release(std::uint32_t lock_id) {
-  end_interval();
-  const NodeId manager = static_cast<NodeId>(lock_id % node_count());
-  if (manager == id_) {
-    manager_release(id_, lock_id);
-  } else {
-    send_unicast(MsgKind::LockRelease, manager, LockReleaseP{lock_id});
-  }
-}
-
-void NodeRuntime::manager_acquire(NodeId acquirer, LockAcquireP p) {
-  LockManagerState& st = managed_locks_[p.lock];
-  if (st.held || !st.waiting.empty()) {
-    st.waiting.emplace_back(acquirer, std::move(p));
-    return;
-  }
-  st.held = true;
-  // Never released counts as released by the manager.  With no other
-  // releaser to pull notices from, the manager itself answers with
-  // everything the acquirer lacks (conservative but consistent).
-  const NodeId releaser = st.last_releaser.value_or(id_);
-  if (releaser == acquirer || releaser == id_) {
-    releaser_grant(acquirer, p.req_id, p.lock, p.vc);
-  } else {
-    send_unicast(MsgKind::LockForward, releaser, LockForwardP{p.req_id, p.lock, acquirer, p.vc});
-  }
-}
-
-void NodeRuntime::manager_release(NodeId releaser, std::uint32_t lock) {
-  LockManagerState& st = managed_locks_[lock];
-  st.held = false;
-  st.last_releaser = releaser;
-  if (!st.waiting.empty()) {
-    auto [next, payload] = std::move(st.waiting.front());
-    st.waiting.pop_front();
-    st.held = true;
-    if (releaser == id_) {
-      releaser_grant(next, payload.req_id, payload.lock, payload.vc);
-    } else {
-      send_unicast(MsgKind::LockForward, releaser,
-                   LockForwardP{payload.req_id, payload.lock, next, payload.vc});
-    }
-  }
-}
-
-void NodeRuntime::releaser_grant(NodeId acquirer, std::uint64_t req_id, std::uint32_t lock,
-                                 const VectorClock& acq_vc) {
-  LockGrantP grant{req_id, lock, vc_, records_unknown_to(acq_vc)};
-  // The releaser's shadow snapshot is taken at grant time (possibly on the
-  // dispatcher fiber); sound because a node's shadow only advances at its
-  // own sync operations and at buffered barrier completion.
-  if (chk_ != nullptr) [[unlikely]] grant.chk = chk_->shadow(id_);
-  if (acquirer == id_) {
-    grant_ch_.push(make_message(MsgKind::LockGrant, id_, id_, std::move(grant)));
-  } else {
-    send_unicast(MsgKind::LockGrant, acquirer, std::move(grant));
-  }
-}
-
-void NodeRuntime::receive_grant(net::Message msg) { grant_ch_.push(std::move(msg)); }
-
-// ---------------------------------------------------------------------------
 // Fork / join and the section broadcast
 // ---------------------------------------------------------------------------
 
@@ -1007,19 +924,6 @@ void NodeRuntime::register_base_protocol(ProtocolEngine& engine) {
   });
   engine.on(MsgKind::DiffReply, [](NodeRuntime& rt, const net::Message& msg) {
     rt.route_reply(msg.as<DiffReplyP>().req_id, msg);
-  });
-  engine.on(MsgKind::LockAcquire, [](NodeRuntime& rt, const net::Message& msg) {
-    rt.manager_acquire(msg.src, msg.as<LockAcquireP>());
-  });
-  engine.on(MsgKind::LockForward, [](NodeRuntime& rt, const net::Message& msg) {
-    const auto& f = msg.as<LockForwardP>();
-    rt.releaser_grant(f.acquirer, f.req_id, f.lock, f.vc);
-  });
-  engine.on(MsgKind::LockRelease, [](NodeRuntime& rt, const net::Message& msg) {
-    rt.manager_release(msg.src, msg.as<LockReleaseP>().lock);
-  });
-  engine.on(MsgKind::LockGrant, [](NodeRuntime& rt, const net::Message& msg) {
-    rt.receive_grant(msg);
   });
   engine.on(MsgKind::BarrierArrive, [](NodeRuntime& rt, const net::Message& msg) {
     rt.handle_barrier_arrive(msg);

@@ -7,7 +7,9 @@
 //     notices, which invalidate remote copies lazily,
 //   * diffs are created lazily at first request (or when a remote notice
 //     invalidates a locally dirty page) and applied in causal order,
-//   * locks, barriers and fork/join carry consistency information.
+//   * fork, join and barriers are the only synchronization, and they carry
+//     the consistency information.  A slave synchronizes only with the
+//     master, so every write notice it learns comes from the master.
 //
 // A request-server (dispatcher) fiber per node services incoming messages,
 // preempting application compute through the sim::Cpu interrupt model --
@@ -16,11 +18,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -103,8 +103,6 @@ class NodeRuntime {
   // ---- synchronization API (TreadMarks primitives) ----
 
   void barrier(std::uint32_t barrier_id);
-  void lock_acquire(std::uint32_t lock_id);
-  void lock_release(std::uint32_t lock_id);
 
   /// Master: fork a parallel region; slaves run `work_id` via the cluster's
   /// registered work table.  `phase` tags statistics while the region runs
@@ -144,12 +142,11 @@ class NodeRuntime {
   }
   /// Pages currently holding a twin, in no particular order.
   [[nodiscard]] const std::vector<PageId>& twinned_pages() const { return twinned_pages_; }
-  /// Pages written in the open interval (PageState::dirty_in_current), in
-  /// no particular order.
-  [[nodiscard]] const std::vector<PageId>& current_dirty() const { return current_dirty_; }
-  /// Pages written inside the current or the last replicated section, in
-  /// first-write order: the section's write set, which replication keeps
-  /// out of every interval (Section 5.2).
+  /// Pages this node wrote inside the current or the last sequential
+  /// section (while current_site() != kNoSite), in first-write order: the
+  /// section's write set, listed the same way whatever strategy runs the
+  /// section.  Replication keeps these writes out of every interval
+  /// (Section 5.2).
   [[nodiscard]] const std::vector<PageId>& section_writes() const { return section_writes_; }
 
   /// Closes the current interval if dirty (publishes write notices locally;
@@ -220,26 +217,27 @@ class NodeRuntime {
     send_raw_multicast(std::move(m));
   }
 
-  /// RSE integration.  Entering a section clears section_writes().  Leaving
-  /// one drops the round frames still staged (apply_pushed): they say
-  /// nothing about the next section's pending sets.
+  /// RSE integration.  Leaving a replicated section drops the round frames
+  /// still staged (apply_pushed): they say nothing about the next section's
+  /// pending sets.
   [[nodiscard]] bool in_replicated_section() const { return in_replicated_section_; }
   void set_in_replicated_section(bool v) {
     in_replicated_section_ = v;
-    if (v) {
-      for (PageId p : section_writes_) pages_[p].section_written = false;
-      section_writes_.clear();
-    } else {
-      staged_.clear();
-    }
+    if (!v) staged_.clear();
   }
 
   /// The sequential-section site currently executing on this node's app
-  /// fiber (kNoSite outside sections) -- purely diagnostic context, stamped
-  /// by ompnow::Team and read by the chk layer's race reports.
+  /// fiber (kNoSite outside sections), stamped by ompnow::Team.  The chk
+  /// layer's race reports name it; entering a site starts a new
+  /// section_writes().
   static constexpr std::uint32_t kNoSite = 0xFFFFFFFFu;
   [[nodiscard]] std::uint32_t current_site() const { return current_site_; }
-  void set_current_site(std::uint32_t site) { current_site_ = site; }
+  void set_current_site(std::uint32_t site) {
+    current_site_ = site;
+    if (site == kNoSite) return;
+    for (PageId p : section_writes_) pages_[p].section_written = false;
+    section_writes_.clear();
+  }
 
   /// A fresh correlation id for request/reply matching.
   std::uint64_t next_req_id() { return next_req_id_++; }
@@ -314,18 +312,6 @@ class NodeRuntime {
   };
   void barrier_complete_if_ready(std::uint64_t barrier_seq);
 
-  // lock management (runs on the managing node)
-  struct LockManagerState {
-    bool held = false;
-    std::optional<NodeId> last_releaser;
-    std::deque<std::pair<NodeId, LockAcquireP>> waiting;
-  };
-  void manager_acquire(NodeId acquirer, LockAcquireP p);
-  void manager_release(NodeId releaser, std::uint32_t lock);
-  void releaser_grant(NodeId acquirer, std::uint64_t req_id, std::uint32_t lock,
-                      const VectorClock& acq_vc);
-  void receive_grant(net::Message msg);
-
   Cluster& cluster_;
   NodeId id_;
   sim::Fiber* dispatcher_ = nullptr;  // recorded by Cluster::run
@@ -376,13 +362,13 @@ class NodeRuntime {
   // synchronization state
   std::map<std::uint64_t, BarrierGroup> barriers_;   // master only, keyed by seq
   std::map<std::uint32_t, std::uint32_t> barrier_epochs_;  // per-node id -> uses
-  std::map<std::uint32_t, LockManagerState> managed_locks_;
   sim::Channel<net::Message> fork_ch_;
   sim::Channel<net::Message> depart_ch_;
   sim::Channel<net::Message> join_ch_;  // master only
-  sim::Channel<net::Message> grant_ch_;
   VectorClock last_master_vc_;
-  std::vector<VectorClock> slave_known_vc_;  // master only: what each slave knows
+  /// Master only: what each slave knows.  Exact, since a slave learns
+  /// notices only from the master and from its own intervals.
+  std::vector<VectorClock> slave_known_vc_;
 
   bool in_replicated_section_ = false;
   std::uint32_t current_site_ = kNoSite;

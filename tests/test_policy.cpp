@@ -1,20 +1,27 @@
 // Tests for the adaptive per-section replication policy engine
 // (rse::policy): decision determinism, decisions shared by the transports
-// of one multicast cost class, a pinned site running exactly like the
-// static mode it names, correctness of mixed-strategy runs, the cost
-// model's transport prices, and the headline competitiveness claim --
+// of one multicast cost class, every pin running exactly like the static
+// mode it names, the telemetry a replicated section records, correctness
+// of mixed-strategy runs, the cost model's transport prices, and the
+// headline competitiveness claim --
 // adaptive within a few percent of the best static mode on both
 // applications, and following the transport at 64 nodes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "apps/harness/run_modes.hpp"
 #include "net/network.hpp"
+#include "ompnow/team.hpp"
+#include "rse/controller.hpp"
 #include "rse/policy/policy_engine.hpp"
+#include "tmk/access.hpp"
 
 namespace repseq::rse::policy {
 namespace {
@@ -243,40 +250,117 @@ TEST(Policy, DecisionSequenceIsInvariantWithinAMulticastCostClass) {
   EXPECT_EQ(hub.checksum, tree.checksum);
 }
 
-TEST(Policy, PinnedReplicatedMatchesOptimized) {
-  // Pinning Barnes-Hut's only section site to Replicated
-  // (REPSEQ_PIN_SITE=1=replicated) must execute exactly like
-  // Mode::Optimized: the master decides alone and sends nothing for the
-  // decision, so times and traffic are equal, not merely close.
-  apps::bh::BhConfig cfg;
-  cfg.bodies = 512;
-  cfg.steps = 2;
+TEST(Policy, EveryPinRunsLikeItsStaticMode) {
+  // Pinning every section site to one strategy (REPSEQ_PIN_SITE) must
+  // execute exactly like the static mode that strategy names: master-only
+  // like Mode::Original, replicated like Mode::Optimized and broadcast like
+  // Mode::BroadcastSeq.  The master decides alone, sends nothing for the
+  // decision and measures a section without touching its intervals, so
+  // times and traffic are equal, not merely close.
+  struct Pin {
+    SectionStrategy strategy;
+    Mode mode;
+  };
+  const Pin pins[] = {{SectionStrategy::MasterOnly, Mode::Original},
+                      {SectionStrategy::Replicated, Mode::Optimized},
+                      {SectionStrategy::BroadcastAfter, Mode::BroadcastSeq}};
+  apps::bh::BhConfig bh;
+  bh.bodies = 512;
+  bh.steps = 2;
+  const auto ilink = small_ilink();
   for (net::TransportKind kind :
        {net::TransportKind::HubSwitch, net::TransportKind::TreeMulticast}) {
     for (std::size_t nodes : {4u, 16u}) {
-      auto run = [&](Mode mode) {
-        RunOptions o = opts(mode, nodes);
-        o.net.transport = kind;
-        // Read only in Mode::Adaptive.
-        o.policy.pins = {{apps::bh::kSectionTreeBuild, SectionStrategy::Replicated}};
-        return run_barnes_hut(o, cfg);
-      };
-      const RunReport a = run(Mode::Adaptive);
-      const RunReport o = run(Mode::Optimized);
-      const std::string what = std::string(net::transport_name(kind)) + ", " +
-                               std::to_string(nodes) + " nodes";
-      EXPECT_EQ(a.sections_by_strategy[static_cast<std::size_t>(SectionStrategy::Replicated)],
-                a.sections)
-          << what;
-      EXPECT_GT(a.sections, 0u) << what;
-      EXPECT_EQ(a.policy_switches, 0u) << what;
-      EXPECT_EQ(a.total_s, o.total_s) << what;
-      EXPECT_EQ(a.seq_s, o.seq_s) << what;
-      EXPECT_EQ(a.par_s, o.par_s) << what;
-      EXPECT_EQ(a.total_msgs, o.total_msgs) << what;
-      EXPECT_EQ(a.checksum, o.checksum) << what;
+      for (const Pin& pin : pins) {
+        for (const bool is_bh : {true, false}) {
+          auto run = [&](Mode mode) {
+            RunOptions o = opts(mode, nodes);
+            o.net.transport = kind;
+            // Read only in Mode::Adaptive.
+            if (is_bh) {
+              o.policy.pins[apps::bh::kSectionTreeBuild] = pin.strategy;
+              return run_barnes_hut(o, bh);
+            }
+            for (std::uint32_t site : {apps::ilink::kSectionPoolInit,
+                                       apps::ilink::kSectionSumContrib,
+                                       apps::ilink::kSectionSerialUpdate}) {
+              o.policy.pins[site] = pin.strategy;
+            }
+            return run_ilink(o, ilink);
+          };
+          const RunReport a = run(Mode::Adaptive);
+          const RunReport s = run(pin.mode);
+          const std::string what = std::string(is_bh ? "Barnes-Hut" : "Ilink") + ", " +
+                                   strategy_name(pin.strategy) + ", " +
+                                   net::transport_name(kind) + ", " + std::to_string(nodes) +
+                                   " nodes";
+          EXPECT_EQ(a.sections_by_strategy[static_cast<std::size_t>(pin.strategy)], a.sections)
+              << what;
+          EXPECT_GT(a.sections, 0u) << what;
+          EXPECT_EQ(a.policy_switches, 0u) << what;
+          EXPECT_EQ(a.total_s, s.total_s) << what;
+          EXPECT_EQ(a.seq_s, s.seq_s) << what;
+          EXPECT_EQ(a.par_s, s.par_s) << what;
+          EXPECT_EQ(a.total_msgs, s.total_msgs) << what;
+          EXPECT_EQ(a.checksum, s.checksum) << what;
+          EXPECT_EQ(a.aux, s.aux) << what;
+        }
+      }
     }
   }
+}
+
+TEST(Policy, ReplicatedSectionCountsEachStalePageOnce) {
+  // A replicated occurrence's stale-page count F is its elected requests.
+  // The master takes an RSE fault on each of those same pages, which must
+  // not count them twice.  Every slave writes its own page before the
+  // site's first occurrence (replicated, the bootstrap), which reads all
+  // four: 3 stale pages, 3 rounds, so the second occurrence decides with
+  // F = 3.
+  constexpr std::uint32_t kSite = 7;
+  constexpr std::size_t kNodes = 4;
+  const std::string path = "/tmp/repseq_test_policy_faults_in.json";
+  {
+    tmk::TmkConfig cfg;
+    cfg.heap_bytes = 1u << 20;
+    ::setenv("REPSEQ_TRACE", path.c_str(), /*overwrite=*/1);
+    tmk::Cluster cl(cfg, net::NetConfig{}, kNodes);  // reads REPSEQ_TRACE
+    ::unsetenv("REPSEQ_TRACE");
+    RseController rse(cl, FlowControl::Chained);
+    PolicyEngine policy(cl);
+    ompnow::Team team(cl, ompnow::SeqMode::Adaptive, &rse, &policy);
+    const std::size_t ints_per_page = cfg.page_bytes / sizeof(int);
+    auto data = tmk::ShArray<int>::alloc(cl, kNodes * ints_per_page, /*page_aligned=*/true);
+    cl.run([&](tmk::NodeRuntime&) {
+      team.parallel([&](const ompnow::Ctx& ctx) {
+        if (ctx.tid > 0) data.store(static_cast<std::size_t>(ctx.tid) * ints_per_page, ctx.tid);
+      });
+      for (int occurrence = 0; occurrence < 2; ++occurrence) {
+        team.sequential(kSite, [&](const ompnow::Ctx&) {
+          for (std::size_t p = 0; p < kNodes; ++p) (void)data.load(p * ints_per_page);
+        });
+      }
+    });
+    ASSERT_EQ(policy.decisions().size(), 2u);
+    EXPECT_EQ(policy.decisions()[0].strategy, SectionStrategy::Replicated);
+  }  // the cluster writes the trace as it is destroyed
+
+  // The trace writes one event per line; pick the decision instants' F.
+  std::vector<double> faults_in;
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "trace file missing: " << path;
+  for (std::string line; std::getline(in, line);) {
+    if (line.find("\"name\":\"decision\"") == std::string::npos) continue;
+    const std::string key = "\"faults_in\":";
+    const std::size_t at = line.find(key);
+    ASSERT_NE(at, std::string::npos) << line;
+    faults_in.push_back(std::stod(line.substr(at + key.size())));
+  }
+  in.close();
+  std::remove(path.c_str());
+  ASSERT_EQ(faults_in.size(), 2u);
+  EXPECT_EQ(faults_in[0], 0.0);  // no profile before the first occurrence
+  EXPECT_EQ(faults_in[1], 3.0);
 }
 
 TEST(Policy, MixedStrategiesPreserveResultsAcrossFlowControls) {

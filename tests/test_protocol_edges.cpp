@@ -1,6 +1,6 @@
 // Protocol corner cases: the merged lazy-diff coverage rule (regression for
-// a real clobbering bug found during bring-up), empty diffs, lock
-// forwarding chains and queues, and mixed lock/barrier notice flow.
+// a real clobbering bug found during bring-up), empty diffs, phase-tagged
+// statistics and the retry-exhaustion diagnostic.
 #include <gtest/gtest.h>
 
 #include "tmk/access.hpp"
@@ -151,108 +151,6 @@ TEST(MergedDiffs, IdenticalValueWritesYieldEmptyDiffButClearNotices) {
   EXPECT_EQ(value, 0);
   // The master faulted (a notice existed) even though the diff was empty.
   EXPECT_GE(cl->node(0).stats().par.page_faults, 1u);
-}
-
-TEST(Locks, GrantChainsAcrossThreeNodes) {
-  auto cl = make_cluster(3);
-  auto x = ShVar<int>::alloc(*cl);
-  std::vector<int> observed(3, -1);
-
-  // Lock 1 is managed by node 1 (1 % 3).  Each node increments in turn;
-  // the lock grant must carry the previous holder's write notices.
-  const auto work = cl->register_work([&](NodeRuntime& rt) {
-    for (int round = 0; round < 3; ++round) {
-      rt.lock_acquire(1);
-      x.store(x.load() + 1);
-      rt.lock_release(1);
-    }
-    rt.barrier(41);
-    observed[rt.id()] = x.load();
-  });
-
-  cl->run([&](NodeRuntime& rt) {
-    x.store(0);
-    rt.fork(work);
-    cl->work(work)(rt);
-    rt.join_master();
-  });
-
-  for (int n = 0; n < 3; ++n) EXPECT_EQ(observed[n], 9) << "node " << n;
-}
-
-TEST(Locks, ManagerOnSelfTakesLocalFastPath) {
-  auto cl = make_cluster(2);
-  auto x = ShVar<int>::alloc(*cl);
-  // Lock 0 is managed by node 0; the master acquires it with no slaves
-  // contending -- no messages should be needed at all.
-  cl->run([&](NodeRuntime& rt) {
-    rt.lock_acquire(0);
-    x.store(5);
-    rt.lock_release(0);
-    EXPECT_EQ(x.load(), 5);
-  });
-  EXPECT_EQ(cl->network().messages_sent(), 0u);
-}
-
-TEST(Locks, WaitersQueueInFifoOrder) {
-  auto cl = make_cluster(4);
-  auto order = ShArray<int>::alloc(*cl, 8);
-  auto cursor = ShVar<int>::alloc(*cl);
-
-  const auto work = cl->register_work([&](NodeRuntime& rt) {
-    // Stagger arrivals deterministically with compute.
-    rt.cpu().compute(sim::microseconds(100 * (rt.id() + 1)));
-    rt.lock_acquire(2);
-    const int pos = cursor.load();
-    order.store(static_cast<std::size_t>(pos), static_cast<int>(rt.id()));
-    cursor.store(pos + 1);
-    rt.lock_release(2);
-  });
-
-  std::vector<int> got;
-  cl->run([&](NodeRuntime& rt) {
-    cursor.store(0);
-    rt.fork(work);
-    cl->work(work)(rt);
-    rt.join_master();
-    for (int i = 0; i < 4; ++i) got.push_back(order.load(static_cast<std::size_t>(i)));
-  });
-
-  // All four nodes appear exactly once.
-  std::vector<int> sorted = got;
-  std::sort(sorted.begin(), sorted.end());
-  EXPECT_EQ(sorted, (std::vector<int>{0, 1, 2, 3}));
-}
-
-TEST(LocksAndBarriers, LockLearnedNoticesSurviveBarrierRedistribution) {
-  auto cl = make_cluster(3);
-  auto a = ShVar<int>::alloc(*cl);
-  auto b = ShVar<int>::alloc(*cl);
-  int seen = -1;
-
-  const auto work = cl->register_work([&](NodeRuntime& rt) {
-    if (rt.id() == 1) {
-      rt.lock_acquire(5);
-      a.store(11);
-      rt.lock_release(5);
-    }
-    if (rt.id() == 2) {
-      rt.cpu().compute(sim::milliseconds(1));
-      rt.lock_acquire(5);  // learns node 1's interval via the grant
-      b.store(a.load() + 1);
-      rt.lock_release(5);
-    }
-    rt.barrier(51);  // the master must now know both intervals
-    if (rt.id() == 0) seen = a.load() + b.load();
-  });
-
-  cl->run([&](NodeRuntime& rt) {
-    rt.fork(work);
-    cl->work(work)(rt);
-    rt.join_master();
-  });
-
-  EXPECT_EQ(seen, 11 + 12);
 }
 
 TEST(Stats, PhaseTaggingSeparatesSequentialAndParallelTraffic) {

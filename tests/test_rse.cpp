@@ -92,14 +92,15 @@ TEST(Rse, SectionWritesAreNotPropagatedAfterwards) {
   }
 }
 
-TEST(Rse, LockChainedWritersConvergeInsideSection) {
-  // Regression for the multicast-round causality hazard: a lock chain
-  // before the section leaves causally ordered diffs for the SAME word at
-  // different owners.  Round frames arrive in chain (node-id) order, so
-  // applying each frame on arrival would let an older diff land on top of
-  // the newer data that covers it -- a replica silently reading a stale
-  // word and diverging (found by the chk diff-apply-causality oracle).
-  // Frames must stage per page and apply in one causal batch.
+TEST(Rse, CausallyChainedWritersConvergeInsideSection) {
+  // Regression for the multicast-round causality hazard: writers chained by
+  // barriers before the section leave causally ordered diffs for the SAME
+  // word at different owners.  Nodes 3, 2, 1 and 0 write in turn, so causal
+  // order runs against the ack chain's node-id order, in which round frames
+  // arrive: applying each frame on arrival would let an older diff land on
+  // top of the newer data that covers it -- a replica silently reading a
+  // stale word and diverging (found by the chk diff-apply-causality
+  // oracle).  Frames must stage per page and apply in one causal batch.
   for (FlowControl flow : {FlowControl::Chained, FlowControl::Windowed, FlowControl::None}) {
     World w(4, SeqMode::Replicated, flow);
     auto data = tmk::ShArray<int>::alloc(*w.cl, 1024, /*page_aligned=*/true);
@@ -110,9 +111,10 @@ TEST(Rse, LockChainedWritersConvergeInsideSection) {
         data.store(i, static_cast<int>(2 * i));
       }
       rt.barrier(1);
-      rt.lock_acquire(9);
-      data.store(0, data.load(0) + 1);  // 4 causally ordered writers, 1 word
-      rt.lock_release(9);
+      for (tmk::NodeId turn = rt.node_count(); turn-- > 0;) {
+        if (rt.id() == turn) data.store(0, data.load(0) + 1);  // 4 writers, 1 word
+        rt.barrier(2);
+      }
     });
     w.cl->run([&](tmk::NodeRuntime& rt) {
       rt.fork(work);
@@ -173,8 +175,9 @@ TEST(Rse, ReplicatedSectionForkIsOneMulticast) {
   // Every node runs a replicated section, so the fork that opens it is one
   // multicast -- one hub frame for the master whatever n is -- carrying
   // what the least-informed slave lacks.  Before each fork, every slave
-  // wrote its own page and a lock passed from slave 1 to slave 2, so slave
-  // 2 receives slave 1's records twice and must log them once.
+  // wrote its own page, so each slave lacks the others' newest records but
+  // knows its own: the fork hands every slave its own records back, and it
+  // must log them once.
   for (std::size_t nodes : {4u, 8u}) {
     for (FlowControl flow : {FlowControl::Chained, FlowControl::Windowed, FlowControl::None}) {
       World w(nodes, SeqMode::Replicated, flow);
@@ -184,14 +187,6 @@ TEST(Rse, ReplicatedSectionForkIsOneMulticast) {
       const auto region = w.cl->register_work([&](tmk::NodeRuntime& rt) {
         if (rt.is_master()) return;
         data.store(rt.id() * ints_per_page, 100 * generation + static_cast<int>(rt.id()));
-        if (rt.id() == 2) {
-          rt.charge(sim::milliseconds(20));  // slave 1 takes the lock first
-          rt.cpu().flush();
-        }
-        if (rt.id() <= 2) {
-          rt.lock_acquire(1);
-          rt.lock_release(1);
-        }
       });
       std::vector<std::vector<int>> seen(nodes);
       std::vector<tmk::VectorClock> forked(nodes, tmk::VectorClock(nodes));
@@ -206,7 +201,7 @@ TEST(Rse, ReplicatedSectionForkIsOneMulticast) {
           rt.fork(region);
           w.cl->work(region)(rt);
           rt.join_master();
-          EXPECT_GT(w.cl->node(2).log().known(1), w.cl->node(3).log().known(1));
+          EXPECT_GT(w.cl->node(1).log().known(1), w.cl->node(2).log().known(1));
         };
         unequal_knowledge();
         w.team->sequential([&](const Ctx& ctx) {

@@ -1,7 +1,6 @@
 // Integration tests for the TreadMarks-like consistency protocol running on
 // the simulated cluster: visibility across fork/join and barriers, the
-// multiple-writer merge, lazy diffs, lock-carried notices, contention, and
-// determinism.
+// multiple-writer merge, lazy diffs, contention, and determinism.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -154,31 +153,6 @@ TEST(TmkRuntime, RepeatedBarriersWithSameIdDoNotCollide) {
     rt.join_master();
   });
   for (int n = 0; n < 3; ++n) EXPECT_EQ(final_val[n], 10);
-}
-
-TEST(TmkRuntime, LockProtectedCounterIsSequentiallyConsistent) {
-  Fixture fx;
-  auto cl = fx.make(4);
-  auto counter = ShVar<int>::alloc(*cl);
-  int final_value = -1;
-
-  const auto work = cl->register_work([&](NodeRuntime& rt) {
-    for (int i = 0; i < 5; ++i) {
-      rt.lock_acquire(3);
-      counter.store(counter.load() + 1);
-      rt.lock_release(3);
-    }
-  });
-
-  cl->run([&](NodeRuntime& rt) {
-    counter.store(0);
-    rt.fork(work);
-    cl->work(work)(rt);
-    rt.join_master();
-    final_value = counter.load();
-  });
-
-  EXPECT_EQ(final_value, 4 * 5);
 }
 
 TEST(TmkRuntime, LazyDiffsServeMultipleIntervals) {
