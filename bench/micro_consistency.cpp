@@ -39,7 +39,7 @@ int main() {
       auto rec = util::make_pooled<tmk::IntervalRecord>();
       rec->owner = i % 32;
       rec->index = log.known(i % 32) + 1;
-      rec->vc = VectorClock(32);
+      rec->lamport = i;
       rec->pages = {i, i + 1};
       log.insert(std::move(rec));
     }

@@ -91,8 +91,10 @@ Checker::Checker(tmk::Cluster& cluster, Config cfg) : cluster_(cluster), cfg_(cf
   const std::size_t n = cluster.node_count();
   shadow_.assign(n, tmk::VectorClock(n));
   snapshot_.assign(n, nullptr);
-  last_index_.assign(n, 0);
-  last_vc_.assign(n, tmk::VectorClock(n));
+  if (protocol()) {
+    last_stamp_.assign(n, 0);
+    commit_clocks_.resize(n);
+  }
   sync_gen_.assign(n, 1);  // 1: a zero-initialized cache entry is never valid
   coverage_checked_.resize(n);
   sections_.resize(n);
@@ -285,30 +287,57 @@ void Checker::gc_page(PageAccesses& pa) {
 
 // ---- protocol oracles ------------------------------------------------------
 
+const tmk::VectorClock& Checker::commit_clock(tmk::NodeId owner, std::uint32_t index) const {
+  REPSEQ_CHECK(index >= 1 && index <= commit_clocks_[owner].size(),
+               "chk: no committing clock for interval (" + std::to_string(owner) + "," +
+                   std::to_string(index) + ")");
+  return commit_clocks_[owner][index - 1];
+}
+
 void Checker::on_interval_commit(tmk::NodeRuntime& rt, const tmk::IntervalRecordPtr& rec) {
   const tmk::NodeId n = rec->owner;
   ++sync_gen_[n];
   if (!protocol()) return;
-  if (rec->index != last_index_[n] + 1) {
+  const tmk::VectorClock& vc = rt.vc();
+  auto& clocks = commit_clocks_[n];
+  const auto interval = [&] {
+    return "  node " + std::to_string(n) + " interval " + std::to_string(rec->index);
+  };
+  if (rec->index != clocks.size() + 1) {
     record_violation("interval-monotonicity",
                      "  node " + std::to_string(n) + " committed interval " +
-                         std::to_string(rec->index) + " after " + std::to_string(last_index_[n]) +
+                         std::to_string(rec->index) + " after " + std::to_string(clocks.size()) +
                          " (indices must be consecutive)");
   }
-  if (rec->vc.at(n) != rec->index) {
+  if (vc.at(n) != rec->index) {
     record_violation("interval-monotonicity",
-                     "  node " + std::to_string(n) + " interval " + std::to_string(rec->index) +
-                         " carries own-component " + std::to_string(rec->vc.at(n)) +
+                     interval() + " commits with own-component " + std::to_string(vc.at(n)) +
                          " (clock and index must agree)");
   }
-  if (!last_vc_[n].dominated_by(rec->vc)) {
+  if (!clocks.empty() && !clocks.back().dominated_by(vc)) {
     record_violation("interval-monotonicity",
-                     "  node " + std::to_string(n) + " interval " + std::to_string(rec->index) +
-                         " clock " + clock_str(rec->vc) + " does not dominate predecessor " +
-                         clock_str(last_vc_[n]));
+                     interval() + " clock " + clock_str(vc) + " does not dominate predecessor " +
+                         clock_str(clocks.back()));
   }
-  last_index_[n] = rec->index;
-  last_vc_[n] = rec->vc;
+  // The stamp is all a receiver learns of the interval's place in
+  // happens-before: it must be the committing clock's Lamport sum, which
+  // rises with every interval of the owner.
+  if (rec->lamport != vc.lamport_sum()) {
+    record_violation("interval-stamp",
+                     interval() + " carries stamp " + std::to_string(rec->lamport) +
+                         ", its committing clock's Lamport sum is " +
+                         std::to_string(vc.lamport_sum()) + "\n  committing clock " +
+                         clock_str(vc));
+  }
+  if (!clocks.empty() && rec->lamport <= last_stamp_[n]) {
+    record_violation("interval-stamp",
+                     interval() + " carries stamp " + std::to_string(rec->lamport) +
+                         ", not above the owner's previous stamp " +
+                         std::to_string(last_stamp_[n]));
+  }
+  last_stamp_[n] = rec->lamport;
+  if (clocks.size() < rec->index) clocks.resize(rec->index, tmk::VectorClock(vc.size()));
+  clocks[rec->index - 1] = vc;
 
   for (tmk::PageId p : rec->pages) {
     auto& entries = coverage_[p];
@@ -324,7 +353,6 @@ void Checker::on_interval_commit(tmk::NodeRuntime& rt, const tmk::IntervalRecord
       });
     }
   }
-  (void)rt;
 }
 
 void Checker::on_sync_merge(tmk::NodeId n) { ++sync_gen_[n]; }
@@ -360,7 +388,7 @@ void Checker::on_diff_apply(tmk::NodeRuntime& rt, const tmk::DiffPacket& pkt,
     if (i <= rt.log().known(pkt.owner)) newest = std::max(newest, i);
   }
   if (newest == 0) return;
-  const tmk::VectorClock& cover_vc = rt.log().get(pkt.owner, newest).vc;
+  const tmk::VectorClock& cover_vc = commit_clock(pkt.owner, newest);
   for (const tmk::IntervalRecordPtr& r : rt.page(pkt.page).pending) {
     if (r->owner == pkt.owner &&
         std::find(covers.begin(), covers.end(), r->index) != covers.end()) {
@@ -380,7 +408,8 @@ void Checker::on_diff_apply(tmk::NodeRuntime& rt, const tmk::DiffPacket& pkt,
               "," + std::to_string(newest) + ") to page " + std::to_string(pkt.page) +
               " while causally earlier notice (" + std::to_string(r->owner) + "," +
               std::to_string(r->index) + ") is still pending\n  applied interval clock " +
-              clock_str(cover_vc) + " covers the pending interval " + clock_str(r->vc));
+              clock_str(cover_vc) + " covers the pending interval " +
+              clock_str(commit_clock(r->owner, r->index)));
     }
   }
 }

@@ -15,11 +15,15 @@
 //     excluded from wire accounting.
 //
 //   * protocol -- invariant oracles over the protocol itself: per-node
-//     interval monotonicity, diff-apply causality (the PR 4 BcastUpdate bug
-//     class, asserted at apply time), at-most-one-round-in-flight per
-//     multicast shard, replica interval-log agreement at replicated
-//     section entry, replica write-set agreement after replicated
-//     sections, and write-notice coverage of every invalidation.
+//     interval monotonicity, interval stamps, diff-apply causality (the
+//     PR 4 BcastUpdate bug class, asserted at apply time),
+//     at-most-one-round-in-flight per multicast shard, replica interval-log
+//     agreement at replicated section entry, replica write-set agreement
+//     after replicated sections, and write-notice coverage of every
+//     invalidation.  An interval record carries only its clock's Lamport
+//     sum, so the checker keeps every committing clock in its own table
+//     for the three oracles that need the full clock: interval
+//     monotonicity, interval stamps and diff-apply causality.
 //
 // Selection mirrors the obs layer: the REPSEQ_CHECK env axis (fail-loud,
 // exit 2 on an unknown token) read at Cluster construction, or a forced
@@ -98,6 +102,11 @@ enum class Mutation : std::uint8_t {
   /// lacked it enters the section with a shorter interval log than the
   /// master's, and the replica-interval-log oracle must fire.
   TruncateSectionFork,
+  /// end_interval publishes the interval index as the record's stamp, so
+  /// causal order degrades to per-owner order -- the interval-stamp oracle
+  /// must fire at the commit, and diff-apply-causality once a diff lands
+  /// ahead of one that happened before it.
+  FlatIntervalStamp,
 };
 extern Mutation g_test_mutation;
 
@@ -151,8 +160,10 @@ class Checker {
   // ---- protocol oracles ----
 
   /// A dirty interval committing at its owner, BEFORE any test mutation
-  /// tampers with the published record (the checker knows the true write
-  /// set; the protocol propagates the possibly-mutated one).
+  /// tampers with the published record's write notices (the checker knows
+  /// the true write set; the protocol propagates the possibly-mutated
+  /// one).  The committing clock is `rt.vc()`: the checker records it and
+  /// checks the record's stamp against its Lamport sum.
   void on_interval_commit(tmk::NodeRuntime& rt, const tmk::IntervalRecordPtr& rec);
   /// A diff packet about to be applied (already-applied batches excluded).
   /// `satisfied` lists the notices earlier packets of its batch satisfied;
@@ -210,9 +221,12 @@ class Checker {
   std::map<std::uint64_t, tmk::VectorClock> barrier_arrivals_;
   std::map<tmk::PageId, PageAccesses> accesses_;
 
-  // interval monotonicity
-  std::vector<std::uint32_t> last_index_;
-  std::vector<tmk::VectorClock> last_vc_;
+  // interval monotonicity and stamps: each owner's committing clocks by
+  // interval index (entry i-1 for interval i), filled only under protocol
+  // checking -- records carry the Lamport sum alone
+  [[nodiscard]] const tmk::VectorClock& commit_clock(tmk::NodeId owner, std::uint32_t index) const;
+  std::vector<std::vector<tmk::VectorClock>> commit_clocks_;
+  std::vector<std::uint64_t> last_stamp_;
 
   // write-notice coverage: the TRUE write sets, page -> [(owner, index)],
   // recorded at commit before any mutation; plus a per-(node, page)

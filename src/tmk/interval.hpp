@@ -2,10 +2,12 @@
 //
 // An interval is the span of a thread's execution between two consecutive
 // synchronization operations that produced shared-memory writes.  Its record
-// carries a vector timestamp and the list of pages written (the write
-// notices).  Records are immutable once published; every node's log
-// eventually holds the records it needs by virtue of the consistency
-// protocol's notice exchange.
+// carries the interval's Lamport stamp and the list of pages written (the
+// write notices).  Receivers order diffs by the stamp alone, so the
+// interval's vector timestamp stays with its owner and never travels.
+// Records are immutable once published; every node's log eventually holds
+// the records it needs by virtue of the consistency protocol's notice
+// exchange.
 #pragma once
 
 #include <cstdint>
@@ -22,25 +24,16 @@ namespace repseq::tmk {
 struct IntervalRecord {
   NodeId owner = 0;
   std::uint32_t index = 0;  // owner's interval counter value
-  VectorClock vc;           // timestamp of the interval
+  /// Lamport stamp: the sum of the owner's vector clock as the interval
+  /// committed (VectorClock::lamport_sum), set once by end_interval.  It
+  /// strictly increases along happens-before, so sorting diffs on it
+  /// applies every causally earlier diff first (Lamport, CACM 1978).
+  std::uint64_t lamport = 0;
   std::vector<PageId> pages;  // write notices
 
-  /// Serialized size: owner + index (8) + vc + 4 bytes per page id.
-  [[nodiscard]] std::size_t wire_bytes() const {
-    return 8 + vc.wire_bytes() + 4 * pages.size();
-  }
-
-  /// `vc.lamport_sum()`, computed on first use and cached.  The record is
-  /// immutable once published, and causal diff sorting keys every
-  /// comparison on it: recomputing an N-entry sum per comparison made a
-  /// batch of one packet per writer cost O(N^2 log N).
-  [[nodiscard]] std::uint64_t lamport() const {
-    if (lamport_ == 0) lamport_ = vc.lamport_sum();
-    return lamport_;
-  }
-
- private:
-  mutable std::uint64_t lamport_ = 0;  // 0 = not yet computed
+  /// Serialized size: owner + index (8) + stamp (8) + 4 bytes per page
+  /// id, whatever the cluster's size.
+  [[nodiscard]] std::size_t wire_bytes() const { return 16 + 4 * pages.size(); }
 };
 
 /// Pool-backed, non-atomically counted: records fan out to every node

@@ -149,8 +149,9 @@ class NodeRuntime {
   /// (Section 5.2).
   [[nodiscard]] const std::vector<PageId>& section_writes() const { return section_writes_; }
 
-  /// Closes the current interval if dirty (publishes write notices locally;
-  /// they travel with the next synchronization message).
+  /// Closes the current interval if dirty: logs a record of its write
+  /// notices stamped with the clock's Lamport sum (the notices travel with
+  /// the next synchronization message; the clock stays here).
   void end_interval();
 
   /// Logs a remote interval record and invalidates its pages.

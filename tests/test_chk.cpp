@@ -251,6 +251,52 @@ TEST(ChkOracle, ReorderedDiffApplyTripsCausality) {
   ASSERT_FALSE(hits.empty());
 }
 
+TEST(ChkOracle, FlatIntervalStampTripsStampAndCausality) {
+  // Node 1 closes five intervals on one page; after a barrier node 2 writes
+  // the page once, so its interval follows all five; node 3 then faults
+  // and pulls both diffs in one batch.  Stamped by index, node 2's interval
+  // (stamp 1) sorts ahead of node 1's newest (stamp 5), which it covers.
+  const auto run = [](Mutation m) {
+    ScopedConfig sc(kProtocol, /*abort_on_violation=*/false);
+    ScopedMutation mut(m);
+    Fixture fx;
+    auto cl = fx.make(4);
+    auto data = tmk::ShArray<int>::alloc(*cl, 16);
+    const auto work = cl->register_work([&](tmk::NodeRuntime& rt) {
+      for (std::uint32_t i = 1; i <= 5; ++i) {
+        if (rt.id() == 1) data.store(0, static_cast<int>(i));
+        rt.barrier(i);
+      }
+      if (rt.id() == 2) data.store(1, 20);
+      rt.barrier(6);
+      if (rt.id() == 3) {
+        EXPECT_EQ(data.load(0), 5);
+        EXPECT_EQ(data.load(1), 20);
+      }
+    });
+    cl->run([&](tmk::NodeRuntime& rt) {
+      rt.fork(work);
+      cl->work(work)(rt);
+      rt.join_master();
+    });
+    return cl;
+  };
+
+  const auto clean = run(Mutation::None);
+  EXPECT_TRUE(details_of(*clean, "interval-stamp").empty());
+  EXPECT_TRUE(details_of(*clean, "diff-apply-causality").empty());
+
+  const auto flat = run(Mutation::FlatIntervalStamp);
+  const auto stamps = details_of(*flat, "interval-stamp");
+  ASSERT_FALSE(stamps.empty());
+  // Node 1 knows no other writer, so its index is its Lamport sum; node
+  // 2's interval 1 follows node 1's five.
+  EXPECT_NE(stamps[0].find("node 2 interval 1 carries stamp 1"), std::string::npos)
+      << stamps[0];
+  EXPECT_NE(stamps[0].find("Lamport sum is 6"), std::string::npos) << stamps[0];
+  EXPECT_FALSE(details_of(*flat, "diff-apply-causality").empty());
+}
+
 TEST(ChkOracle, ReplicaWriteSetDivergenceTrips) {
   ScopedConfig sc(kProtocol, /*abort_on_violation=*/false);
   Fixture fx;
@@ -308,8 +354,7 @@ TEST(ChkOracle, IntervalMonotonicityOnForgedRecord) {
     auto rec = util::make_pooled<tmk::IntervalRecord>();
     rec->owner = rt.id();
     rec->index = 5;
-    rec->vc = tmk::VectorClock(rt.node_count());
-    rec->vc.set(rt.id(), 5);
+    rec->lamport = 5;
     cl->checker()->on_interval_commit(rt, tmk::IntervalRecordPtr(rec));
   });
 

@@ -41,7 +41,7 @@ std::vector<std::uint32_t> reference_causal_order(const IntervalLog& log,
     for (std::uint32_t i : pkt.covers()) {
       if (i <= log.known(pkt.owner)) newest = std::max(newest, i);
     }
-    return log.get(pkt.owner, newest).lamport();
+    return log.get(pkt.owner, newest).lamport;
   };
   std::vector<std::uint32_t> order(pkts.size());
   std::iota(order.begin(), order.end(), 0u);
@@ -80,11 +80,11 @@ tmk::WantedByOwner reference_union_missing(const std::vector<IntervalRecordPtr>&
 
 // ---- fixtures --------------------------------------------------------------
 
-IntervalRecordPtr make_record(NodeId owner, std::uint32_t index, VectorClock vc) {
+IntervalRecordPtr make_record(NodeId owner, std::uint32_t index, std::uint64_t lamport = 0) {
   auto rec = util::make_pooled<IntervalRecord>();
   rec->owner = owner;
   rec->index = index;
-  rec->vc = std::move(vc);
+  rec->lamport = lamport;
   return rec;
 }
 
@@ -131,10 +131,10 @@ TEST(CausalOrder, MatchesStableSortOnRandomBatches) {
     for (NodeId o = 0; o < nodes; ++o) {
       known[o] = 1 + rng() % 5;
       for (std::uint32_t i = 1; i <= known[o]; ++i) {
-        // Entries from a tiny range: Lamport sums collide across owners.
-        VectorClock vc(nodes);
-        for (NodeId e = 0; e < nodes; ++e) vc.set(e, rng() % 3);
-        log.insert(make_record(o, i, std::move(vc)));
+        // Stamps summed from tiny clock entries: they collide across owners.
+        std::uint64_t lamport = 0;
+        for (NodeId e = 0; e < nodes; ++e) lamport += rng() % 3;
+        log.insert(make_record(o, i, lamport));
       }
     }
     std::vector<DiffPacket> pkts;
@@ -159,11 +159,7 @@ TEST(CausalOrder, MatchesStableSortOnRandomBatches) {
 
 TEST(CausalOrder, TiesBreakByOwnerThenSeqThenArrival) {
   IntervalLog log(3);
-  for (NodeId o = 0; o < 3; ++o) {
-    VectorClock vc(3);
-    vc.set(0, 1);  // every record has Lamport sum 1
-    log.insert(make_record(o, 1, std::move(vc)));
-  }
+  for (NodeId o = 0; o < 3; ++o) log.insert(make_record(o, 1, /*lamport=*/1));
   const std::vector<DiffPacket> pkts{make_packet(2, {1}, 5), make_packet(1, {1}, 9),
                                      make_packet(1, {1, 4}, 2), make_packet(2, {1}, 5)};
   EXPECT_EQ(new_causal_order(log, pkts), (std::vector<std::uint32_t>{2, 1, 0, 3}));
@@ -234,7 +230,7 @@ TEST(UnionMissing, MatchesMapOfSetsOnRandomPages) {
     const std::size_t count = rng() % 30;
     for (std::size_t k = 0; k < count; ++k) {
       const auto owner = static_cast<NodeId>(rng() % nodes);
-      notices.push_back(make_record(owner, ++top[owner], VectorClock(nodes)));
+      notices.push_back(make_record(owner, ++top[owner]));
       if (rng() % 8 == 0) notices.push_back(notices.back());  // a repeated notice
     }
     // Owners interleave at random; each owner's notices ascend, as in
@@ -278,9 +274,8 @@ TEST(UnionMissing, OwnersNeverMissTheirOwnNotices) {
   // Thread 1 wrote intervals 1..3 and lags behind on its own copy; thread 2
   // has seen interval 1 only.  Only thread 2's gap is a request: an owner's
   // entry never names its own notices.
-  const std::vector<IntervalRecordPtr> notices{
-      make_record(1, 1, VectorClock(3)), make_record(1, 2, VectorClock(3)),
-      make_record(1, 3, VectorClock(3))};
+  const std::vector<IntervalRecordPtr> notices{make_record(1, 1), make_record(1, 2),
+                                               make_record(1, 3)};
   VectorClock stale_owner(3);
   VectorClock behind(3);
   behind.set(1, 1);
@@ -303,8 +298,7 @@ TEST(UnionMissing, EntryLacksOnlyTheNewestNoticeWithoutALag) {
   // intervals 2 and 3 of owner 1 wrote other pages): the entry is the
   // owner's bit alone, 21 wire bytes at 128 nodes.
   constexpr std::size_t kNodes = 128;
-  const std::vector<IntervalRecordPtr> notices{make_record(1, 1, VectorClock(kNodes)),
-                                               make_record(1, 4, VectorClock(kNodes))};
+  const std::vector<IntervalRecordPtr> notices{make_record(1, 1), make_record(1, 4)};
   VectorClock valid(kNodes);
   valid.set(1, 3);
   const tmk::ValidNotice e = valid_notice_of(2, notices, valid);

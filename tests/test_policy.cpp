@@ -473,12 +473,12 @@ TEST(Policy, AdaptiveCompetitiveWithBestStaticAt32Nodes) {
 
 // The same Ilink at 64 nodes on three transports.  Pinning pool init and
 // the contribution sum (r = replicated, b = broadcast), the sum is cheapest
-// replicated on the hub (r/r 2.292 s against r/b 3.836 s) and on the tree
-// without a coalescing window (4.287 s against 5.746 s), whose
+// replicated on the hub (r/r 2.198 s against r/b 3.737 s) and on the tree
+// without a coalescing window (2.945 s against 4.320 s), whose
 // sender-rooted trees put each ack-chain successor one hop from its
 // predecessor; with a 500 us window the group's tree has one root, every
-// chain step descends it, and the sum is cheapest broadcast (r/b 5.771 s
-// against r/r 6.472 s).  A policy that prices each strategy on the
+// chain step descends it, and the sum is cheapest broadcast (r/b 4.344 s
+// against r/r 5.131 s).  A policy that prices each strategy on the
 // configured transport settles the sum that way on each, and stays within
 // 5% of the best static mode on all three.
 TEST(Policy, AdaptiveFollowsTheTransportAt64Nodes) {

@@ -240,6 +240,68 @@ TEST(Rse, ReplicatedSectionForkIsOneMulticast) {
   }
 }
 
+/// Every node writes its own page in one parallel region, so the master
+/// logs one record per node and each slave lacks every other node's.
+void write_own_pages(World& w, const tmk::ShArray<int>& data) {
+  const std::size_t ints_per_page = w.cfg.page_bytes / sizeof(int);
+  w.team->parallel([&](const Ctx& ctx) {
+    data.store(static_cast<std::size_t>(ctx.tid) * ints_per_page, ctx.tid + 1);
+  });
+}
+
+TEST(Rse, ReplicatedSectionForkCarriesStampedRecords) {
+  // The fork hands every slave all 128 records, each 16 bytes plus 4 per
+  // page.  Records that carried their clock, 4 more bytes per node, would
+  // make it about 69 KB.
+  constexpr std::size_t kNodes = 128;
+  World w(kNodes, SeqMode::Replicated);
+  auto data = tmk::ShArray<int>::alloc(*w.cl, kNodes * w.cfg.page_bytes / sizeof(int),
+                                       /*page_aligned=*/true);
+  const auto probe = w.cl->register_work([](tmk::NodeRuntime&) {});
+  std::uint64_t fork_bytes = 0;
+  w.cl->run([&](tmk::NodeRuntime& rt) {
+    write_own_pages(w, data);
+    const std::uint64_t before = w.cl->network().mcast_bytes(0);
+    rt.fork(probe, tmk::Phase::Sequential);  // a replicated section's fork
+    fork_bytes = w.cl->network().mcast_bytes(0) - before;
+    rt.join_master();
+  });
+  EXPECT_EQ(w.cl->node(0).log().known(kNodes - 1), 1u);
+  EXPECT_GT(fork_bytes, kNodes * 20);
+  EXPECT_LT(fork_bytes, 4096u);
+}
+
+TEST(Tmk, SectionBroadcastCarriesStampedRecords) {
+  // A section broadcast carries every record some slave lacks and the
+  // master's section diff; each record weighs 16 bytes plus 4 per page.
+  constexpr std::size_t kNodes = 64;
+  World w(kNodes, SeqMode::BroadcastAfter);
+  auto data = tmk::ShArray<int>::alloc(*w.cl, kNodes * w.cfg.page_bytes / sizeof(int),
+                                       /*page_aligned=*/true);
+  std::uint64_t bcast_bytes = 0;
+  std::size_t packet_bytes = 0;
+  w.cl->run([&](tmk::NodeRuntime& rt) {
+    write_own_pages(w, data);
+    const std::uint64_t before = w.cl->network().mcast_bytes(0);
+    w.team->sequential([&](const Ctx&) { data.store(0, -1); });
+    bcast_bytes = w.cl->network().mcast_bytes(0) - before;
+    packet_bytes = tmk::packets_wire_bytes(rt.collect_diffs(0, {rt.log().known(0)}));
+  });
+
+  const tmk::IntervalLog& log = w.cl->node(0).log();
+  std::size_t records = 0;
+  std::size_t record_bytes = 0;
+  for (tmk::NodeId o = 0; o < kNodes; ++o) {
+    for (std::uint32_t i = 1; i <= log.known(o); ++i) {
+      ++records;
+      record_bytes += 16 + 4 * log.get(o, i).pages.size();
+    }
+  }
+  EXPECT_EQ(records, kNodes + 1);  // the master's region and section intervals
+  EXPECT_GT(packet_bytes, 0u);
+  EXPECT_EQ(bcast_bytes, w.ncfg.wire_bytes(16 + record_bytes + packet_bytes));
+}
+
 TEST(Rse, ReplicatedBracketSynchronizesOnce) {
   // The paper synchronizes once on each side of a replicated section
   // (Section 5.2): the multicast fork and the valid-notice exchange open it

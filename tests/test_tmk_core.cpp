@@ -1,5 +1,6 @@
 // Unit tests for the passive DSM data structures: diffs, vector clocks,
-// interval logs, the shared heap and page bookkeeping.
+// interval logs and the records' wire size, the shared heap and page
+// bookkeeping.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -7,9 +8,11 @@
 #include <vector>
 
 #include "sim/rng.hpp"
+#include "tmk/access.hpp"
 #include "tmk/diff.hpp"
 #include "tmk/gaddr.hpp"
 #include "tmk/interval.hpp"
+#include "tmk/runtime.hpp"
 #include "tmk/shared_heap.hpp"
 #include "tmk/vector_clock.hpp"
 
@@ -142,8 +145,7 @@ TEST(IntervalLog, InsertsInOrderAndIgnoresDuplicates) {
     auto r = util::make_pooled<IntervalRecord>();
     r->owner = o;
     r->index = i;
-    r->vc = VectorClock(2);
-    r->vc.set(o, i);
+    r->lamport = i;
     return r;
   };
   log.insert(rec(0, 1));
@@ -160,8 +162,7 @@ TEST(IntervalLog, RecordsAfterReturnsExactlyTheGap) {
     auto r = util::make_pooled<IntervalRecord>();
     r->owner = 1;
     r->index = i;
-    r->vc = VectorClock(2);
-    r->vc.set(1, i);
+    r->lamport = i;
     log.insert(r);
   }
   VectorClock vc(2);
@@ -170,6 +171,26 @@ TEST(IntervalLog, RecordsAfterReturnsExactlyTheGap) {
   ASSERT_EQ(gap.size(), 2u);
   EXPECT_EQ(gap[0]->index, 4u);
   EXPECT_EQ(gap[1]->index, 5u);
+}
+
+TEST(TmkCore, IntervalRecordWireSizeIsIndependentOfNodeCount) {
+  // A committed record carries owner, index, its Lamport stamp and one id
+  // per written page -- not its clock, which would add 4 bytes per node.
+  for (std::size_t nodes : {4u, 1024u}) {
+    TmkConfig cfg;
+    cfg.heap_bytes = 4 * cfg.page_bytes;
+    Cluster cl(cfg, net::NetConfig{}, nodes);
+    const std::size_t ints_per_page = cfg.page_bytes / sizeof(int);
+    auto data = ShArray<int>::alloc(cl, 3 * ints_per_page, /*page_aligned=*/true);
+    cl.run([&](NodeRuntime& rt) {
+      for (std::size_t p = 0; p < 3; ++p) data.store(p * ints_per_page, 1);
+      rt.end_interval();
+    });
+    const IntervalRecord& rec = cl.node(0).log().get(0, 1);
+    ASSERT_EQ(rec.pages.size(), 3u) << nodes << " nodes";
+    EXPECT_EQ(rec.wire_bytes(), 28u) << nodes << " nodes";
+    EXPECT_EQ(rec.lamport, 1u) << nodes << " nodes";
+  }
 }
 
 TEST(SharedHeap, BumpAllocationWithAlignment) {
