@@ -63,8 +63,14 @@ double CostModel::cost(SectionStrategy s, const SectionProfile& p) const {
   switch (s) {
     case SectionStrategy::MasterOnly: {
       // Post-section reads of the write set converge on the master (the
-      // Section 3 queue).
-      return f * fault(p) + after(s, p);
+      // Section 3 queue).  A section that writes also leaves every slave
+      // lacking its record, so the next parallel region's fork is n-1
+      // unicasts from the master where replication and broadcast leave one
+      // control multicast.  A section that writes nothing is not charged:
+      // whether the slaves then lack a record depends on the region
+      // before it, which the profile does not see.
+      const double unicast_fork = w > 0 ? (nd - 1.0) * send_ - mcast_ctl_ : 0.0;
+      return f * fault(p) + unicast_fork + after(s, p);
     }
     case SectionStrategy::Replicated: {
       // The bracket: the fork and the valid-notice table ride the multicast

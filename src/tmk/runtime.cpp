@@ -819,30 +819,36 @@ void NodeRuntime::fork(std::uint64_t work_id, Phase phase) {
   REPSEQ_CHECK(is_master(), "fork from non-master");
   end_interval();
   cluster_.set_phase(phase);
-  if (phase == Phase::Sequential && node_count() > 1) {
-    // A replicated section hands every slave the same work, so its fork is
-    // one multicast.  It carries every record the least-informed slave
-    // lacks; a better-informed slave drops the duplicates on arrival.
-    ForkP f{work_id, vc_, records_some_slave_lacks()};
-    // Oracle-validation mutation: withhold the last record; the
-    // replica-interval-log oracle must fire at section entry.
-    if (chk::g_test_mutation == chk::Mutation::TruncateSectionFork && !f.records.empty())
-        [[unlikely]] {
-      f.records.pop_back();
+  if (node_count() == 1) return;
+  std::vector<IntervalRecordPtr> lacked = records_some_slave_lacks();
+  if (phase == Phase::Parallel && !lacked.empty()) {
+    // A parallel region that hands out write notices keeps TreadMarks'
+    // fork: one unicast per slave, carrying only what that slave lacks.
+    for (NodeId s = 1; s < node_count(); ++s) {
+      ForkP f{work_id, vc_, records_unknown_to(slave_known_vc_[s])};
+      if (chk_ != nullptr) [[unlikely]] f.chk = chk_->shadow(id_);
+      send_unicast(MsgKind::Fork, s, std::move(f));
+      slave_known_vc_[s] = vc_;
     }
-    if (chk_ != nullptr) [[unlikely]] f.chk = chk_->shadow(id_);
-    send_multicast(MsgKind::Fork, std::move(f));
-    for (NodeId s = 1; s < node_count(); ++s) slave_known_vc_[s].max_with(vc_);
     return;
   }
-  // A parallel region keeps TreadMarks' fork: one unicast per slave,
-  // carrying only what that slave lacks.
-  for (NodeId s = 1; s < node_count(); ++s) {
-    ForkP f{work_id, vc_, records_unknown_to(slave_known_vc_[s])};
-    if (chk_ != nullptr) [[unlikely]] f.chk = chk_->shadow(id_);
-    send_unicast(MsgKind::Fork, s, std::move(f));
-    slave_known_vc_[s] = vc_;
+  // A replicated section hands every slave the same work, so its fork is
+  // one multicast.  It carries every record the least-informed slave
+  // lacks; a better-informed slave drops the duplicates on arrival.  A
+  // parallel region whose slaves lack no record, as after a replicated
+  // section or a section broadcast, sends every slave the same empty fork:
+  // one multicast too, since "no memory coherence information is
+  // exchanged" there (paper Section 5.2).
+  ForkP f{work_id, vc_, std::move(lacked)};
+  // Oracle-validation mutation: withhold the last record; the
+  // replica-interval-log oracle must fire at section entry.
+  if (chk::g_test_mutation == chk::Mutation::TruncateSectionFork && !f.records.empty())
+      [[unlikely]] {
+    f.records.pop_back();
   }
+  if (chk_ != nullptr) [[unlikely]] f.chk = chk_->shadow(id_);
+  send_multicast(MsgKind::Fork, std::move(f));
+  for (NodeId s = 1; s < node_count(); ++s) slave_known_vc_[s].max_with(vc_);
 }
 
 void NodeRuntime::join_master() {

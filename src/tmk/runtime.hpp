@@ -108,8 +108,9 @@ class NodeRuntime {
   /// registered work table.  `phase` tags statistics while the region runs
   /// (replicated *sequential* sections are forked too, but their traffic
   /// belongs to the sequential-section accounting of Tables 2 and 4).  A
-  /// Phase::Sequential fork is one multicast to every slave; a parallel
-  /// region's is one unicast per slave.
+  /// Phase::Sequential fork is one multicast to every slave, and so is a
+  /// parallel region's when no slave lacks an interval record; otherwise a
+  /// parallel region's is one unicast per slave.
   void fork(std::uint64_t work_id, Phase phase = Phase::Parallel);
   /// Master: wait for all slaves' join messages.
   void join_master();

@@ -184,6 +184,37 @@ TEST(CostModel, ChainStepPricesTheHopToTheSuccessor) {
   EXPECT_LT(tree.first, tree.second);
 }
 
+TEST(CostModel, MasterOnlyWriterPaysTheUnicastForkItLeaves) {
+  // A master-only section that writes leaves every slave lacking its
+  // record, so the next parallel region's fork is n-1 unicasts from the
+  // master; replication and broadcast leave one control multicast.  The
+  // difference is charged to master-only, and only when it writes.
+  constexpr std::size_t kNodes = 64;
+  sim::Engine eng;
+  for (net::TransportKind kind :
+       {net::TransportKind::HubSwitch, net::TransportKind::TreeMulticast}) {
+    net::NetConfig nc;
+    nc.transport = kind;
+    const net::Network nw(eng, nc, kNodes);
+    const CostModel model(tmk::TmkConfig{}, nw);
+    SectionProfile reader;  // every strategy measured, with no aftermath
+    std::fill(std::begin(reader.tried), std::end(reader.tried), 1);
+    SectionProfile writer = reader;
+    writer.pages_written = 1;
+    const double fork = (kNodes - 1) * nc.send_overhead.seconds() -
+                        model.mcast(CostModel::kControlBytes);
+    const std::string what = net::transport_name(kind);
+    EXPECT_GT(fork, 0.0) << what;
+    EXPECT_DOUBLE_EQ(model.cost(SectionStrategy::MasterOnly, writer) -
+                         model.cost(SectionStrategy::MasterOnly, reader),
+                     fork)
+        << what;
+    EXPECT_EQ(model.cost(SectionStrategy::Replicated, writer),
+              model.cost(SectionStrategy::Replicated, reader))
+        << what;
+  }
+}
+
 TEST(PolicyParsing, NamesRoundTrip) {
   using apps::harness::parse_mode;
   EXPECT_EQ(parse_mode("adaptive"), Mode::Adaptive);
@@ -473,12 +504,12 @@ TEST(Policy, AdaptiveCompetitiveWithBestStaticAt32Nodes) {
 
 // The same Ilink at 64 nodes on three transports.  Pinning pool init and
 // the contribution sum (r = replicated, b = broadcast), the sum is cheapest
-// replicated on the hub (r/r 2.198 s against r/b 3.737 s) and on the tree
-// without a coalescing window (2.945 s against 4.320 s), whose
+// replicated on the hub (r/r 1.886 s against r/b 3.271 s) and on the tree
+// without a coalescing window (2.650 s against 3.873 s), whose
 // sender-rooted trees put each ack-chain successor one hop from its
 // predecessor; with a 500 us window the group's tree has one root, every
-// chain step descends it, and the sum is cheapest broadcast (r/b 4.344 s
-// against r/r 5.131 s).  A policy that prices each strategy on the
+// chain step descends it, and the sum is cheapest broadcast (r/b 3.873 s
+// against r/r 4.863 s).  A policy that prices each strategy on the
 // configured transport settles the sum that way on each, and stays within
 // 5% of the best static mode on all three.
 TEST(Policy, AdaptiveFollowsTheTransportAt64Nodes) {

@@ -1,8 +1,13 @@
 // Protocol corner cases: the merged lazy-diff coverage rule (regression for
 // a real clobbering bug found during bring-up), empty diffs, phase-tagged
-// statistics and the retry-exhaustion diagnostic.
+// statistics, the unicast fork of a region that hands out notices and the
+// retry-exhaustion diagnostic.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "ompnow/team.hpp"
 #include "tmk/access.hpp"
 #include "tmk/runtime.hpp"
 
@@ -176,6 +181,51 @@ TEST(Stats, PhaseTaggingSeparatesSequentialAndParallelTraffic) {
   EXPECT_EQ(seq.diff_msgs_sent, 0u);
   EXPECT_GT(par.diff_msgs_sent, 0u);
   EXPECT_GT(par.diff_bytes_sent, 0u);
+}
+
+// A parallel region's fork that hands out write notices keeps TreadMarks'
+// one unicast per slave, carrying what that slave lacks: a multicast goes
+// out only when no slave lacks a record.  After a master-only section that
+// writes a page, every slave lacks its record, whether the slaves lack each
+// other's too (they wrote their own pages in the region before) or all lack
+// the same records (only the master wrote).
+TEST(ForkNotices, ForkCarryingNoticesIsOneUnicastPerSlave) {
+  constexpr std::size_t kNodes = 4;
+  for (const bool slaves_write : {true, false}) {
+    TmkConfig cfg;
+    cfg.heap_bytes = 1u << 20;
+    Cluster cl(cfg, net::NetConfig{}, kNodes);
+    ompnow::Team team(cl, ompnow::SeqMode::MasterOnly, nullptr);
+    const std::size_t ints_per_page = cfg.page_bytes / sizeof(int);
+    auto data = ShArray<int>::alloc(cl, (kNodes + 1) * ints_per_page, /*page_aligned=*/true);
+    auto known = [](NodeRuntime& rt) {
+      std::vector<std::uint32_t> out;
+      for (NodeId o = 0; o < kNodes; ++o) out.push_back(rt.log().known(o));
+      return out;
+    };
+    std::vector<std::vector<std::uint32_t>> forked(kNodes);
+    const auto probe = cl.register_work([&](NodeRuntime& rt) { forked[rt.id()] = known(rt); });
+    std::uint64_t fork_frames = 0;
+
+    cl.run([&](NodeRuntime& rt) {
+      team.parallel([&](const ompnow::Ctx& ctx) {
+        if (ctx.tid == 0 || slaves_write) data.store(ctx.tid * ints_per_page, ctx.tid + 1);
+      });
+      team.sequential([&](const ompnow::Ctx&) { data.store(kNodes * ints_per_page, -1); });
+      const std::uint64_t frames = rt.stats().par.msgs_sent;
+      rt.fork(probe);
+      fork_frames = rt.stats().par.msgs_sent - frames;
+      cl.work(probe)(rt);
+      rt.join_master();
+    });
+
+    const std::string what = slaves_write ? "slaves wrote" : "only the master wrote";
+    EXPECT_EQ(fork_frames, kNodes - 1) << what;
+    EXPECT_EQ(forked[0][0], 2u) << what;  // the region's and the section's
+    for (std::size_t s = 1; s < kNodes; ++s) {
+      EXPECT_EQ(forked[s], forked[0]) << what << ", slave " << s;
+    }
+  }
 }
 
 // Retry exhaustion names the stuck request, not just its page: with every

@@ -240,6 +240,54 @@ TEST(Rse, ReplicatedSectionForkIsOneMulticast) {
   }
 }
 
+TEST(Rse, ForkClosingASectionIsOneMulticast) {
+  // At the fork that ends a replicated section "no memory coherence
+  // information is exchanged" (paper Section 5.2).  A replicated section's
+  // fork and a section broadcast hand every slave every record the master
+  // holds, so the next parallel region's fork carries none and is one
+  // multicast: one frame for the master whatever n is.  Before the section
+  // every slave wrote its own page, so without it each slave would lack the
+  // others' records.
+  for (SeqMode mode : {SeqMode::Replicated, SeqMode::BroadcastAfter}) {
+    for (std::size_t nodes : {4u, 8u}) {
+      for (FlowControl flow : {FlowControl::Chained, FlowControl::Windowed, FlowControl::None}) {
+        World w(nodes, mode, flow);
+        const std::size_t ints_per_page = w.cfg.page_bytes / sizeof(int);
+        auto data = tmk::ShArray<int>::alloc(*w.cl, nodes * ints_per_page, /*page_aligned=*/true);
+        std::vector<tmk::VectorClock> forked(nodes, tmk::VectorClock(nodes));
+        const auto empty_region =
+            w.cl->register_work([&](tmk::NodeRuntime& rt) { forked[rt.id()] = rt.vc(); });
+        std::uint64_t fork_frames = 0;
+        tmk::VectorClock master_vc(nodes);
+
+        w.cl->run([&](tmk::NodeRuntime& rt) {
+          w.team->parallel([&](const Ctx& ctx) {
+            if (ctx.tid > 0) data.store(ctx.tid * ints_per_page, ctx.tid);
+          });
+          w.team->sequential([&](const Ctx&) {
+            int sum = 0;
+            for (std::size_t p = 1; p < nodes; ++p) sum += data.load(p * ints_per_page);
+            data.store(0, sum);
+          });
+          const std::uint64_t frames = rt.stats().par.msgs_sent;
+          rt.fork(empty_region);
+          fork_frames = rt.stats().par.msgs_sent - frames;
+          master_vc = rt.vc();
+          rt.join_master();
+        });
+
+        const std::string what =
+            std::string(mode == SeqMode::Replicated ? "replicated" : "broadcast") + ", " +
+            std::to_string(nodes) + " nodes, flow " + std::to_string(static_cast<int>(flow));
+        EXPECT_EQ(fork_frames, 1u) << what;
+        for (std::size_t s = 1; s < nodes; ++s) {
+          EXPECT_EQ(forked[s], master_vc) << what << ", slave " << s;
+        }
+      }
+    }
+  }
+}
+
 /// Every node writes its own page in one parallel region, so the master
 /// logs one record per node and each slave lacks every other node's.
 void write_own_pages(World& w, const tmk::ShArray<int>& data) {
