@@ -94,6 +94,7 @@ Checker::Checker(tmk::Cluster& cluster, Config cfg) : cluster_(cluster), cfg_(cf
   if (protocol()) {
     last_stamp_.assign(n, 0);
     commit_clocks_.resize(n);
+    sync_sent_.assign(n, tmk::VectorClock(n));
   }
   sync_gen_.assign(n, 1);  // 1: a zero-initialized cache entry is never valid
   coverage_checked_.resize(n);
@@ -355,7 +356,34 @@ void Checker::on_interval_commit(tmk::NodeRuntime& rt, const tmk::IntervalRecord
   }
 }
 
-void Checker::on_sync_merge(tmk::NodeId n) { ++sync_gen_[n]; }
+void Checker::on_sync_send(tmk::NodeRuntime& rt, tmk::NodeId peer) {
+  if (!protocol()) return;
+  sync_sent_[rt.is_master() ? peer : rt.id()] = rt.vc();
+}
+
+void Checker::on_sync_merge(tmk::NodeRuntime& rt, tmk::NodeId peer) {
+  ++sync_gen_[rt.id()];
+  if (!protocol()) return;
+  // The receiver learns the sender's clock only from the records: each
+  // one it logs raises its clock, so a record missing from the message
+  // leaves the rebuilt clock short of the one the sender held.
+  const tmk::VectorClock& sent = sync_sent_[rt.is_master() ? peer : rt.id()];
+  const auto edge = [&] {
+    return "  node " + std::to_string(rt.id()) + " merged a sync message from node " +
+           std::to_string(peer);
+  };
+  if (!sent.dominated_by(rt.vc())) {
+    record_violation("sync-clock", edge() + ": its rebuilt clock " + clock_str(rt.vc()) +
+                                       " does not cover the sender's clock at send " +
+                                       clock_str(sent));
+  }
+  if (rt.is_master() && rt.slave_known(peer) != sent) {
+    record_violation("sync-clock", edge() + ": its rebuilt clock of the slave " +
+                                       clock_str(rt.slave_known(peer)) +
+                                       " differs from the slave's clock at send " +
+                                       clock_str(sent));
+  }
+}
 
 void Checker::coverage_check(tmk::NodeRuntime& rt, tmk::PageId page) {
   auto cit = coverage_.find(page);

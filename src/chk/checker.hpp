@@ -19,11 +19,14 @@
 //     PR 4 BcastUpdate bug class, asserted at apply time),
 //     at-most-one-round-in-flight per multicast shard, replica interval-log
 //     agreement at replicated section entry, replica write-set agreement
-//     after replicated sections, and write-notice coverage of every
-//     invalidation.  An interval record carries only its clock's Lamport
-//     sum, so the checker keeps every committing clock in its own table
-//     for the three oracles that need the full clock: interval
-//     monotonicity, interval stamps and diff-apply causality.
+//     after replicated sections, write-notice coverage of every
+//     invalidation, and sync-clock agreement: a fork, join or barrier
+//     message leaves its receiver's clock, rebuilt from the records it
+//     carries, covering its sender's.  An interval record carries only its
+//     clock's Lamport sum and a sync message no clock, so the checker keeps
+//     the clocks it compares in its own tables: every committing clock, for
+//     interval monotonicity, interval stamps and diff-apply causality, and
+//     each sync message's sender clock, for sync-clock agreement.
 //
 // Selection mirrors the obs layer: the REPSEQ_CHECK env axis (fail-loud,
 // exit 2 on an unknown token) read at Cluster construction, or a forced
@@ -107,6 +110,10 @@ enum class Mutation : std::uint8_t {
   /// must fire at the commit, and diff-apply-causality once a diff lands
   /// ahead of one that happened before it.
   FlatIntervalStamp,
+  /// A slave's join withholds the slave's newest record -- the master's
+  /// clock, rebuilt from the join, falls short of the slave's, and the
+  /// sync-clock oracle must fire at the merge.
+  WithholdJoinRecord,
 };
 extern Mutation g_test_mutation;
 
@@ -172,8 +179,15 @@ class Checker {
                      const std::vector<tmk::NoticeKey>& satisfied);
   /// A page flipping Invalid -> ReadOnly after its pending notices cleared.
   void on_page_revalidate(tmk::NodeRuntime& rt, tmk::PageId page);
-  /// The node merged a sync payload (its protocol clock grew).
-  void on_sync_merge(tmk::NodeId n);
+  /// A fork, join, barrier arrival or departure leaving `rt` for `peer`
+  /// (called once per slave for a multicast fork): the sync-clock oracle
+  /// keeps the sender's clock.  One sync message at a time is in flight
+  /// between the master and a slave, so it is kept per slave.
+  void on_sync_send(tmk::NodeRuntime& rt, tmk::NodeId peer);
+  /// `rt` merged the records of a sync message from `peer` (its protocol
+  /// clock grew).  Its rebuilt clock must cover the sender's clock at send
+  /// and, on the master, its rebuilt clock of the slave must equal it.
+  void on_sync_merge(tmk::NodeRuntime& rt, tmk::NodeId peer);
   void on_section_enter(tmk::NodeRuntime& rt, std::uint32_t site);
   void on_section_exit(tmk::NodeRuntime& rt);
   void on_round_start(std::size_t shard, std::uint64_t round);
@@ -227,6 +241,11 @@ class Checker {
   [[nodiscard]] const tmk::VectorClock& commit_clock(tmk::NodeId owner, std::uint32_t index) const;
   std::vector<std::vector<tmk::VectorClock>> commit_clocks_;
   std::vector<std::uint64_t> last_stamp_;
+
+  // sync-clock agreement: per slave, the sender's clock of the sync
+  // message in flight between it and the master, filled only under
+  // protocol checking -- sync messages carry records, not the clock
+  std::vector<tmk::VectorClock> sync_sent_;
 
   // write-notice coverage: the TRUE write sets, page -> [(owner, index)],
   // recorded at commit before any mutation; plus a per-(node, page)

@@ -18,12 +18,21 @@ Network::Network(sim::Engine& eng, NetConfig cfg, std::size_t nodes)
 
 bool Network::deliver_at(sim::SimTime t, NodeId dst, const Message& msg) {
   if (lose_frame(msg)) return false;
-  eng_.schedule_at(t, [this, dst, msg] {
-    if (nics_[dst]->deliver(msg)) {
-      ++deliveries_;
-    }
-  });
+  eng_.schedule_at(t, [this, dst, msg] { hand_to_nic(dst, msg); });
   return true;
+}
+
+void Network::hand_to_nic(NodeId dst, const Message& msg) {
+  Nic& nic = *nics_[dst];
+  if (nic.deliver(msg)) {
+    ++deliveries_;
+  } else if (obs::enabled(obs::Cat::Net)) [[unlikely]] {
+    obs::tracer().instant(obs::Cat::Net, eng_.now(), static_cast<std::int32_t>(dst) + 1, "net",
+                          "drop",
+                          {{"src", static_cast<double>(msg.src)},
+                           {"kind", static_cast<double>(msg.kind)},
+                           {"backlog", static_cast<double>(nic.backlog())}});
+  }
 }
 
 std::uint64_t Network::unicast(Message msg, SendAccount account) {
@@ -93,9 +102,7 @@ void Network::flush_group_schedule(const std::vector<std::pair<sim::SimTime, Nod
     group.reserve(j - i);
     for (std::size_t g = i; g < j; ++g) group.push_back(sched[g].second);
     eng_.schedule_at(sched[i].first, [this, group = std::move(group), msg] {
-      for (NodeId n : group) {
-        if (nics_[n]->deliver(msg)) ++deliveries_;
-      }
+      for (NodeId n : group) hand_to_nic(n, msg);
     });
     i = j;
   }
@@ -186,9 +193,7 @@ std::uint64_t Network::multicast(Message msg, SendAccount account) {
           b->sched.emplace_back(at, dst);
         } else {
           // Deferred forwarding hop: schedule this receiver on its own.
-          nw.eng_.schedule_at(at, [&nw, dst, msg = b->msg] {
-            if (nw.nics_[dst]->deliver(msg)) ++nw.deliveries_;
-          });
+          nw.eng_.schedule_at(at, [&nw, dst, msg = b->msg] { nw.hand_to_nic(dst, msg); });
         }
         return true;
       },

@@ -106,6 +106,12 @@ class Network {
   /// losses.
   bool lose_frame(const Message& msg);
 
+  /// Lands `msg` in `dst`'s receive ring and counts the delivery.  A frame
+  /// the full ring drops leaves a `drop` trace instant naming the receiving
+  /// node (its process), the frame's source and kind and the ring's
+  /// backlog.
+  void hand_to_nic(NodeId dst, const Message& msg);
+
   /// Schedules batched inbox deliveries: one simulation event per run of
   /// equal arrival times in `sched`.
   void flush_group_schedule(const std::vector<std::pair<sim::SimTime, NodeId>>& sched,

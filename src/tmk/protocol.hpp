@@ -122,48 +122,44 @@ struct DiffReplyP {
   [[nodiscard]] std::size_t wire_bytes() const { return 16 + packets_wire_bytes(packets); }
 };
 
+// The four sync payloads carry the interval records their receiver lacks
+// and no vector clock: a node's clock is its interval log's high-water
+// marks, so each receiver rebuilds what the sender's clock told it from
+// the records (NodeRuntime::apply_notice raises the clock with every
+// record it logs).  Their size does not depend on the node count.
+
 struct BarrierArriveP {
   /// (barrier id << 32) | per-node epoch counter; SPMD execution makes the
   /// epoch consistent across nodes and keeps back-to-back barriers with the
   /// same id from colliding.
   std::uint64_t barrier_seq = 0;
-  VectorClock vc;
   std::vector<IntervalRecordPtr> records;
   VectorClock chk{};  // shadow clock side-channel, excluded from wire_bytes
-  [[nodiscard]] std::size_t wire_bytes() const {
-    return 8 + vc.wire_bytes() + records_wire_bytes(records);
-  }
+  [[nodiscard]] std::size_t wire_bytes() const { return 8 + records_wire_bytes(records); }
 };
 
 struct BarrierDepartP {
   std::uint64_t barrier_seq = 0;
-  VectorClock vc;
   std::vector<IntervalRecordPtr> records;
   VectorClock chk{};  // shadow clock side-channel, excluded from wire_bytes
-  [[nodiscard]] std::size_t wire_bytes() const {
-    return 8 + vc.wire_bytes() + records_wire_bytes(records);
-  }
+  [[nodiscard]] std::size_t wire_bytes() const { return 8 + records_wire_bytes(records); }
 };
 
 struct ForkP {
   std::uint64_t work_id = 0;  // "pointer to the region subroutine"
-  VectorClock vc;
   std::vector<IntervalRecordPtr> records;
   VectorClock chk{};  // shadow clock side-channel, excluded from wire_bytes
   [[nodiscard]] std::size_t wire_bytes() const {
     // work descriptor: function id + argument block (paper: subroutine
     // pointer, arguments, and additional information)
-    return 32 + vc.wire_bytes() + records_wire_bytes(records);
+    return 32 + records_wire_bytes(records);
   }
 };
 
 struct JoinP {
-  VectorClock vc;
   std::vector<IntervalRecordPtr> records;
   VectorClock chk{};  // shadow clock side-channel, excluded from wire_bytes
-  [[nodiscard]] std::size_t wire_bytes() const {
-    return 8 + vc.wire_bytes() + records_wire_bytes(records);
-  }
+  [[nodiscard]] std::size_t wire_bytes() const { return 8 + records_wire_bytes(records); }
 };
 
 // ---- replicated sequential execution payloads ----

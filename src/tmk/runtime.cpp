@@ -232,6 +232,9 @@ void NodeRuntime::end_interval() {
 void NodeRuntime::apply_notice(const IntervalRecordPtr& rec) {
   if (rec->index <= log_.known(rec->owner)) return;  // duplicate
   log_.insert(rec);
+  // The clock is the log's high-water marks: records arrive complete and
+  // in index order, so logging one is what merging its sender's clock did.
+  vc_.set(rec->owner, rec->index);
   for (PageId p : rec->pages) page_notice_index_[p].push_back(rec);
   if (rec->owner == id_) return;  // own records never invalidate locally
   for (PageId p : rec->pages) {
@@ -726,13 +729,19 @@ bool NodeRuntime::wait_page_valid(PageId p, sim::SimDuration timeout) {
 // Synchronization: barriers
 // ---------------------------------------------------------------------------
 
-void NodeRuntime::merge_sync_payload(const VectorClock& vc,
-                                     const std::vector<IntervalRecordPtr>& records) {
+void NodeRuntime::merge_sync_payload(NodeId from, const std::vector<IntervalRecordPtr>& records) {
   for (const IntervalRecordPtr& rec : records) {
     apply_notice(rec);
   }
-  vc_.max_with(vc);
-  if (chk_ != nullptr) [[unlikely]] chk_->on_sync_merge(id_);
+  if (is_master()) {
+    // The slave sent every record of its log the master might lack, so
+    // what the master last knew of it, raised by them, is its clock.
+    VectorClock& known = slave_known_vc_[from];
+    for (const IntervalRecordPtr& rec : records) {
+      if (rec->index > known.at(rec->owner)) known.set(rec->owner, rec->index);
+    }
+  }
+  if (chk_ != nullptr) [[unlikely]] chk_->on_sync_merge(*this, from);
 }
 
 std::vector<IntervalRecordPtr> NodeRuntime::records_unknown_to(const VectorClock& vc) const {
@@ -755,14 +764,17 @@ void NodeRuntime::barrier(std::uint32_t barrier_id) {
       tok.wait();
     }
   } else {
-    BarrierArriveP arr{seq, vc_, records_unknown_to(last_master_vc_)};
-    if (chk_ != nullptr) [[unlikely]] arr.chk = chk_->shadow(id_);
+    BarrierArriveP arr{seq, records_unknown_to(last_master_vc_)};
+    if (chk_ != nullptr) [[unlikely]] {
+      arr.chk = chk_->shadow(id_);
+      chk_->on_sync_send(*this, 0);
+    }
     send_unicast(MsgKind::BarrierArrive, 0, std::move(arr));
     net::Message msg = depart_ch_.pop();
     const auto& d = msg.as<BarrierDepartP>();
     REPSEQ_CHECK(d.barrier_seq == seq, "barrier sequence mismatch");
-    merge_sync_payload(d.vc, d.records);
-    last_master_vc_ = d.vc;
+    merge_sync_payload(0, d.records);
+    last_master_vc_ = vc_;  // now the departing master's clock
     if (chk_ != nullptr) [[unlikely]] chk_->on_acquire(id_, d.chk);
   }
 }
@@ -770,14 +782,13 @@ void NodeRuntime::barrier(std::uint32_t barrier_id) {
 void NodeRuntime::handle_barrier_arrive(const net::Message& msg) {
   const auto& a = msg.as<BarrierArriveP>();
   BarrierGroup& g = barriers_[a.barrier_seq];
-  merge_sync_payload(a.vc, a.records);
+  merge_sync_payload(msg.src, a.records);
   // Shadow clocks must NOT merge here: the dispatcher handles arrivals in
   // the middle of the master's epoch, and an eager merge would falsely
   // order slave writes before the master's in-progress accesses.  Buffer,
   // merge at completion (below), which is the real acquire edge.
   if (chk_ != nullptr) [[unlikely]] chk_->buffer_barrier_arrival(a.barrier_seq, a.chk);
-  g.waiter_vcs.emplace_back(msg.src, a.vc);
-  ++g.arrived;
+  g.waiters.push_back(msg.src);
   barrier_complete_if_ready(a.barrier_seq);
 }
 
@@ -785,16 +796,22 @@ void NodeRuntime::barrier_complete_if_ready(std::uint64_t barrier_seq) {
   auto it = barriers_.find(barrier_seq);
   REPSEQ_CHECK(it != barriers_.end(), "unknown barrier");
   BarrierGroup& g = it->second;
-  if (!g.master_arrived || g.arrived != node_count() - 1) return;
+  if (!g.master_arrived || g.waiters.size() != node_count() - 1) return;
   if (chk_ != nullptr) [[unlikely]] chk_->on_barrier_complete(barrier_seq);
 
   // Departures are sent, then the group is destroyed, so a late lookup by a
   // next-epoch arrival cannot confuse this (already keyed) group.
-  for (const auto& [slave, arrive_vc] : g.waiter_vcs) {
-    BarrierDepartP dep{barrier_seq, vc_, records_unknown_to(arrive_vc)};
-    if (chk_ != nullptr) [[unlikely]] dep.chk = chk_->shadow(id_);
-    send_unicast(MsgKind::BarrierDepart, slave, std::move(dep));
+  for (NodeId slave : g.waiters) {
+    BarrierDepartP dep{barrier_seq, records_unknown_to(slave_known_vc_[slave])};
+    // What the slave will know is recorded before the send, which yields:
+    // the dispatcher may merge a next-epoch arrival from a slave already
+    // departed, and the clock after that merge is more than `dep` carries.
     slave_known_vc_[slave] = vc_;
+    if (chk_ != nullptr) [[unlikely]] {
+      dep.chk = chk_->shadow(id_);
+      chk_->on_sync_send(*this, slave);
+    }
+    send_unicast(MsgKind::BarrierDepart, slave, std::move(dep));
   }
   sim::WaitToken* waiter = g.master_waiter;
   barriers_.erase(it);
@@ -825,10 +842,15 @@ void NodeRuntime::fork(std::uint64_t work_id, Phase phase) {
     // A parallel region that hands out write notices keeps TreadMarks'
     // fork: one unicast per slave, carrying only what that slave lacks.
     for (NodeId s = 1; s < node_count(); ++s) {
-      ForkP f{work_id, vc_, records_unknown_to(slave_known_vc_[s])};
-      if (chk_ != nullptr) [[unlikely]] f.chk = chk_->shadow(id_);
-      send_unicast(MsgKind::Fork, s, std::move(f));
+      ForkP f{work_id, records_unknown_to(slave_known_vc_[s])};
+      // Recorded before the send, which yields: a slave forked earlier may
+      // reach a barrier meanwhile, and its merged arrival is not in `f`.
       slave_known_vc_[s] = vc_;
+      if (chk_ != nullptr) [[unlikely]] {
+        f.chk = chk_->shadow(id_);
+        chk_->on_sync_send(*this, s);
+      }
+      send_unicast(MsgKind::Fork, s, std::move(f));
     }
     return;
   }
@@ -839,16 +861,19 @@ void NodeRuntime::fork(std::uint64_t work_id, Phase phase) {
   // section or a section broadcast, sends every slave the same empty fork:
   // one multicast too, since "no memory coherence information is
   // exchanged" there (paper Section 5.2).
-  ForkP f{work_id, vc_, std::move(lacked)};
+  ForkP f{work_id, std::move(lacked)};
   // Oracle-validation mutation: withhold the last record; the
   // replica-interval-log oracle must fire at section entry.
   if (chk::g_test_mutation == chk::Mutation::TruncateSectionFork && !f.records.empty())
       [[unlikely]] {
     f.records.pop_back();
   }
-  if (chk_ != nullptr) [[unlikely]] f.chk = chk_->shadow(id_);
+  for (NodeId s = 1; s < node_count(); ++s) slave_known_vc_[s].max_with(vc_);  // before the send
+  if (chk_ != nullptr) [[unlikely]] {
+    f.chk = chk_->shadow(id_);
+    for (NodeId s = 1; s < node_count(); ++s) chk_->on_sync_send(*this, s);
+  }
   send_multicast(MsgKind::Fork, std::move(f));
-  for (NodeId s = 1; s < node_count(); ++s) slave_known_vc_[s].max_with(vc_);
 }
 
 void NodeRuntime::join_master() {
@@ -857,8 +882,7 @@ void NodeRuntime::join_master() {
   for (std::size_t i = 1; i < node_count(); ++i) {
     net::Message msg = join_ch_.pop();
     const auto& j = msg.as<JoinP>();
-    merge_sync_payload(j.vc, j.records);
-    slave_known_vc_[msg.src].max_with(j.vc);
+    merge_sync_payload(msg.src, j.records);
     if (chk_ != nullptr) [[unlikely]] chk_->on_acquire(id_, j.chk);
   }
   cluster_.set_phase(Phase::Sequential);
@@ -868,15 +892,24 @@ void NodeRuntime::slave_loop() {
   for (;;) {
     net::Message msg = fork_ch_.pop();  // parks forever once the program ends
     const auto& f = msg.as<ForkP>();
-    merge_sync_payload(f.vc, f.records);
-    last_master_vc_ = f.vc;
+    merge_sync_payload(0, f.records);
+    last_master_vc_ = vc_;  // now the forking master's clock
     if (chk_ != nullptr) [[unlikely]] chk_->on_acquire(id_, f.chk);
     cluster_.work(f.work_id)(*this);
     end_interval();
-    JoinP join{vc_, records_unknown_to(last_master_vc_)};
-    if (chk_ != nullptr) [[unlikely]] join.chk = chk_->shadow(id_);
+    JoinP join{records_unknown_to(last_master_vc_)};
+    // Oracle-validation mutation: withhold the slave's newest record; the
+    // sync-clock oracle must fire when the master merges the join.
+    if (chk::g_test_mutation == chk::Mutation::WithholdJoinRecord && !join.records.empty())
+        [[unlikely]] {
+      join.records.pop_back();
+    }
+    last_master_vc_.max_with(vc_);  // before the send, as the master's fork loop does
+    if (chk_ != nullptr) [[unlikely]] {
+      join.chk = chk_->shadow(id_);
+      chk_->on_sync_send(*this, 0);
+    }
     send_unicast(MsgKind::Join, 0, std::move(join));
-    last_master_vc_.max_with(vc_);
   }
 }
 
@@ -906,12 +939,12 @@ void NodeRuntime::broadcast_section(const VectorClock& since) {
 
   const std::uint64_t req_id = next_req_id();
   auto& slot = expect_replies(req_id);
+  for (NodeId s = 1; s < n; ++s) slave_known_vc_[s].max_with(vc_);  // before the send, as a fork's
   send_multicast(MsgKind::BcastUpdate, BcastUpdateP{req_id, std::move(records), std::move(packets)});
   for (std::size_t i = 1; i < n; ++i) {
     (void)slot.pop();  // one BcastAck per slave
   }
   drop_reply_slot();
-  for (NodeId s = 1; s < n; ++s) slave_known_vc_[s].max_with(vc_);
 }
 
 // ---------------------------------------------------------------------------

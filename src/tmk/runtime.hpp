@@ -119,8 +119,13 @@ class NodeRuntime {
 
   // ---- protocol internals (exposed for the RSE engine and tests) ----
 
+  /// This node's clock: entry o is the newest interval of owner o in its
+  /// log.  It rises with each own commit and each record logged.
   [[nodiscard]] VectorClock& vc() { return vc_; }
   [[nodiscard]] IntervalLog& log() { return log_; }
+  /// Master only: slave `s`'s clock, rebuilt from the records the master
+  /// sent it and the records it sent the master.
+  [[nodiscard]] const VectorClock& slave_known(NodeId s) const { return slave_known_vc_[s]; }
   [[nodiscard]] PageState& page(PageId p) { return pages_[p]; }
   [[nodiscard]] std::size_t page_count() const { return pages_.size(); }
 
@@ -299,7 +304,10 @@ class NodeRuntime {
   void handle_diff_request(const net::Message& msg);
   void handle_barrier_arrive(const net::Message& msg);
 
-  void merge_sync_payload(const VectorClock& vc, const std::vector<IntervalRecordPtr>& records);
+  /// Logs a fork's, join's or barrier message's records, which raises
+  /// this node's clock to the sender's; on the master, also raises what it
+  /// knows of the sending slave.
+  void merge_sync_payload(NodeId from, const std::vector<IntervalRecordPtr>& records);
   [[nodiscard]] std::vector<IntervalRecordPtr> records_unknown_to(const VectorClock& vc) const;
   /// Master: the records the least-informed slave lacks (element-wise
   /// minimum of slave_known_vc_), what one multicast to every slave carries.
@@ -307,8 +315,7 @@ class NodeRuntime {
 
   // barrier bookkeeping (master side)
   struct BarrierGroup {
-    std::uint32_t arrived = 0;
-    std::vector<std::pair<NodeId, VectorClock>> waiter_vcs;
+    std::vector<NodeId> waiters;  // the slaves arrived, in arrival order
     bool master_arrived = false;
     sim::WaitToken* master_waiter = nullptr;
   };
@@ -367,9 +374,13 @@ class NodeRuntime {
   sim::Channel<net::Message> fork_ch_;
   sim::Channel<net::Message> depart_ch_;
   sim::Channel<net::Message> join_ch_;  // master only
+  /// Slave only: what the master knows, its clock at the last fork or
+  /// departure raised by the last join.  A join or arrival carries the
+  /// records beyond it.
   VectorClock last_master_vc_;
   /// Master only: what each slave knows.  Exact, since a slave learns
-  /// notices only from the master and from its own intervals.
+  /// notices only from the master and from its own intervals, and every
+  /// sync message carries the records its receiver lacks.
   std::vector<VectorClock> slave_known_vc_;
 
   bool in_replicated_section_ = false;

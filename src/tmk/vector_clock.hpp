@@ -78,9 +78,6 @@ class VectorClock {
     return true;
   }
 
-  /// Serialized size on the wire (4 bytes per entry).
-  [[nodiscard]] std::size_t wire_bytes() const { return 4 * size_; }
-
  private:
   void materialize() {
     if (v_.empty()) v_.assign(size_, 0);

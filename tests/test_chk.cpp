@@ -343,6 +343,82 @@ TEST(ChkOracle, TruncatedSectionForkTripsIntervalLogAgreement) {
   EXPECT_NE(hits[0].find("owner 0"), std::string::npos) << hits[0];
 }
 
+TEST(ChkOracle, WithheldJoinRecordTripsSyncClock) {
+  // Every slave writes its own page, so each join hands the master one
+  // record, and the master rebuilds the slave's clock from it.  Withheld,
+  // the master's clock falls short of the slave's, and so does its record
+  // of the slave.  The program ends at the join: a later record of the
+  // slave's would trip the log's gap check first.
+  const auto run = [](Mutation m) {
+    ScopedConfig sc(kProtocol, /*abort_on_violation=*/false);
+    ScopedMutation mut(m);
+    Fixture fx;
+    auto cl = fx.make(4);
+    auto data = tmk::ShArray<int>::alloc(*cl, 4 * 1024, /*page_aligned=*/true);
+    const auto work = cl->register_work([&](tmk::NodeRuntime& rt) {
+      if (!rt.is_master()) data.store(rt.id() * 1024, static_cast<int>(rt.id()));
+    });
+    cl->run([&](tmk::NodeRuntime& rt) {
+      rt.fork(work);
+      cl->work(work)(rt);
+      rt.join_master();
+    });
+    return cl;
+  };
+
+  const auto clean = run(Mutation::None);
+  EXPECT_TRUE(clean->checker()->violations().empty());
+
+  const auto withheld = run(Mutation::WithholdJoinRecord);
+  const auto hits = details_of(*withheld, "sync-clock");
+  ASSERT_EQ(hits.size(), 6u);  // per slave: the master's clock and its record of the slave
+  EXPECT_NE(hits[0].find("node 0 merged a sync message from node "), std::string::npos)
+      << hits[0];
+  EXPECT_NE(hits[0].find("does not cover the sender's clock at send"), std::string::npos)
+      << hits[0];
+  EXPECT_NE(hits[1].find("differs from the slave's clock at send"), std::string::npos) << hits[1];
+  EXPECT_EQ(details_of(*withheld, "sync-clock").size(),
+            withheld->checker()->violations().size());
+}
+
+TEST(ChkOracle, ArrivalsDuringTheMastersSendsKeepSyncClocksExact) {
+  // The master's page makes the fork one unicast per slave, 63 send
+  // overheads at 64 nodes.  The first slaves write and reach the barrier
+  // before the last fork leaves, and the dispatcher merges their arrivals
+  // between two of the master's sends, as it does during the departures
+  // when the master arrives last.  What the master records a slave knows
+  // must be what the message it sent carried: the clock after such a
+  // merge would leave the newer record out of the slave's next departure.
+  ScopedConfig sc(kProtocol, /*abort_on_violation=*/false);
+  constexpr std::size_t kNodes = 64;
+  constexpr std::size_t kIntsPerPage = 1024;
+  constexpr int kRounds = 4;
+  Fixture fx;
+  auto cl = fx.make(kNodes);
+  auto data = tmk::ShArray<int>::alloc(*cl, (kNodes + 1) * kIntsPerPage, /*page_aligned=*/true);
+  std::vector<int> stale(kNodes, 0);
+  const auto work = cl->register_work([&](tmk::NodeRuntime& rt) {
+    const std::size_t peer = (rt.id() + 1) % kNodes;
+    for (int round = 1; round <= kRounds; ++round) {
+      // Each round writes its own word, so a neighbour reading this round's
+      // word races with no later write.
+      data.store(rt.id() * kIntsPerPage + round, round);
+      rt.barrier(1);
+      if (data.load(peer * kIntsPerPage + round) != round) ++stale[rt.id()];
+    }
+  });
+  cl->run([&](tmk::NodeRuntime& rt) {
+    data.store(kNodes * kIntsPerPage, 1);
+    rt.fork(work);
+    cl->work(work)(rt);
+    rt.join_master();
+  });
+
+  EXPECT_TRUE(details_of(*cl, "sync-clock").empty()) << details_of(*cl, "sync-clock")[0];
+  EXPECT_TRUE(cl->checker()->violations().empty());
+  for (std::size_t n = 0; n < kNodes; ++n) EXPECT_EQ(stale[n], 0) << "node " << n;
+}
+
 TEST(ChkOracle, IntervalMonotonicityOnForgedRecord) {
   ScopedConfig sc(kProtocol, /*abort_on_violation=*/false);
   Fixture fx;

@@ -319,6 +319,45 @@ TEST(Rse, ReplicatedSectionForkCarriesStampedRecords) {
   EXPECT_LT(fork_bytes, 4096u);
 }
 
+TEST(Rse, SectionClosingJoinCarriesNoCoherenceInformation) {
+  // "No memory coherence information is exchanged" when a replicated
+  // section ends (paper Section 5.2): no interval closes inside it, so
+  // every slave's join carries no record, only its 8-byte header, at any
+  // n.  The slave's clock would add 4 bytes per node.  The section's reads
+  // run multicast rounds, and after its body a slave sends nothing but
+  // diff traffic (tail null acks) and its join.
+  constexpr std::size_t kNodes = 128;
+  World w(kNodes, SeqMode::Replicated);
+  const std::size_t ints_per_page = w.cfg.page_bytes / sizeof(int);
+  auto data = tmk::ShArray<int>::alloc(*w.cl, kNodes * ints_per_page, /*page_aligned=*/true);
+  const auto sync_msgs = [](const tmk::PhaseCounters& c) { return c.msgs_sent - c.diff_msgs_sent; };
+  const auto sync_bytes = [](const tmk::PhaseCounters& c) {
+    return c.bytes_sent - c.diff_bytes_sent;
+  };
+  std::vector<std::uint64_t> msgs_after_body(kNodes);
+  std::vector<std::uint64_t> bytes_after_body(kNodes);
+  w.cl->run([&](tmk::NodeRuntime&) {
+    write_own_pages(w, data);
+    w.team->sequential([&](const Ctx& ctx) {
+      long sum = 0;
+      for (std::size_t p : {std::size_t{1}, kNodes / 2, kNodes - 1}) {
+        sum += data.load(p * ints_per_page);
+      }
+      EXPECT_EQ(sum, static_cast<long>(2 + (kNodes / 2 + 1) + kNodes)) << "thread " << ctx.tid;
+      const tmk::PhaseCounters& c = ctx.rt.stats().seq;
+      msgs_after_body[ctx.tid] = sync_msgs(c);
+      bytes_after_body[ctx.tid] = sync_bytes(c);
+    });
+  });
+
+  EXPECT_EQ(w.ncfg.wire_bytes(8), 50u);
+  for (net::NodeId s = 1; s < kNodes; ++s) {
+    const tmk::PhaseCounters& c = w.cl->node(s).stats().seq;
+    EXPECT_EQ(sync_msgs(c) - msgs_after_body[s], 1u) << "slave " << s;
+    EXPECT_EQ(sync_bytes(c) - bytes_after_body[s], w.ncfg.wire_bytes(8)) << "slave " << s;
+  }
+}
+
 TEST(Tmk, SectionBroadcastCarriesStampedRecords) {
   // A section broadcast carries every record some slave lacks and the
   // master's section diff; each record weighs 16 bytes plus 4 per page.

@@ -151,7 +151,9 @@ TEST(RoundLifetime, MasterRetiresRoundsAtSectionExit) {
   // complete.  The round used to stay in flight until the watchdog
   // abandoned it, rse_wait_timeout later, with the next section's round
   // queued behind it.  Once every slave has joined nobody waits on a round,
-  // so the master retires it there.
+  // so the master retires it there.  Those tail null acks are the only
+  // frames dropped: a slave receives the chain one frame at a time, and no
+  // node recovers anything.
   constexpr std::size_t kNodes = 8;
   constexpr std::size_t kIntsPerPage = 4096 / sizeof(int);
   tmk::TmkConfig cfg;
@@ -188,6 +190,11 @@ TEST(RoundLifetime, MasterRetiresRoundsAtSectionExit) {
   std::remove(path.c_str());
 
   EXPECT_GT(cl.network().total_drops(), 0u) << "the chain's tail was never dropped";
+  EXPECT_EQ(cl.network().nic(0).drops(), cl.network().total_drops()) << "a slave dropped a frame";
+  for (net::NodeId n = 0; n < kNodes; ++n) {
+    const tmk::NodeStats& st = cl.node(n).stats();
+    EXPECT_EQ(st.seq.recoveries + st.par.recoveries, 0u) << "node " << n;
+  }
   EXPECT_NE(trace.str().find("\"round\""), std::string::npos) << "no rounds traced";
   EXPECT_EQ(trace.str().find("round-abandon"), std::string::npos);
   for (const sim::SimDuration dt : section_time) {

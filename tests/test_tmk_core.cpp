@@ -1,6 +1,6 @@
 // Unit tests for the passive DSM data structures: diffs, vector clocks,
-// interval logs and the records' wire size, the shared heap and page
-// bookkeeping.
+// interval logs, the wire size of records and sync messages, the shared
+// heap and page bookkeeping.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -191,6 +191,58 @@ TEST(TmkCore, IntervalRecordWireSizeIsIndependentOfNodeCount) {
     EXPECT_EQ(rec.wire_bytes(), 28u) << nodes << " nodes";
     EXPECT_EQ(rec.lamport, 1u) << nodes << " nodes";
   }
+}
+
+TEST(TmkCore, SyncPayloadWireSizeIsIndependentOfNodeCount) {
+  // Fork, join and barrier messages carry the records their receiver lacks
+  // and no clock, which would add 4 bytes per node.  Each one measured here
+  // carries one record of one page (16 + 4 bytes): the fork the master's
+  // first interval, the last slave's arrival at the first barrier its first,
+  // the departures from the second barrier the master's second, and the
+  // last slave's join its second.  The last slave is forked last, so its
+  // record cannot reach the master before every fork has left.
+  const auto measure = [](std::size_t nodes) {
+    TmkConfig cfg;
+    cfg.heap_bytes = 4 * cfg.page_bytes;
+    Cluster cl(cfg, net::NetConfig{}, nodes);
+    const std::size_t ints_per_page = cfg.page_bytes / sizeof(int);
+    auto data = ShArray<int>::alloc(cl, 3 * ints_per_page, /*page_aligned=*/true);
+    const auto last = static_cast<NodeId>(nodes - 1);
+    std::uint64_t fork = 0;
+    std::uint64_t arrive = 0;
+    std::uint64_t depart = 0;
+    std::uint64_t before_join = 0;
+    const auto work = cl.register_work([&](NodeRuntime& rt) {
+      const PhaseCounters& c = rt.stats().par;
+      if (rt.id() == last) data.store(ints_per_page, 1);
+      std::uint64_t before = c.bytes_sent;
+      rt.barrier(1);
+      if (rt.id() == last) arrive = c.bytes_sent - before;
+      if (rt.is_master()) data.store(1, 2);
+      before = c.bytes_sent;
+      rt.barrier(2);
+      if (rt.is_master()) depart = (c.bytes_sent - before) / (nodes - 1);
+      if (rt.id() == last) {
+        data.store(2 * ints_per_page, 3);
+        before_join = c.bytes_sent;
+      }
+    });
+    cl.run([&](NodeRuntime& rt) {
+      data.store(0, 1);
+      rt.fork(work);  // one unicast per slave: each lacks the master's record
+      fork = rt.stats().par.bytes_sent / (nodes - 1);
+      cl.work(work)(rt);
+      rt.join_master();
+    });
+    const std::uint64_t join = cl.node(last).stats().par.bytes_sent - before_join;
+    return std::array<std::uint64_t, 4>{fork, arrive, depart, join};
+  };
+
+  const net::NetConfig ncfg;
+  const std::array<std::uint64_t, 4> expected{ncfg.wire_bytes(32 + 20), ncfg.wire_bytes(8 + 20),
+                                              ncfg.wire_bytes(8 + 20), ncfg.wire_bytes(8 + 20)};
+  EXPECT_EQ(measure(4), expected);
+  EXPECT_EQ(measure(1024), expected);
 }
 
 TEST(SharedHeap, BumpAllocationWithAlignment) {
