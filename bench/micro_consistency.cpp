@@ -31,8 +31,9 @@ int main() {
   covered.set(7, 100);
   bench("vector_clock_covers", [&] { do_not_optimize(covered.covers(7, 99)); });
 
-  // ns/op from here on is per batch: 64 inserts plus one query, 1000
-  // events, 1000 sleeps (two fiber switches each).
+  // ns/op from here on is per batch: 64 inserts (each raising the log's
+  // clock and indexing its two pages) plus one query, 1000 events, 1000
+  // sleeps (two fiber switches each).
   bench("interval_log/insert_64_and_query", [] {
     tmk::IntervalLog log(32);
     for (std::uint32_t i = 1; i <= 64; ++i) {

@@ -458,8 +458,7 @@ void Checker::on_section_enter(tmk::NodeRuntime& rt, std::uint32_t site) {
   // cluster's: the join and the multicast fork that open the section must
   // have left every log equal to the first reporter's.
   const std::size_t n = cluster_.node_count();
-  tmk::VectorClock known(n);
-  for (tmk::NodeId o = 0; o < n; ++o) known.set(o, rt.log().known(o));
+  const tmk::VectorClock& known = rt.vc();
   auto [it, first] = section_logs_.try_emplace(s.section_no, SectionLog{known, rt.id(), 0});
   SectionLog& l = it->second;
   if (!first && known != l.known) {

@@ -166,11 +166,11 @@ class Checker {
 
   // ---- protocol oracles ----
 
-  /// A dirty interval committing at its owner, BEFORE any test mutation
-  /// tampers with the published record's write notices (the checker knows
-  /// the true write set; the protocol propagates the possibly-mutated
-  /// one).  The committing clock is `rt.vc()`: the checker records it and
-  /// checks the record's stamp against its Lamport sum.
+  /// A dirty interval committing at its owner, just logged, so `rt.vc()` is
+  /// the committing clock (the checker records it and checks the record's
+  /// stamp against its Lamport sum), and BEFORE any test mutation tampers
+  /// with the published record's write notices (the checker knows the true
+  /// write set; the protocol propagates the possibly-mutated one).
   void on_interval_commit(tmk::NodeRuntime& rt, const tmk::IntervalRecordPtr& rec);
   /// A diff packet about to be applied (already-applied batches excluded).
   /// `satisfied` lists the notices earlier packets of its batch satisfied;
@@ -278,8 +278,8 @@ class Checker {
   std::vector<SectionState> sections_;
   std::map<std::uint64_t, SectionDigest> section_digests_;
 
-  // replica interval-log agreement: the first reporter's log().known(o) per
-  // owner, keyed by section number like the digests
+  // replica interval-log agreement: the first reporter's clock (its log's
+  // newest interval per owner), keyed by section number like the digests
   struct SectionLog {
     tmk::VectorClock known;
     tmk::NodeId first_node = 0;

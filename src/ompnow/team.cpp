@@ -91,11 +91,10 @@ void Team::seq_master_only(const std::function<void(const Ctx&)>& body) {
 void Team::seq_broadcast_after(const std::function<void(const Ctx&)>& body) {
   tmk::NodeRuntime& master = cluster_.node(0);
   master.end_interval();
-  const tmk::VectorClock before = master.vc();
   Ctx ctx{master, 0, static_cast<int>(cluster_.node_count())};
   body(ctx);
   master.cpu().flush();
-  master.broadcast_section(before);
+  master.broadcast_section();
 }
 
 void Team::seq_replicated(std::uint32_t site, std::function<void(const Ctx&)> body) {

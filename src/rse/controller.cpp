@@ -55,7 +55,7 @@ constexpr std::uint32_t kNewestOnly = std::numeric_limits<std::uint32_t>::max();
 /// suffix of its notices on the page, so the union lacks, per owner, every
 /// notice from the lowest lag any thread names, or only the newest when no
 /// thread names a lag.  `notices` lists each owner's notices in index
-/// order (NodeRuntime::page_notices), so the walk runs backwards and stops
+/// order (IntervalLog::page_notices), so the walk runs backwards and stops
 /// once every lacked owner has reached its lag or its newest notice: it
 /// visits the notices since the oldest one lacked, not the page's history.
 void lacked(const std::vector<tmk::IntervalRecordPtr>& notices,
@@ -149,7 +149,7 @@ tmk::ValidNotice RseController::valid_notice(PageId page,
 
 tmk::ValidNoticesP RseController::local_valid_notices(tmk::NodeRuntime& rt) {
   tmk::ValidNoticesP out;
-  for (const auto& [p, notices] : rt.page_notice_index()) {
+  for (const auto& [p, notices] : rt.log().page_notice_index()) {
     const tmk::PageState& ps = rt.page(p);
     if (ps.pending.empty()) continue;
     tmk::ValidNotice& e = out.entries.emplace_back(valid_notice(p, ps.pending, rt.node_count()));
@@ -295,7 +295,7 @@ void RseController::on_fault(tmk::NodeRuntime& rt, PageId page) {
   const bool i_request =
       faulting != st.faulting.end() && faulting->second.front().first == rt.id();
   if (i_request) {
-    tmk::WantedByOwner wanted = union_missing(rt.page_notices(page), faulting->second);
+    tmk::WantedByOwner wanted = union_missing(rt.log().page_notices(page), faulting->second);
     REPSEQ_CHECK(!wanted.empty(), "requester elected with nothing to request");
     ++c.fwd_requests;
     c.fwd_owners += wanted.size();

@@ -40,32 +40,35 @@ struct IntervalRecord {
 /// inside synchronization payloads, so handle copies are a hot path.
 using IntervalRecordPtr = util::PoolPtr<const IntervalRecord>;
 
-/// All interval records a node knows, indexed by owner.  Records per owner
-/// are stored densely in index order (index i at position i-1).
+/// All interval records a node knows, by owner and by page, and so its
+/// vector clock (paper Section 5.1): insert is their one writer.  Records
+/// per owner are stored densely in index order (index i at position i-1).
 class IntervalLog {
  public:
-  explicit IntervalLog(std::size_t nodes) : per_owner_(nodes) {}
+  explicit IntervalLog(std::size_t nodes) : per_owner_(nodes), clock_(nodes) {}
 
   /// Highest interval index known for `owner` (0 = none).
   [[nodiscard]] std::uint32_t known(NodeId owner) const {
     return static_cast<std::uint32_t>(per_owner_[owner].size());
   }
+  /// The node's clock: entry o is known(o), the newest interval of o seen.
+  [[nodiscard]] const VectorClock& clock() const { return clock_; }
 
-  /// Inserts a record; must arrive in index order per owner (the protocol
-  /// guarantees this: notices propagate along synchronization edges).
-  /// Duplicate arrivals are ignored.
-  void insert(IntervalRecordPtr rec) {
-    auto& vec = per_owner_[rec->owner];
-    if (rec->index <= vec.size()) return;  // already known
-    REPSEQ_CHECK(rec->index == vec.size() + 1,
-                 "interval record gap for owner " + std::to_string(rec->owner) + ": have " +
-                     std::to_string(vec.size()) + ", got " + std::to_string(rec->index));
-    vec.push_back(std::move(rec));
-  }
+  /// Logs a record, raising clock() and listing it under each of its pages;
+  /// a known record changes nothing and returns false.  Records arrive in
+  /// index order per owner (notices propagate along synchronization edges).
+  bool insert(IntervalRecordPtr rec);
 
   [[nodiscard]] const IntervalRecord& get(NodeId owner, std::uint32_t index) const {
     REPSEQ_CHECK(index >= 1 && index <= per_owner_[owner].size(), "unknown interval");
     return *per_owner_[owner][index - 1];
+  }
+
+  /// The records of `owner` after interval `after`, in index order.
+  [[nodiscard]] std::vector<IntervalRecordPtr> records_of(NodeId owner, std::uint32_t after) const {
+    const auto& vec = per_owner_[owner];
+    REPSEQ_CHECK(after <= vec.size(), "records asked after an unknown interval");
+    return std::vector<IntervalRecordPtr>(vec.begin() + after, vec.end());
   }
 
   /// All records not covered by `vc`, i.e. those the holder of `vc` has not
@@ -80,8 +83,28 @@ class IntervalLog {
     return out;
   }
 
+  /// All records (own and remote) known to mention `p`, in the order they
+  /// were logged, so each owner's in ascending index order.  The RSE
+  /// requester election uses this as the universe of write notices for a
+  /// page (logs are identical cluster-wide once the multicast fork has
+  /// opened a replicated section).
+  [[nodiscard]] const std::vector<IntervalRecordPtr>& page_notices(PageId p) const {
+    static const std::vector<IntervalRecordPtr> kEmpty;
+    auto it = page_index_.find(p);
+    return it == page_index_.end() ? kEmpty : it->second;
+  }
+  /// Every page with at least one known write notice, ascending, mapped to
+  /// page_notices(p).  A page with pending notices is always in it, so a
+  /// walk over it finds every invalid page without scanning the heap.
+  [[nodiscard]] const std::map<PageId, std::vector<IntervalRecordPtr>>& page_notice_index()
+      const {
+    return page_index_;
+  }
+
  private:
   std::vector<std::vector<IntervalRecordPtr>> per_owner_;
+  VectorClock clock_;
+  std::map<PageId, std::vector<IntervalRecordPtr>> page_index_;
 };
 
 }  // namespace repseq::tmk

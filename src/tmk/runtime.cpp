@@ -30,13 +30,11 @@ NodeRuntime::NodeRuntime(Cluster& cluster, NodeId id)
       cpu_(cluster.engine(), cluster.config().compute_quantum),
       mem_(cluster.config().heap_bytes),
       pages_(cluster.config().heap_bytes / cluster.config().page_bytes),
-      vc_(cluster.node_count()),
       log_(cluster.node_count()),
       replies_(cluster.engine()),
       fork_ch_(cluster.engine()),
       depart_ch_(cluster.engine()),
-      join_ch_(cluster.engine()),
-      last_master_vc_(cluster.node_count()) {
+      join_ch_(cluster.engine()) {
   for (PageState& ps : pages_) ps.valid_vc = VectorClock(cluster.node_count());
   if (id_ == 0) {
     slave_known_vc_.assign(cluster.node_count(), VectorClock(cluster.node_count()));
@@ -179,8 +177,7 @@ void NodeRuntime::end_interval() {
   // must participate in the race detector's order.
   if (chk_ != nullptr) [[unlikely]] chk_->on_release(id_);
   if (current_dirty_.empty()) return;
-  vc_.bump(id_);
-  const std::uint32_t idx = vc_.at(id_);
+  const std::uint32_t idx = log_.known(id_) + 1;
   if (obs::enabled(obs::Cat::Tmk)) [[unlikely]] {
     obs::tracer().instant(obs::Cat::Tmk, cluster_.engine().now(),
                           static_cast<std::int32_t>(id_) + 1, "tmk", "interval-commit",
@@ -190,17 +187,18 @@ void NodeRuntime::end_interval() {
   auto rec = util::make_pooled<IntervalRecord>();
   rec->owner = id_;
   rec->index = idx;
-  // The record carries the clock's Lamport sum, not the clock: receivers
-  // only order diffs by it, and it costs 8 bytes where the clock would
-  // cost 4 per node on every record a fork, join, barrier or section
-  // broadcast forwards.
-  rec->lamport = vc_.lamport_sum();
+  // The record carries the Lamport sum of the clock it commits under, not
+  // the clock: receivers only order diffs by it, and it costs 8 bytes where
+  // the clock would cost 4 per node on every record a fork, join, barrier
+  // or section broadcast forwards.
+  rec->lamport = log_.clock().lamport_sum() + 1;  // the clock once idx is logged
   // Oracle-validation mutation: stamp the interval with its index, so
   // causal order degrades to per-owner order; the interval-stamp oracle
   // must fire at this commit and diff-apply-causality at the first diff
   // that lands ahead of one it follows.
   if (chk::g_test_mutation == chk::Mutation::FlatIntervalStamp) [[unlikely]] rec->lamport = idx;
   rec->pages = current_dirty_;
+  log_.insert(rec);  // raises the clock to the one the interval commits under
   if (chk_ != nullptr) [[unlikely]] chk_->on_interval_commit(*this, rec);
   // Oracle-validation mutation: publish a record missing its last write
   // notice.  The checker captured the TRUE write set above; local page
@@ -209,8 +207,6 @@ void NodeRuntime::end_interval() {
       [[unlikely]] {
     rec->pages.pop_back();
   }
-  log_.insert(rec);
-  for (PageId p : rec->pages) page_notice_index_[p].push_back(rec);
   for (PageId p : current_dirty_) {
     PageState& ps = pages_[p];
     ps.dirty_in_current = false;
@@ -230,12 +226,7 @@ void NodeRuntime::end_interval() {
 }
 
 void NodeRuntime::apply_notice(const IntervalRecordPtr& rec) {
-  if (rec->index <= log_.known(rec->owner)) return;  // duplicate
-  log_.insert(rec);
-  // The clock is the log's high-water marks: records arrive complete and
-  // in index order, so logging one is what merging its sender's clock did.
-  vc_.set(rec->owner, rec->index);
-  for (PageId p : rec->pages) page_notice_index_[p].push_back(rec);
+  if (!log_.insert(rec)) return;  // duplicate
   if (rec->owner == id_) return;  // own records never invalidate locally
   for (PageId p : rec->pages) {
     PageState& ps = pages_[p];
@@ -291,7 +282,7 @@ void NodeRuntime::flush_diff(PageId p) {
   // registration, and a request for it is answered with both.
   std::vector<std::uint32_t> covers = ps.open_intervals;
   if (ps.dirty_in_current && covers.empty()) {
-    covers.push_back(vc_.at(id_) + 1);
+    covers.push_back(log_.known(id_) + 1);
   }
   REPSEQ_CHECK(!covers.empty(), "twin with no covered intervals");
   auto rd = util::make_pooled<RegisteredDiff>(
@@ -730,22 +721,11 @@ bool NodeRuntime::wait_page_valid(PageId p, sim::SimDuration timeout) {
 // ---------------------------------------------------------------------------
 
 void NodeRuntime::merge_sync_payload(NodeId from, const std::vector<IntervalRecordPtr>& records) {
-  for (const IntervalRecordPtr& rec : records) {
-    apply_notice(rec);
-  }
-  if (is_master()) {
-    // The slave sent every record of its log the master might lack, so
-    // what the master last knew of it, raised by them, is its clock.
-    VectorClock& known = slave_known_vc_[from];
-    for (const IntervalRecordPtr& rec : records) {
-      if (rec->index > known.at(rec->owner)) known.set(rec->owner, rec->index);
-    }
-  }
+  for (const IntervalRecordPtr& rec : records) apply_notice(rec);
+  // A slave's join or arrival carries its own records after the newest the
+  // master held, so the newest of them completes what the master knew of it.
+  if (is_master() && !records.empty()) slave_known_vc_[from].set(from, records.back()->index);
   if (chk_ != nullptr) [[unlikely]] chk_->on_sync_merge(*this, from);
-}
-
-std::vector<IntervalRecordPtr> NodeRuntime::records_unknown_to(const VectorClock& vc) const {
-  return log_.records_after(vc);
 }
 
 void NodeRuntime::barrier(std::uint32_t barrier_id) {
@@ -764,7 +744,8 @@ void NodeRuntime::barrier(std::uint32_t barrier_id) {
       tok.wait();
     }
   } else {
-    BarrierArriveP arr{seq, records_unknown_to(last_master_vc_)};
+    BarrierArriveP arr{seq, log_.records_of(id_, own_sent_)};
+    own_sent_ = log_.known(id_);  // before the send, as at a join
     if (chk_ != nullptr) [[unlikely]] {
       arr.chk = chk_->shadow(id_);
       chk_->on_sync_send(*this, 0);
@@ -774,7 +755,6 @@ void NodeRuntime::barrier(std::uint32_t barrier_id) {
     const auto& d = msg.as<BarrierDepartP>();
     REPSEQ_CHECK(d.barrier_seq == seq, "barrier sequence mismatch");
     merge_sync_payload(0, d.records);
-    last_master_vc_ = vc_;  // now the departing master's clock
     if (chk_ != nullptr) [[unlikely]] chk_->on_acquire(id_, d.chk);
   }
 }
@@ -802,11 +782,11 @@ void NodeRuntime::barrier_complete_if_ready(std::uint64_t barrier_seq) {
   // Departures are sent, then the group is destroyed, so a late lookup by a
   // next-epoch arrival cannot confuse this (already keyed) group.
   for (NodeId slave : g.waiters) {
-    BarrierDepartP dep{barrier_seq, records_unknown_to(slave_known_vc_[slave])};
+    BarrierDepartP dep{barrier_seq, log_.records_after(slave_known_vc_[slave])};
     // What the slave will know is recorded before the send, which yields:
     // the dispatcher may merge a next-epoch arrival from a slave already
     // departed, and the clock after that merge is more than `dep` carries.
-    slave_known_vc_[slave] = vc_;
+    slave_known_vc_[slave] = vc();
     if (chk_ != nullptr) [[unlikely]] {
       dep.chk = chk_->shadow(id_);
       chk_->on_sync_send(*this, slave);
@@ -829,7 +809,7 @@ std::vector<IntervalRecordPtr> NodeRuntime::records_some_slave_lacks() const {
       least.set(o, std::min(least.at(o), slave_known_vc_[s].at(o)));
     }
   }
-  return records_unknown_to(least);
+  return log_.records_after(least);
 }
 
 void NodeRuntime::fork(std::uint64_t work_id, Phase phase) {
@@ -842,10 +822,10 @@ void NodeRuntime::fork(std::uint64_t work_id, Phase phase) {
     // A parallel region that hands out write notices keeps TreadMarks'
     // fork: one unicast per slave, carrying only what that slave lacks.
     for (NodeId s = 1; s < node_count(); ++s) {
-      ForkP f{work_id, records_unknown_to(slave_known_vc_[s])};
+      ForkP f{work_id, log_.records_after(slave_known_vc_[s])};
       // Recorded before the send, which yields: a slave forked earlier may
       // reach a barrier meanwhile, and its merged arrival is not in `f`.
-      slave_known_vc_[s] = vc_;
+      slave_known_vc_[s] = vc();
       if (chk_ != nullptr) [[unlikely]] {
         f.chk = chk_->shadow(id_);
         chk_->on_sync_send(*this, s);
@@ -868,7 +848,7 @@ void NodeRuntime::fork(std::uint64_t work_id, Phase phase) {
       [[unlikely]] {
     f.records.pop_back();
   }
-  for (NodeId s = 1; s < node_count(); ++s) slave_known_vc_[s].max_with(vc_);  // before the send
+  for (NodeId s = 1; s < node_count(); ++s) slave_known_vc_[s].max_with(vc());  // before the send
   if (chk_ != nullptr) [[unlikely]] {
     f.chk = chk_->shadow(id_);
     for (NodeId s = 1; s < node_count(); ++s) chk_->on_sync_send(*this, s);
@@ -893,18 +873,17 @@ void NodeRuntime::slave_loop() {
     net::Message msg = fork_ch_.pop();  // parks forever once the program ends
     const auto& f = msg.as<ForkP>();
     merge_sync_payload(0, f.records);
-    last_master_vc_ = vc_;  // now the forking master's clock
     if (chk_ != nullptr) [[unlikely]] chk_->on_acquire(id_, f.chk);
     cluster_.work(f.work_id)(*this);
     end_interval();
-    JoinP join{records_unknown_to(last_master_vc_)};
+    JoinP join{log_.records_of(id_, own_sent_)};
     // Oracle-validation mutation: withhold the slave's newest record; the
     // sync-clock oracle must fire when the master merges the join.
     if (chk::g_test_mutation == chk::Mutation::WithholdJoinRecord && !join.records.empty())
         [[unlikely]] {
       join.records.pop_back();
     }
-    last_master_vc_.max_with(vc_);  // before the send, as the master's fork loop does
+    own_sent_ = log_.known(id_);  // before the send, as the master's fork loop does
     if (chk_ != nullptr) [[unlikely]] {
       join.chk = chk_->shadow(id_);
       chk_->on_sync_send(*this, 0);
@@ -913,33 +892,31 @@ void NodeRuntime::slave_loop() {
   }
 }
 
-void NodeRuntime::broadcast_section(const VectorClock& since) {
+void NodeRuntime::broadcast_section() {
   REPSEQ_CHECK(is_master(), "section broadcast must run on the master");
+  const std::uint32_t before = log_.known(id_);
   end_interval();
   const std::size_t n = node_count();
   if (n == 1) return;
 
   // Receivers must get contiguous notice streams, so the broadcast carries
   // every record the least-informed slave might lack (duplicates are
-  // dropped on arrival); diffs are attached only for the master's own
-  // section records -- the "data modified during the sequential execution".
+  // dropped on arrival); diffs are attached only for the section's own
+  // interval -- the "data modified during the sequential execution".  The
+  // record lists each page once, so no registration repeats.
   std::vector<IntervalRecordPtr> records = records_some_slave_lacks();
 
   std::vector<DiffPacket> packets;
-  for (std::uint32_t i = since.at(0) + 1; i <= vc_.at(0); ++i) {
-    for (PageId p : log_.get(0, i).pages) {
-      for (DiffPacket& pkt : collect_diffs(p, {i})) {
-        const bool dup = std::any_of(packets.begin(), packets.end(),
-                                     [&](const DiffPacket& q) { return q.reg == pkt.reg; });
-        if (!dup) packets.push_back(std::move(pkt));
-      }
+  if (const std::uint32_t section = log_.known(id_); section > before) {
+    for (PageId p : log_.get(id_, section).pages) {
+      for (DiffPacket& pkt : collect_diffs(p, {section})) packets.push_back(std::move(pkt));
     }
   }
   if (records.empty() && packets.empty()) return;
 
   const std::uint64_t req_id = next_req_id();
   auto& slot = expect_replies(req_id);
-  for (NodeId s = 1; s < n; ++s) slave_known_vc_[s].max_with(vc_);  // before the send, as a fork's
+  for (NodeId s = 1; s < n; ++s) slave_known_vc_[s].max_with(vc());  // before the send, as a fork's
   send_multicast(MsgKind::BcastUpdate, BcastUpdateP{req_id, std::move(records), std::move(packets)});
   for (std::size_t i = 1; i < n; ++i) {
     (void)slot.pop();  // one BcastAck per slave

@@ -120,32 +120,15 @@ class NodeRuntime {
   // ---- protocol internals (exposed for the RSE engine and tests) ----
 
   /// This node's clock: entry o is the newest interval of owner o in its
-  /// log.  It rises with each own commit and each record logged.
-  [[nodiscard]] VectorClock& vc() { return vc_; }
-  [[nodiscard]] IntervalLog& log() { return log_; }
+  /// log, which alone raises it, as it logs each record, own or remote.
+  [[nodiscard]] const VectorClock& vc() const { return log_.clock(); }
+  [[nodiscard]] const IntervalLog& log() const { return log_; }
   /// Master only: slave `s`'s clock, rebuilt from the records the master
   /// sent it and the records it sent the master.
   [[nodiscard]] const VectorClock& slave_known(NodeId s) const { return slave_known_vc_[s]; }
   [[nodiscard]] PageState& page(PageId p) { return pages_[p]; }
   [[nodiscard]] std::size_t page_count() const { return pages_.size(); }
 
-  /// All interval records (own and remote) known to mention `p`, in the
-  /// order this node logged them, so each owner's in ascending index order.
-  /// The RSE requester election uses this as the universe of write notices
-  /// for a page (logs are identical cluster-wide once the multicast fork
-  /// has opened a replicated section).
-  [[nodiscard]] const std::vector<IntervalRecordPtr>& page_notices(PageId p) const {
-    static const std::vector<IntervalRecordPtr> kEmpty;
-    auto it = page_notice_index_.find(p);
-    return it == page_notice_index_.end() ? kEmpty : it->second;
-  }
-  /// Every page with at least one known write notice, ascending, mapped to
-  /// page_notices(p).  A page with pending notices is always in it, so a
-  /// walk over it finds every invalid page without scanning the heap.
-  [[nodiscard]] const std::map<PageId, std::vector<IntervalRecordPtr>>& page_notice_index()
-      const {
-    return page_notice_index_;
-  }
   /// Pages currently holding a twin, in no particular order.
   [[nodiscard]] const std::vector<PageId>& twinned_pages() const { return twinned_pages_; }
   /// Pages this node wrote inside the current or the last sequential
@@ -156,8 +139,9 @@ class NodeRuntime {
   [[nodiscard]] const std::vector<PageId>& section_writes() const { return section_writes_; }
 
   /// Closes the current interval if dirty: logs a record of its write
-  /// notices stamped with the clock's Lamport sum (the notices travel with
-  /// the next synchronization message; the clock stays here).
+  /// notices stamped with the Lamport sum of the clock it commits under
+  /// (the notices travel with the next synchronization message; the clock
+  /// stays here).
   void end_interval();
 
   /// Logs a remote interval record and invalidates its pages.
@@ -265,11 +249,12 @@ class NodeRuntime {
   void record_fault_round(sim::SimTime start, bool counted_as_request);
 
   /// Master, right after a master-only sequential section (paper Section
-  /// 4.2; Section 6.1.2's tree broadcast): multicasts the diffs of every own
-  /// interval newer than `since`, the master's clock from before the
-  /// section, in one BcastUpdate that slaves land through apply_pushed, and
-  /// waits for every acknowledgment.
-  void broadcast_section(const VectorClock& since);
+  /// 4.2; Section 6.1.2's tree broadcast): closes the section's interval,
+  /// the only one it wrote in (Team::seq_broadcast_after closes the one
+  /// before, and a section never synchronizes), multicasts its diffs in one
+  /// BcastUpdate that slaves land through apply_pushed, and waits for every
+  /// acknowledgment.
+  void broadcast_section();
 
   /// The dispatcher fiber body (spawned by Cluster).
   void dispatcher_loop();
@@ -305,10 +290,9 @@ class NodeRuntime {
   void handle_barrier_arrive(const net::Message& msg);
 
   /// Logs a fork's, join's or barrier message's records, which raises
-  /// this node's clock to the sender's; on the master, also raises what it
-  /// knows of the sending slave.
+  /// this node's clock to the sender's; on the master, also completes what
+  /// it knows of the sending slave.
   void merge_sync_payload(NodeId from, const std::vector<IntervalRecordPtr>& records);
-  [[nodiscard]] std::vector<IntervalRecordPtr> records_unknown_to(const VectorClock& vc) const;
   /// Master: the records the least-informed slave lacks (element-wise
   /// minimum of slave_known_vc_), what one multicast to every slave carries.
   [[nodiscard]] std::vector<IntervalRecordPtr> records_some_slave_lacks() const;
@@ -327,7 +311,6 @@ class NodeRuntime {
   sim::Cpu cpu_;
   util::LazyBytes mem_;
   std::vector<PageState> pages_;
-  VectorClock vc_;
   IntervalLog log_;
   std::vector<PageId> current_dirty_;
   std::vector<PageId> section_writes_;
@@ -357,7 +340,6 @@ class NodeRuntime {
     std::size_t remaining = 0;
   };
   std::map<PageId, StagedPage> staged_;
-  std::map<PageId, std::vector<IntervalRecordPtr>> page_notice_index_;
   std::vector<std::unique_ptr<std::byte[]>> twin_pool_;
   std::vector<PageId> twinned_pages_;  // PageState::twin_slot indexes it
 
@@ -374,10 +356,10 @@ class NodeRuntime {
   sim::Channel<net::Message> fork_ch_;
   sim::Channel<net::Message> depart_ch_;
   sim::Channel<net::Message> join_ch_;  // master only
-  /// Slave only: what the master knows, its clock at the last fork or
-  /// departure raised by the last join.  A join or arrival carries the
-  /// records beyond it.
-  VectorClock last_master_vc_;
+  /// Slave only: the index of this node's newest record the master holds.
+  /// A slave learns other owners' records only from the master, so a join
+  /// or arrival carries its own records after this one and nothing else.
+  std::uint32_t own_sent_ = 0;
   /// Master only: what each slave knows.  Exact, since a slave learns
   /// notices only from the master and from its own intervals, and every
   /// sync message carries the records its receiver lacks.

@@ -234,7 +234,7 @@ TEST(UnionMissing, MatchesMapOfSetsOnRandomPages) {
       if (rng() % 8 == 0) notices.push_back(notices.back());  // a repeated notice
     }
     // Owners interleave at random; each owner's notices ascend, as in
-    // NodeRuntime::page_notices.
+    // IntervalLog::page_notices.
     // Faulting threads include notice owners; in some trials every thread's
     // validity already covers every notice (nothing to request).
     const bool all_covered = trial % 5 == 0;

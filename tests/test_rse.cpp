@@ -228,7 +228,7 @@ TEST(Rse, ReplicatedSectionForkIsOneMulticast) {
           EXPECT_EQ(forked[t], master_vc) << what << ", slave " << t;
         }
         const tmk::NodeRuntime& rt = w.cl->node(static_cast<net::NodeId>(t));
-        for (const auto& [page, notices] : rt.page_notice_index()) {
+        for (const auto& [page, notices] : rt.log().page_notice_index()) {
           std::set<std::pair<net::NodeId, std::uint32_t>> distinct;
           for (const tmk::IntervalRecordPtr& rec : notices) {
             distinct.emplace(rec->owner, rec->index);
@@ -361,32 +361,51 @@ TEST(Rse, SectionClosingJoinCarriesNoCoherenceInformation) {
 TEST(Tmk, SectionBroadcastCarriesStampedRecords) {
   // A section broadcast carries every record some slave lacks and the
   // master's section diff; each record weighs 16 bytes plus 4 per page.
+  // A slave learns other owners' records only from the master, so in the
+  // region after the broadcast each slave's join carries its one new
+  // record and none of the broadcast's.
   constexpr std::size_t kNodes = 64;
   World w(kNodes, SeqMode::BroadcastAfter);
   auto data = tmk::ShArray<int>::alloc(*w.cl, kNodes * w.cfg.page_bytes / sizeof(int),
                                        /*page_aligned=*/true);
+  const auto sync_msgs = [](const tmk::PhaseCounters& c) { return c.msgs_sent - c.diff_msgs_sent; };
+  const auto sync_bytes = [](const tmk::PhaseCounters& c) {
+    return c.bytes_sent - c.diff_bytes_sent;
+  };
   std::uint64_t bcast_bytes = 0;
   std::size_t packet_bytes = 0;
+  std::size_t records = 0;
+  std::size_t record_bytes = 0;
+  std::vector<std::uint64_t> msgs_before(kNodes);
+  std::vector<std::uint64_t> bytes_before(kNodes);
   w.cl->run([&](tmk::NodeRuntime& rt) {
     write_own_pages(w, data);
     const std::uint64_t before = w.cl->network().mcast_bytes(0);
     w.team->sequential([&](const Ctx&) { data.store(0, -1); });
     bcast_bytes = w.cl->network().mcast_bytes(0) - before;
     packet_bytes = tmk::packets_wire_bytes(rt.collect_diffs(0, {rt.log().known(0)}));
+    for (tmk::NodeId o = 0; o < kNodes; ++o) {
+      for (std::uint32_t i = 1; i <= rt.log().known(o); ++i) {
+        ++records;
+        record_bytes += 16 + 4 * rt.log().get(o, i).pages.size();
+      }
+    }
+    for (net::NodeId s = 1; s < kNodes; ++s) {
+      msgs_before[s] = sync_msgs(w.cl->node(s).stats().par);
+      bytes_before[s] = sync_bytes(w.cl->node(s).stats().par);
+    }
+    write_own_pages(w, data);
   });
 
-  const tmk::IntervalLog& log = w.cl->node(0).log();
-  std::size_t records = 0;
-  std::size_t record_bytes = 0;
-  for (tmk::NodeId o = 0; o < kNodes; ++o) {
-    for (std::uint32_t i = 1; i <= log.known(o); ++i) {
-      ++records;
-      record_bytes += 16 + 4 * log.get(o, i).pages.size();
-    }
-  }
   EXPECT_EQ(records, kNodes + 1);  // the master's region and section intervals
   EXPECT_GT(packet_bytes, 0u);
   EXPECT_EQ(bcast_bytes, w.ncfg.wire_bytes(16 + record_bytes + packet_bytes));
+  for (net::NodeId s = 1; s < kNodes; ++s) {
+    const tmk::PhaseCounters& c = w.cl->node(s).stats().par;
+    EXPECT_EQ(sync_msgs(c) - msgs_before[s], 1u) << "slave " << s;
+    // The join's 8-byte header and one record of one page (16 + 4).
+    EXPECT_EQ(sync_bytes(c) - bytes_before[s], w.ncfg.wire_bytes(8 + 20)) << "slave " << s;
+  }
 }
 
 TEST(Rse, ReplicatedBracketSynchronizesOnce) {

@@ -5,6 +5,7 @@
 
 #include <array>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "sim/rng.hpp"
@@ -140,20 +141,49 @@ TEST(VectorClock, LamportSumRespectsHappensBefore) {
 }
 
 TEST(IntervalLog, InsertsInOrderAndIgnoresDuplicates) {
+  // The log is a node's one record of what it knows: each insert raises its
+  // clock to the record and lists the record under each of its pages, once,
+  // and a duplicate changes neither.
   IntervalLog log(2);
-  auto rec = [&](NodeId o, std::uint32_t i) {
+  auto rec = [&](NodeId o, std::uint32_t i, std::vector<PageId> pages) {
     auto r = util::make_pooled<IntervalRecord>();
     r->owner = o;
     r->index = i;
     r->lamport = i;
+    r->pages = std::move(pages);
     return r;
   };
-  log.insert(rec(0, 1));
-  log.insert(rec(0, 2));
-  log.insert(rec(0, 1));  // duplicate ignored
+  using Ids = std::vector<std::pair<NodeId, std::uint32_t>>;
+  auto ids = [](const std::vector<IntervalRecordPtr>& recs) {
+    Ids out;
+    for (const IntervalRecordPtr& r : recs) out.emplace_back(r->owner, r->index);
+    return out;
+  };
+  auto clock = [&] { return std::array{log.clock().at(0), log.clock().at(1)}; };
+
+  EXPECT_TRUE(log.insert(rec(0, 1, {3, 5})));
+  EXPECT_EQ(clock(), (std::array{1u, 0u}));
+  EXPECT_TRUE(log.insert(rec(1, 1, {5})));
+  EXPECT_EQ(clock(), (std::array{1u, 1u}));
+  EXPECT_TRUE(log.insert(rec(0, 2, {5, 7})));
+  EXPECT_EQ(clock(), (std::array{2u, 1u}));
+  EXPECT_FALSE(log.insert(rec(0, 1, {3, 5})));  // duplicate ignored
+  EXPECT_FALSE(log.insert(rec(1, 1, {9})));
+  EXPECT_EQ(clock(), (std::array{2u, 1u}));
   EXPECT_EQ(log.known(0), 2u);
-  EXPECT_EQ(log.known(1), 0u);
+  EXPECT_EQ(log.known(1), 1u);
   EXPECT_EQ(log.get(0, 2).index, 2u);
+
+  EXPECT_EQ(ids(log.page_notices(3)), (Ids{{0, 1}}));
+  EXPECT_EQ(ids(log.page_notices(5)), (Ids{{0, 1}, {1, 1}, {0, 2}}));
+  EXPECT_EQ(ids(log.page_notices(7)), (Ids{{0, 2}}));
+  EXPECT_TRUE(log.page_notices(9).empty());
+  EXPECT_EQ(log.page_notice_index().size(), 3u);
+
+  EXPECT_EQ(ids(log.records_of(0, 0)), (Ids{{0, 1}, {0, 2}}));
+  EXPECT_EQ(ids(log.records_of(0, 1)), (Ids{{0, 2}}));
+  EXPECT_TRUE(log.records_of(0, 2).empty());
+  EXPECT_EQ(ids(log.records_of(1, 0)), (Ids{{1, 1}}));
 }
 
 TEST(IntervalLog, RecordsAfterReturnsExactlyTheGap) {
