@@ -65,7 +65,8 @@ inline void check_pin_sites(std::initializer_list<std::uint32_t> sites) {
     if (std::find(sites.begin(), sites.end(), pin.first) != sites.end()) continue;
     std::string accepted;
     for (const std::uint32_t s : sites) {
-      accepted += (accepted.empty() ? "" : "|") + std::to_string(s);
+      if (!accepted.empty()) accepted += '|';
+      accepted += std::to_string(s);
     }
     util::axis_error("REPSEQ_PIN_SITE", std::getenv("REPSEQ_PIN_SITE"),
                      accepted + "=<master-only|replicated|broadcast>[,...]");

@@ -367,7 +367,7 @@ void Checker::on_sync_merge(tmk::NodeRuntime& rt, tmk::NodeId peer) {
   // The receiver learns the sender's clock only from the records: each
   // one it logs raises its clock, so a record missing from the message
   // leaves the rebuilt clock short of the one the sender held.
-  const tmk::VectorClock& sent = sync_sent_[rt.is_master() ? peer : rt.id()];
+  const tmk::VectorClock& sent = sync_sent_[peer == 0 ? rt.id() : peer];
   const auto edge = [&] {
     return "  node " + std::to_string(rt.id()) + " merged a sync message from node " +
            std::to_string(peer);

@@ -181,8 +181,10 @@ class Checker {
   void on_page_revalidate(tmk::NodeRuntime& rt, tmk::PageId page);
   /// A fork, join, barrier arrival or departure leaving `rt` for `peer`
   /// (called once per slave for a multicast fork): the sync-clock oracle
-  /// keeps the sender's clock.  One sync message at a time is in flight
-  /// between the master and a slave, so it is kept per slave.
+  /// keeps the sender's clock.  A slave has one sync message at a time in
+  /// flight, to the master or, closing a replicated section, to its
+  /// combining-tree parent; the master one per slave.  So it is kept per
+  /// slave: the sender's id, or the receiver's when the master sends.
   void on_sync_send(tmk::NodeRuntime& rt, tmk::NodeId peer);
   /// `rt` merged the records of a sync message from `peer` (its protocol
   /// clock grew).  Its rebuilt clock must cover the sender's clock at send
@@ -243,8 +245,9 @@ class Checker {
   std::vector<std::uint64_t> last_stamp_;
 
   // sync-clock agreement: per slave, the sender's clock of the sync
-  // message in flight between it and the master, filled only under
-  // protocol checking -- sync messages carry records, not the clock
+  // message in flight from it or from the master to it (on_sync_send),
+  // filled only under protocol checking -- sync messages carry records,
+  // not the clock
   std::vector<tmk::VectorClock> sync_sent_;
 
   // write-notice coverage: the TRUE write sets, page -> [(owner, index)],

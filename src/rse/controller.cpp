@@ -8,6 +8,7 @@
 
 #include "chk/checker.hpp"
 #include "obs/trace.hpp"
+#include "tmk/combining_tree.hpp"
 #include "util/check.hpp"
 
 namespace repseq::rse {
@@ -148,7 +149,7 @@ tmk::ValidNotice RseController::valid_notice(PageId page,
 }
 
 tmk::ValidNoticesP RseController::local_valid_notices(tmk::NodeRuntime& rt) {
-  tmk::ValidNoticesP out;
+  tmk::ValidNoticesP out{rt.id(), {}};
   for (const auto& [p, notices] : rt.log().page_notice_index()) {
     const tmk::PageState& ps = rt.page(p);
     if (ps.pending.empty()) continue;
@@ -187,20 +188,26 @@ void RseController::enter(tmk::NodeRuntime& rt) {
   const sim::SimTime t0 = cluster_.engine().now();
 
   if (n > 1) {
-    tmk::ValidNoticesP mine = local_valid_notices(rt);
-    rt.charge(kPerEntryCost * static_cast<std::int64_t>(mine.entries.size() + 1));
+    tmk::ValidNoticeBlocksP subtree{{local_valid_notices(rt)}};
+    rt.charge(kPerEntryCost * static_cast<std::int64_t>(subtree.blocks[0].entries.size() + 1));
+    // The notices combine up the tree: a node adds its children's blocks
+    // to its own and sends its subtree's in one message, so no node
+    // receives more than CombiningTree::kFanIn of them.  Its children's
+    // arrive before the table, which waits for every block.
+    for (std::size_t i = tmk::CombiningTree::children(rt.id(), n); i > 0; --i) {
+      const net::Message msg = st.exchange->pop();
+      const auto& blocks = msg.as<tmk::ValidNoticeBlocksP>().blocks;
+      subtree.blocks.insert(subtree.blocks.end(), blocks.begin(), blocks.end());
+    }
 
     if (rt.is_master()) {
       std::vector<tmk::ValidNoticesP> gathered(n);
-      gathered[0] = std::move(mine);
-      for (std::size_t i = 1; i < n; ++i) {
-        const net::Message msg = st.exchange->pop();
-        gathered[msg.src] = msg.as<tmk::ValidNoticesP>();
-      }
+      for (tmk::ValidNoticesP& vn : subtree.blocks) gathered[vn.node] = std::move(vn);
       st.table = std::make_shared<const std::vector<tmk::ValidNoticesP>>(std::move(gathered));
       rt.send_multicast(MsgKind::ValidTable, tmk::ValidTableP{st.table});
     } else {
-      rt.send_unicast(MsgKind::ValidNotices, 0, std::move(mine));
+      rt.send_unicast(MsgKind::ValidNotices, tmk::CombiningTree::parent(rt.id()),
+                      std::move(subtree));
       st.table = st.exchange->pop().as<tmk::ValidTableP>().per_node;
     }
 
@@ -553,8 +560,9 @@ void RseController::register_handlers(tmk::ProtocolEngine& engine) {
   // ---- handlers common to every flow-control variant ----
 
   engine.on(MsgKind::ValidNotices, [this](tmk::NodeRuntime& rt, const net::Message& msg) {
-    REPSEQ_CHECK(rt.is_master(), "valid notices routed to non-master");
-    state_[0].exchange->push(msg);
+    REPSEQ_CHECK(tmk::CombiningTree::parent(msg.src) == rt.id(),
+                 "valid notices routed past the combining tree");
+    state_[rt.id()].exchange->push(msg);
   });
   engine.on(MsgKind::ValidTable, [this](tmk::NodeRuntime& rt, const net::Message& msg) {
     state_[rt.id()].exchange->push(msg);
@@ -576,7 +584,10 @@ void RseController::register_handlers(tmk::ProtocolEngine& engine) {
     case FlowControl::Chained:
       engine.on(MsgKind::McastDiffReply, [this](tmk::NodeRuntime& rt, const net::Message& msg) {
         const auto& r = msg.as<tmk::McastDiffReplyP>();
-        rt.apply_pushed(r.packets);
+        // Forward, then apply: this node's own frame never depends on the
+        // apply (a page pending here had its twin flushed when the notice
+        // arrived, and apply_pushed never touches a page held valid), so
+        // the chain's next step does not wait for a page's worth of diffs.
         if (r.round != 0) {
           const std::size_t shard = shard_for(r.page);
           RoundState& st = round_state(rt, shard);
@@ -588,6 +599,7 @@ void RseController::register_handlers(tmk::ProtocolEngine& engine) {
             st.early_frames[r.round].insert(r.sender);
           }
         }
+        rt.apply_pushed(r.packets);
       });
       engine.on(MsgKind::McastNullAck, [this](tmk::NodeRuntime& rt, const net::Message& msg) {
         const auto& a = msg.as<tmk::McastNullAckP>();

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
+
+#include "tmk/combining_tree.hpp"
 
 namespace repseq::rse::policy {
 
@@ -17,6 +20,35 @@ CostModel::CostModel(const tmk::TmkConfig& tmk, const net::Network& net)
   mcast_ctl_ = mcast(kControlBytes);
   step_ctl_ = step(kControlBytes);
   mcast_page_ = mcast(page_bytes_);
+  burst_ = combining_burst();
+}
+
+double CostModel::combining_burst() const {
+  if (n_ < 2) return 0.0;
+  using Tree = tmk::CombiningTree;
+  // A child's message reaches its parent a send and two switched hops
+  // after the child has received its own subtree; a node receives its
+  // children's in arrival order.  Children have higher ids, so a backward
+  // walk meets them first.
+  const net::NetConfig& cfg = net_.config();
+  const sim::SimDuration hop =
+      cfg.link_tx_time(cfg.wire_bytes(static_cast<std::size_t>(kControlBytes))) +
+      net::NetConfig::hop_latency;
+  const double arrive = send_ + 2.0 * hop.seconds();
+  std::vector<double> done(n_, 0.0);  // when the node has heard its subtree
+  std::vector<double> arrivals;
+  for (std::size_t i = n_; i-- > 0;) {
+    const auto node = static_cast<tmk::NodeId>(i);
+    arrivals.clear();
+    for (std::size_t c = 0; c < Tree::children(node, n_); ++c) {
+      arrivals.push_back(done[Tree::first_child(node) + c] + arrive);
+    }
+    std::sort(arrivals.begin(), arrivals.end());
+    for (double a : arrivals) done[i] = std::max(done[i], a) + recv_;
+  }
+  // Every leaf's message takes `arrive`, the flat exchange's included;
+  // the burst is what receiving costs beyond it, (n-1) receives when flat.
+  return done[0] - arrive;
 }
 
 double CostModel::mcast(double payload_bytes) const {
@@ -74,12 +106,13 @@ double CostModel::cost(SectionStrategy s, const SectionProfile& p) const {
     }
     case SectionStrategy::Replicated: {
       // The bracket: the fork and the valid-notice table ride the multicast
-      // medium, and the master receives the valid notices and the joins
-      // (Sections 5.2 and 5.4.1).  Each stale page costs one flow-controlled
-      // round: the master's request, n-1 chain steps (each node's frame
-      // reaching the next node) and the page-sized reply.  The write set
-      // costs nothing on the wire (every node computes it locally).
-      const double bracket = 2.0 * mcast_ctl_ + (nd - 1.0) * 2.0 * recv_;
+      // medium, and the valid notices and the joins combine up the tree to
+      // the master (Sections 5.2 and 5.4.1).  Each stale page costs one
+      // flow-controlled round: the master's request, n-1 chain steps (each
+      // node's frame reaching the next node) and the page-sized reply.  The
+      // write set costs nothing on the wire (every node computes it
+      // locally).
+      const double bracket = 2.0 * mcast_ctl_ + 2.0 * burst_;
       return bracket + f * (mcast_ctl_ + (nd - 1.0) * step_ctl_ + mcast_page_ + diff_) +
              after(s, p);
     }

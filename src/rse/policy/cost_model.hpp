@@ -106,6 +106,12 @@ class CostModel {
   /// diffs' creation and application.
   [[nodiscard]] double fault(const SectionProfile& p) const;
 
+  /// Seconds of one burst of the replicated section's bracket (the valid
+  /// notices or the joins) combining up tmk::CombiningTree: the critical
+  /// path of receives beyond one message's flight, (n-1) receives when
+  /// the tree is flat.
+  [[nodiscard]] double combining_burst() const;
+
   const net::Network& net_;
   std::size_t n_;
   double send_;        // software send per message
@@ -117,6 +123,7 @@ class CostModel {
   double mcast_ctl_;   // one small control multicast (fork, table, request)
   double step_ctl_;    // one ack-chain step of a small control frame
   double mcast_page_;  // one page-sized multicast (a round's reply)
+  double burst_;       // combining_burst()
 };
 
 }  // namespace repseq::rse::policy

@@ -15,6 +15,7 @@
 #include "net/message.hpp"
 #include "tmk/diff.hpp"
 #include "tmk/interval.hpp"
+#include "tmk/stats.hpp"
 #include "tmk/vector_clock.hpp"
 
 namespace repseq::tmk {
@@ -28,7 +29,7 @@ enum class MsgKind : std::uint32_t {
   Fork,
   Join,
   // ---- replicated sequential execution (paper Sections 5.2-5.4) ----
-  ValidNotices,      // node -> master right after a replicated section's fork
+  ValidNotices,      // node -> combining-tree parent: its subtree's valid notices
   ValidTable,        // master -> all (multicast): aggregated valid notices
   McastRequestFwd,   // elected requester -> master (point-to-point)
   McastDiffRequest,  // master -> all (multicast), starts a reply chain
@@ -147,11 +148,14 @@ struct BarrierDepartP {
 
 struct ForkP {
   std::uint64_t work_id = 0;  // "pointer to the region subroutine"
+  /// Phase::Sequential for a replicated section, whose closing join
+  /// combines up the CombiningTree; a parallel region's goes to the master.
+  Phase phase = Phase::Parallel;
   std::vector<IntervalRecordPtr> records;
   VectorClock chk{};  // shadow clock side-channel, excluded from wire_bytes
   [[nodiscard]] std::size_t wire_bytes() const {
-    // work descriptor: function id + argument block (paper: subroutine
-    // pointer, arguments, and additional information)
+    // work descriptor: function id + argument block + phase (paper:
+    // subroutine pointer, arguments, and additional information)
     return 32 + records_wire_bytes(records);
   }
 };
@@ -210,10 +214,23 @@ struct ValidNotice {
 
 /// One node's valid notices, ascending by page.
 struct ValidNoticesP {
+  NodeId node = 0;
   std::vector<ValidNotice> entries;
+  /// Node id and entry count, then the entries.
   [[nodiscard]] std::size_t wire_bytes() const {
     std::size_t b = 8;
     for (const ValidNotice& e : entries) b += e.wire_bytes();
+    return b;
+  }
+};
+
+/// A ValidNotices message: the valid notices of the sender's subtree of
+/// the CombiningTree, one block per node.  A leaf sends its own block.
+struct ValidNoticeBlocksP {
+  std::vector<ValidNoticesP> blocks;
+  [[nodiscard]] std::size_t wire_bytes() const {
+    std::size_t b = 0;
+    for (const ValidNoticesP& vn : blocks) b += vn.wire_bytes();
     return b;
   }
 };

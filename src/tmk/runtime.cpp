@@ -10,6 +10,7 @@
 
 #include "chk/checker.hpp"
 #include "obs/trace.hpp"
+#include "tmk/combining_tree.hpp"
 #include "util/check.hpp"
 
 namespace repseq::tmk {
@@ -506,13 +507,24 @@ std::string stuck_request(NodeId node, PageId page, const WantedByOwner& outstan
                           int attempts, sim::SimDuration timeout) {
   char timeout_ms[32];
   std::snprintf(timeout_ms, sizeof timeout_ms, "%.3f", timeout.millis());
-  std::string out = "node " + std::to_string(node) + ", page " + std::to_string(page) + ", " +
-                    std::to_string(attempts) + " attempts timed out (timeout " + timeout_ms +
-                    " ms); outstanding servers:";
+  std::string out = "node ";
+  out += std::to_string(node);
+  out += ", page ";
+  out += std::to_string(page);
+  out += ", ";
+  out += std::to_string(attempts);
+  out += " attempts timed out (timeout ";
+  out += timeout_ms;
+  out += " ms); outstanding servers:";
   for (const auto& [server, ivs] : outstanding) {
-    out += " " + std::to_string(server) + " (intervals";
-    for (std::uint32_t i : ivs) out += " " + std::to_string(i);
-    out += ")";
+    out += ' ';
+    out += std::to_string(server);
+    out += " (intervals";
+    for (std::uint32_t i : ivs) {
+      out += ' ';
+      out += std::to_string(i);
+    }
+    out += ')';
   }
   return out;
 }
@@ -822,7 +834,7 @@ void NodeRuntime::fork(std::uint64_t work_id, Phase phase) {
     // A parallel region that hands out write notices keeps TreadMarks'
     // fork: one unicast per slave, carrying only what that slave lacks.
     for (NodeId s = 1; s < node_count(); ++s) {
-      ForkP f{work_id, log_.records_after(slave_known_vc_[s])};
+      ForkP f{work_id, phase, log_.records_after(slave_known_vc_[s])};
       // Recorded before the send, which yields: a slave forked earlier may
       // reach a barrier meanwhile, and its merged arrival is not in `f`.
       slave_known_vc_[s] = vc();
@@ -841,7 +853,7 @@ void NodeRuntime::fork(std::uint64_t work_id, Phase phase) {
   // section or a section broadcast, sends every slave the same empty fork:
   // one multicast too, since "no memory coherence information is
   // exchanged" there (paper Section 5.2).
-  ForkP f{work_id, std::move(lacked)};
+  ForkP f{work_id, phase, std::move(lacked)};
   // Oracle-validation mutation: withhold the last record; the
   // replica-interval-log oracle must fire at section entry.
   if (chk::g_test_mutation == chk::Mutation::TruncateSectionFork && !f.records.empty())
@@ -856,15 +868,22 @@ void NodeRuntime::fork(std::uint64_t work_id, Phase phase) {
   send_multicast(MsgKind::Fork, std::move(f));
 }
 
-void NodeRuntime::join_master() {
-  REPSEQ_CHECK(is_master(), "join_master from non-master");
-  end_interval();
-  for (std::size_t i = 1; i < node_count(); ++i) {
+void NodeRuntime::merge_joins(std::size_t joins) {
+  for (std::size_t i = 0; i < joins; ++i) {
     net::Message msg = join_ch_.pop();
     const auto& j = msg.as<JoinP>();
     merge_sync_payload(msg.src, j.records);
     if (chk_ != nullptr) [[unlikely]] chk_->on_acquire(id_, j.chk);
   }
+}
+
+void NodeRuntime::join_master() {
+  REPSEQ_CHECK(is_master(), "join_master from non-master");
+  end_interval();
+  // A replicated section's joins combine up the tree (see slave_loop): the
+  // master hears from its children, each speaking for its subtree.
+  merge_joins(cluster_.phase() == Phase::Sequential ? CombiningTree::children(id_, node_count())
+                                                    : node_count() - 1);
   cluster_.set_phase(Phase::Sequential);
 }
 
@@ -876,6 +895,15 @@ void NodeRuntime::slave_loop() {
     if (chk_ != nullptr) [[unlikely]] chk_->on_acquire(id_, f.chk);
     cluster_.work(f.work_id)(*this);
     end_interval();
+    // The join closing a replicated section combines up the tree: it
+    // leaves once the node's children have joined, so it speaks for the
+    // subtree.  It carries no record (no interval closes in the section),
+    // so every notice a slave learns still comes from the master.
+    NodeId parent = 0;
+    if (f.phase == Phase::Sequential) {
+      merge_joins(CombiningTree::children(id_, node_count()));
+      parent = CombiningTree::parent(id_);
+    }
     JoinP join{log_.records_of(id_, own_sent_)};
     // Oracle-validation mutation: withhold the slave's newest record; the
     // sync-clock oracle must fire when the master merges the join.
@@ -883,12 +911,14 @@ void NodeRuntime::slave_loop() {
         [[unlikely]] {
       join.records.pop_back();
     }
+    REPSEQ_CHECK(f.phase != Phase::Sequential || join.records.empty(),
+                 "node " + std::to_string(id_) + " closed an interval in a replicated section");
     own_sent_ = log_.known(id_);  // before the send, as the master's fork loop does
     if (chk_ != nullptr) [[unlikely]] {
       join.chk = chk_->shadow(id_);
-      chk_->on_sync_send(*this, 0);
+      chk_->on_sync_send(*this, parent);
     }
-    send_unicast(MsgKind::Join, 0, std::move(join));
+    send_unicast(MsgKind::Join, parent, std::move(join));
   }
 }
 

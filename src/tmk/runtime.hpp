@@ -112,9 +112,12 @@ class NodeRuntime {
   /// parallel region's when no slave lacks an interval record; otherwise a
   /// parallel region's is one unicast per slave.
   void fork(std::uint64_t work_id, Phase phase = Phase::Parallel);
-  /// Master: wait for all slaves' join messages.
+  /// Master: wait for all slaves' join messages; after a replicated
+  /// section's fork, only for its CombiningTree children's.
   void join_master();
-  /// Slave main loop: waits for forks, runs work, sends joins.
+  /// Slave main loop: waits for forks, runs work, sends joins.  After a
+  /// replicated section's fork, a slave's join waits for its
+  /// CombiningTree children's and goes to its parent.
   void slave_loop();
 
   // ---- protocol internals (exposed for the RSE engine and tests) ----
@@ -289,6 +292,8 @@ class NodeRuntime {
   void handle_diff_request(const net::Message& msg);
   void handle_barrier_arrive(const net::Message& msg);
 
+  /// Pops `joins` joins, merging each one's records and shadow clock.
+  void merge_joins(std::size_t joins);
   /// Logs a fork's, join's or barrier message's records, which raises
   /// this node's clock to the sender's; on the master, also completes what
   /// it knows of the sending slave.
@@ -355,7 +360,7 @@ class NodeRuntime {
   std::map<std::uint32_t, std::uint32_t> barrier_epochs_;  // per-node id -> uses
   sim::Channel<net::Message> fork_ch_;
   sim::Channel<net::Message> depart_ch_;
-  sim::Channel<net::Message> join_ch_;  // master only
+  sim::Channel<net::Message> join_ch_;  // the master's, an interior replica's
   /// Slave only: the index of this node's newest record the master holds.
   /// A slave learns other owners' records only from the master, so a join
   /// or arrival carries its own records after this one and nothing else.

@@ -501,7 +501,13 @@ INSTANTIATE_TEST_SUITE_P(
                          : ax.kind == net::TransportKind::ShardedHub ? "Sharded4"
                          : ax.kind == net::TransportKind::DirectAll  ? "Direct"
                                                                      : "Tree";
-      name += ax.window_us == 0 ? "Unbatched" : "W" + std::to_string(ax.window_us) + "us";
+      if (ax.window_us == 0) {
+        name += "Unbatched";
+      } else {
+        name += 'W';
+        name += std::to_string(ax.window_us);
+        name += "us";
+      }
       return name;
     });
 

@@ -5,14 +5,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "obs/trace.hpp"
 #include "ompnow/team.hpp"
 #include "rse/controller.hpp"
 #include "tmk/access.hpp"
+#include "tmk/combining_tree.hpp"
 #include "tmk/runtime.hpp"
 
 namespace repseq::rse {
@@ -406,6 +412,116 @@ TEST(Tmk, SectionBroadcastCarriesStampedRecords) {
     // The join's 8-byte header and one record of one page (16 + 4).
     EXPECT_EQ(sync_bytes(c) - bytes_before[s], w.ncfg.wire_bytes(8 + 20)) << "slave " << s;
   }
+}
+
+/// One send the net layer traced: when, from which node, to which node
+/// (-1 for a multicast) and the message kind.
+struct TracedSend {
+  double ts_us = 0;
+  int src = 0;
+  int dst = -1;
+  tmk::MsgKind kind{};
+};
+
+/// Runs `program` on `w`'s cluster with net tracing on and returns every
+/// unicast and multicast send, in time order.
+std::vector<TracedSend> traced_sends(World& w,
+                                     const std::function<void(tmk::NodeRuntime&)>& program) {
+  const std::string path = ::testing::TempDir() + "repseq_rse_sends.json";
+  obs::tracer().configure(path, static_cast<std::uint8_t>(obs::Cat::Net));
+  w.cl->run(program);
+  obs::tracer().write();
+  obs::tracer().configure("", 0);
+  std::ifstream in(path);
+  std::vector<TracedSend> out;
+  const auto number = [](const std::string& line, const std::string& key) {
+    const std::size_t at = line.find("\"" + key + "\":");
+    if (at == std::string::npos) return -1.0;
+    return std::strtod(line.c_str() + at + key.size() + 3, nullptr);
+  };
+  for (std::string line; std::getline(in, line);) {
+    const bool unicast = line.starts_with("{\"name\":\"unicast\"");
+    if (!unicast && !line.starts_with("{\"name\":\"multicast\"")) continue;
+    out.push_back({number(line, "ts"), static_cast<int>(number(line, "pid")) - 1,
+                   unicast ? static_cast<int>(number(line, "dst")) : -1,
+                   static_cast<tmk::MsgKind>(static_cast<std::uint32_t>(number(line, "kind")))});
+  }
+  in.close();
+  std::remove(path.c_str());
+  std::stable_sort(out.begin(), out.end(),
+                   [](const TracedSend& a, const TracedSend& b) { return a.ts_us < b.ts_us; });
+  return out;
+}
+
+TEST(Rse, BracketCombinesUpATreeOfReplicas) {
+  // Both bursts of the bracket combine up tmk::CombiningTree: each slave
+  // sends one valid-notice message and one join, to its tree parent, so
+  // the master receives at most kFanIn of each, not n-1 (the Section 3
+  // convergence the paper eliminates).  Every slave writes its own page
+  // first, so every replica has notices to send.
+  using Tree = tmk::CombiningTree;
+  for (std::size_t nodes : {32u, 128u}) {
+    World w(nodes, SeqMode::Replicated);
+    auto data = tmk::ShArray<int>::alloc(*w.cl, nodes * w.cfg.page_bytes / sizeof(int),
+                                         /*page_aligned=*/true);
+    std::vector<std::size_t> notices_from(nodes);
+    std::vector<std::size_t> joins_from(nodes);
+    std::vector<std::size_t> notices_to(nodes);
+    std::vector<std::size_t> joins_to(nodes);
+    double section_us = 0;  // the region's joins before it all go to the master
+    const std::vector<TracedSend> sends = traced_sends(w, [&](tmk::NodeRuntime&) {
+      write_own_pages(w, data);
+      section_us = static_cast<double>(w.cl->engine().now().ns) / 1000.0;
+      w.team->sequential([](const Ctx&) {});
+    });
+    for (const TracedSend& m : sends) {
+      if (m.ts_us < section_us) continue;
+      if (m.kind != tmk::MsgKind::ValidNotices && m.kind != tmk::MsgKind::Join) continue;
+      const bool notice = m.kind == tmk::MsgKind::ValidNotices;
+      EXPECT_EQ(m.dst, static_cast<int>(Tree::parent(static_cast<net::NodeId>(m.src))))
+          << nodes << " nodes, node " << m.src;
+      ++(notice ? notices_from : joins_from)[m.src];
+      ++(notice ? notices_to : joins_to)[m.dst];
+    }
+    const std::size_t fan_in = std::min(Tree::kFanIn, nodes - 1);
+    EXPECT_EQ(notices_to[0], fan_in) << nodes << " nodes";
+    EXPECT_EQ(joins_to[0], fan_in) << nodes << " nodes";
+    for (std::size_t s = 1; s < nodes; ++s) {
+      EXPECT_EQ(notices_from[s], 1u) << nodes << " nodes, slave " << s;
+      EXPECT_EQ(joins_from[s], 1u) << nodes << " nodes, slave " << s;
+      EXPECT_LE(notices_to[s], Tree::kFanIn) << nodes << " nodes, slave " << s;
+    }
+  }
+}
+
+TEST(Rse, AckChainForwardsBeforeItApplies) {
+  // Under chained flow control each node sends its round frame when its
+  // predecessor's lands.  Every slave holds a diff of the page, so the last
+  // node's copy completes at its predecessor's frame: it forwards first and
+  // applies the page after, or the chain's last step would also carry the
+  // apply of every other slave's diff.
+  constexpr std::size_t kNodes = 8;
+  World w(kNodes, SeqMode::Replicated);
+  auto data = tmk::ShArray<int>::alloc(*w.cl, w.cfg.page_bytes / sizeof(int),
+                                       /*page_aligned=*/true);
+  std::vector<TracedSend> chain;
+  for (const TracedSend& m : traced_sends(w, [&](tmk::NodeRuntime&) {
+         w.team->parallel([&](const Ctx& ctx) {
+           if (ctx.tid > 0) data.store(static_cast<std::size_t>(ctx.tid), ctx.tid);
+         });
+         w.team->sequential([&](const Ctx&) { (void)data.load(0); });
+       })) {
+    if (m.kind == tmk::MsgKind::McastDiffReply || m.kind == tmk::MsgKind::McastNullAck) {
+      chain.push_back(m);
+    }
+  }
+  ASSERT_EQ(chain.size(), kNodes) << "one round, one frame per node";
+  for (std::size_t i = 0; i < kNodes; ++i) ASSERT_EQ(chain[i].src, static_cast<int>(i));
+  double longest_other = 0;
+  for (std::size_t i = 1; i + 1 < kNodes; ++i) {
+    longest_other = std::max(longest_other, chain[i].ts_us - chain[i - 1].ts_us);
+  }
+  EXPECT_LE(chain[kNodes - 1].ts_us - chain[kNodes - 2].ts_us, longest_other);
 }
 
 TEST(Rse, ReplicatedBracketSynchronizesOnce) {

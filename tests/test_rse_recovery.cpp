@@ -145,16 +145,18 @@ TEST(WatchdogAbandonment, LateCompletingChainDoesNotDoubleFinishRounds) {
 TEST(RoundLifetime, MasterRetiresRoundsAtSectionExit) {
   // Regression: a round must not outlive its section.  Node 1 alone holds
   // the page's diff, so once its frame lands every faulting node leaves the
-  // section at once, and their joins (sync traffic, admitted past a full
-  // receive ring) reach the master with the rest of the ack chain (null
-  // acks, droppable).  The master drops the chain's tail and never sees it
-  // complete.  The round used to stay in flight until the watchdog
-  // abandoned it, rse_wait_timeout later, with the next section's round
-  // queued behind it.  Once every slave has joined nobody waits on a round,
-  // so the master retires it there.  Those tail null acks are the only
-  // frames dropped: a slave receives the chain one frame at a time, and no
-  // node recovers anything.
-  constexpr std::size_t kNodes = 8;
+  // section at once, while the ack chain still walks nodes 2 to 8.  The
+  // joins combine up the tree, the master forks the next section, and the
+  // valid notices of its four leaf children (sync traffic, admitted past a
+  // full receive ring) reach it with the chain's tail (null acks,
+  // droppable).  The master's 2-frame ring drops the tail, and the master
+  // never sees the chain complete.  The round used to stay in flight until
+  // the watchdog abandoned it, rse_wait_timeout later, with the next
+  // section's round queued behind it.  Once every slave has joined nobody
+  // waits on a round, so the master retires it there.  Those tail null
+  // acks are the only frames dropped: a slave receives the chain one frame
+  // at a time, and no node recovers anything.
+  constexpr std::size_t kNodes = 9;
   constexpr std::size_t kIntsPerPage = 4096 / sizeof(int);
   tmk::TmkConfig cfg;
   cfg.heap_bytes = 1u << 20;

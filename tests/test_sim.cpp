@@ -169,13 +169,17 @@ TEST(Engine, FibersInterleaveDeterministically) {
   eng.spawn("a", [&] {
     for (int i = 0; i < 3; ++i) {
       eng.sleep_for(microseconds(10));
-      log.push_back("a" + std::to_string(i));
+      std::string entry(1, 'a');
+      entry += std::to_string(i);
+      log.push_back(entry);
     }
   });
   eng.spawn("b", [&] {
     for (int i = 0; i < 3; ++i) {
       eng.sleep_for(microseconds(15));
-      log.push_back("b" + std::to_string(i));
+      std::string entry(1, 'b');
+      entry += std::to_string(i);
+      log.push_back(entry);
     }
   });
   eng.run();
